@@ -25,7 +25,7 @@ import numpy as np
 
 from ._bumps import EdgeBump, WindowBump
 from .errors import BasisError
-from .signals import sobolev_norm_T
+from .signals import sobolev_norm_T, synthesize
 
 DEFAULT_N_MODES = 8
 
@@ -352,45 +352,17 @@ class GalerkinSystem:
         return self.forces.g
 
     def d_at(self, t):
-        """Real transport matrix d(t)."""
-        out = np.zeros((self.n, self.n))
-        w = self.carrier.omega
-        for k, dk in self.d_harmonics.items():
-            mult = 1.0 if k == 0 else 2.0
-            out += mult * (dk * np.exp(1j * w * k * t)).real
-        return out
+        """Real transport matrix d(t), for a scalar or an array of times."""
+        return synthesize(self.d_harmonics, self.carrier.omega, t)
 
     def f_at(self, t):
-        """Real projected forcing vector f_kappa(t)."""
-        out = np.zeros(self.n)
-        w = self.carrier.omega
-        for k, fk in self.f_harmonics.items():
-            mult = 1.0 if k == 0 else 2.0
-            out += mult * (fk * np.exp(1j * w * k * t)).real
-        return out
+        """Real projected forcing vector f_kappa(t), for a scalar or an array
+        of times (zero when no harmonic is stored)."""
+        return synthesize(self.f_harmonics or {0: np.zeros(self.n)}, self.carrier.omega, t)
 
     def g_at(self, t):
         """(1/rho) g(t) beta vector."""
         return (float(self.g_signal(t)) / self.params.rho) * self.beta
-
-    def to_json_dict(self):
-        def cplx(d):
-            return {
-                str(k): [np.asarray(v).real.tolist(), np.asarray(v).imag.tolist()]
-                for k, v in d.items()
-            }
-
-        return {
-            "n": self.n,
-            "T": self.period,
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "c": self.c.tolist(),
-            "beta": self.beta.tolist(),
-            "d_harmonics": cplx(self.d_harmonics),
-            "f_harmonics": cplx(self.f_harmonics),
-            "g": self.g_signal.to_json_dict(),
-        }
 
 
 def assemble_system(basis, carrier, forces, params, mesh=None):
@@ -522,33 +494,20 @@ def estimate_cq(basis, carrier, n_samples=200, seed=0, n_times=64):
     extra = rng.normal(size=(n_samples, basis.n))
     samples += list(extra / np.linalg.norm(extra, axis=1, keepdims=True))
     times = np.arange(n_times) * (carrier.period / n_times)
-    omega = carrier.omega
 
     # deterministic candidates: exact maximizers of the quadratic-form ratio
     # at each grid time (generalized symmetric eigenproblem against the
     # gradient Gram matrix); random samples then only confirm the maximum
     from scipy.linalg import eigh
 
-    for t in times:
-        Bt = sum(
-            (1.0 if k == 0 else 2.0) * (Bk * np.exp(1j * omega * k * t)).real
-            for k, Bk in B.items()
-        )
-        _, vecs = eigh(0.5 * (Bt + Bt.T), gg)
+    Bt = synthesize(B, carrier.omega, times)  # (n_times, n, n)
+    for Bi in Bt:
+        _, vecs = eigh(0.5 * (Bi + Bi.T), gg)
         samples.append(vecs[:, 0])
         samples.append(vecs[:, -1])
 
-    best = 0.0
-    for a in samples:
-        denom = phi_norm * float(a @ gg @ a)
-        forms = {
-            k: float(a @ Bk.real @ a) + 1j * float(a @ Bk.imag @ a)
-            for k, Bk in B.items()
-        }
-        for t in times:
-            val = 0.0
-            for k, q in forms.items():
-                mult = 1.0 if k == 0 else 2.0
-                val += mult * (q * np.exp(1j * omega * k * t)).real
-            best = max(best, abs(val) / denom)
+    S = np.array(samples)
+    denom = phi_norm * np.einsum("si,ij,sj->s", S, gg, S)
+    forms = np.einsum("si,tij,sj->ts", S, Bt, S)
+    best = float(np.max(np.abs(forms) / denom))
     return best, False

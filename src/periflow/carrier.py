@@ -33,7 +33,7 @@ from scipy.interpolate import CubicSpline
 
 from ._bumps import EdgeBump
 from .errors import GeometryError
-from .signals import PeriodicSignal
+from .signals import PeriodicSignal, harmonic_weights, synthesize
 from .womersley import PoiseuilleFlow
 
 
@@ -56,10 +56,8 @@ class _HarmonicProfile:
         x2 = flow.x2
         chi = flow.chi[k]
         chi2 = flow.chi_second_derivative(k)
-        d1 = CubicSpline(x2, chi2).antiderivative()(x2)
-        d1 = d1 - CubicSpline(x2, d1).integrate(-1.0, 1.0) / 2.0
         self.chi = CubicSpline(x2, chi)
-        self.chi1 = CubicSpline(x2, d1)
+        self.chi1 = CubicSpline(x2, flow.chi_first_derivative(k))
         self.chi2 = CubicSpline(x2, chi2)
         self.S = CubicSpline(x2, chi).antiderivative()
 
@@ -85,9 +83,6 @@ class FluxCarrier:
     @property
     def harmonics(self):
         return sorted(self.profiles)
-
-    def theta(self, x1, x2, dx=0, dy=0):
-        return self.bump_x(x1, dx) * self.bump_y(x2, dy)
 
     def harmonic_fields(self, points, k, need=("V",)):
         """Complex fields of harmonic k >= 0 at (npts, 2) points.
@@ -154,35 +149,15 @@ class FluxCarrier:
 
     def velocity_at(self, points, t):
         """Real carrier velocity at time t, shape (npts, 2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape)
-        for k in self.harmonics:
-            mult = 1.0 if k == 0 else 2.0
-            vk = self.harmonic_fields(pts, k, ("V",))["V"]
-            out += mult * (vk * np.exp(1j * self.omega * k * t)).real
-        return out
+        fields = {k: self.harmonic_fields(points, k)["V"] for k in self.harmonics}
+        return synthesize(fields, self.omega, t)
 
     def gradient_at(self, points, t):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[:1] + (2, 2))
-        for k in self.harmonics:
-            mult = 1.0 if k == 0 else 2.0
-            gk = self.harmonic_fields(pts, k, ("grad",))["grad"]
-            out += mult * (gk * np.exp(1j * self.omega * k * t)).real
-        return out
-
-    def stream_at(self, points, t):
-        """Real stream function at time t."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x1, x2 = pts[:, 0], pts[:, 1]
-        th = self.theta(x1, x2)
-        out = np.zeros(len(pts))
-        for k in self.harmonics:
-            mult = 1.0 if k == 0 else 2.0
-            S = self.profiles[k].S(x2)
-            val = S + (self.center_values[k] - S) * th
-            out += mult * (val * np.exp(1j * self.omega * k * t)).real
-        return out
+        """Real carrier velocity gradient at time t, shape (npts, 2, 2)."""
+        fields = {
+            k: self.harmonic_fields(points, k, ("grad",))["grad"] for k in self.harmonics
+        }
+        return synthesize(fields, self.omega, t)
 
     def section_flux(self, x1, t, n_quad=2049):
         """Flux of V through the fluid part of the vertical section x1=const."""
@@ -283,27 +258,24 @@ class ForcingData:
         """psi(t); the carrier pressure is p~ = -psi(t) * x1."""
         return self.carrier.flow.pressure_factor_signal
 
-    def f_at(self, points, t):
-        """Real body force at arbitrary points and time (analytic synthesis)."""
+    def f_harmonics_at(self, points):
+        """Harmonic amplitudes k -> (npts, 2) of the body force (carrier part
+        plus the external force) at arbitrary points; a zero harmonic 0 when
+        the force vanishes."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         harmonics = _f_harmonics_at(self.carrier, self.params, pts)
         if self.tilde_f is not None:
             for k, fld in self.tilde_f.harmonic_fields(pts).items():
                 harmonics[k] = harmonics.get(k, 0.0) + fld
-        out = np.zeros(pts.shape)
-        w = self.carrier.omega
-        for k, fld in harmonics.items():
-            mult = 1.0 if k == 0 else 2.0
-            out += mult * (fld * np.exp(1j * w * k * t)).real
-        return out
+        return harmonics or {0: np.zeros(pts.shape)}
+
+    def f_at(self, points, t):
+        """Real body force at arbitrary points and time (analytic synthesis)."""
+        return synthesize(self.f_harmonics_at(points), self.carrier.omega, t)
 
     def f_l2_l2_norm(self):
         """||f||_{L^2(0,T;L^2(Omega))} from harmonic data (Parseval)."""
-        total = 0.0
-        for k, fld in self.f_harmonics.items():
-            mult = 1.0 if k == 0 else 2.0
-            total += mult * float(np.dot(self.cell_weights, (np.abs(fld) ** 2).sum(axis=-1)))
-        return math.sqrt(self.period * total)
+        return self._l2_l2_norm(slice(None))
 
     def f_norm_series(self, n_times=256, dt_order=0):
         """||d^r f/dt^r (t)||_{L^2(Omega)} on a uniform time grid."""
@@ -317,13 +289,16 @@ class ForcingData:
             x1_abs_min = self.carrier.geometry.X0
         pts = self.mesh.centers[self.cell_idx]
         mask = np.abs(pts[:, 0]) >= x1_abs_min
-        total = 0.0
-        for k, fld in self.f_harmonics.items():
-            mult = 1.0 if k == 0 else 2.0
-            total += mult * float(
-                np.dot(self.cell_weights[mask], (np.abs(fld[mask]) ** 2).sum(axis=-1))
-            )
-        return math.sqrt(self.period * total)
+        return self._l2_l2_norm(mask)
+
+    def _l2_l2_norm(self, cells):
+        """Parseval L^2(0,T;L^2) norm of f over the support cells `cells`."""
+        energies = [
+            float(np.dot(self.cell_weights[cells], (np.abs(fld[cells]) ** 2).sum(axis=-1)))
+            for fld in self.f_harmonics.values()
+        ]
+        weights = harmonic_weights(list(self.f_harmonics))
+        return math.sqrt(self.period * float(np.dot(weights, energies)))
 
 
 def _f_harmonics_at(carrier, params, pts):

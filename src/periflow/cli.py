@@ -186,7 +186,6 @@ def build_parser():
     )
     parser.add_argument("--config", help="YAML configuration file (default: built-in reference setup)")
     parser.add_argument("--out", help="output directory (default: from config)")
-    parser.add_argument("--threads", type=int, help="worker thread cap")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument(
         "--warn-only",
@@ -201,10 +200,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     try:
         config = load_config(args.config) if args.config else reference_config()
         overrides = {}

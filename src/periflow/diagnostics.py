@@ -11,7 +11,7 @@ rows {check_id, lhs, rhs, slack, pass} plus per-time series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .periodic_ode import (
     solve_linear_periodic,
     spectral_time_derivative,
 )
-from .signals import derivative, l2_norm_sq, sobolev_norm_T
+from .signals import derivative, l2_norm_sq, sobolev_norm_T, synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +137,8 @@ def check_energy_identity(traj, gsys):
     a = a2[half]
     zdot = zdot2[half]
 
-    omega = 2.0 * math.pi / T
-    quad_d = np.zeros(len(half))
-    dot_f = np.zeros(len(half))
-    for k, dk in gsys.d_harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        ph = np.exp(1j * omega * k * times_h)
-        quad_d += mult * (ph * np.einsum("ti,ik,tk->t", a, dk, a)).real
-    for k, fk in gsys.f_harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        ph = np.exp(1j * omega * k * times_h)
-        dot_f += mult * (ph * (a @ fk)).real
+    quad_d = np.einsum("ti,tik,tk->t", a, gsys.d_at(times_h), a)
+    dot_f = np.einsum("ti,ti->t", a, gsys.f_at(times_h))
     g_h = gsys.g_signal(times_h)
 
     res = (
@@ -498,19 +489,12 @@ def strong_regularity_monitor(traj, gsys):
     Tri = np.einsum("ti,ijk,tj,tk->t", adot, gsys.c, a, adot, optimize=True)
 
     omega = 2.0 * math.pi / T
-    d_term = np.zeros(M)
-    for k, dk in gsys.d_harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        ph = np.exp(1j * omega * k * times)
-        d_term += mult * (ph * np.einsum("ti,ik,tk->t", adot, dk, adot)).real
-        dpk = 1j * omega * k * dk
-        d_term += mult * (ph * np.einsum("ti,ik,tk->t", a, dpk, adot)).real
+    d_dt = {k: 1j * omega * k * dk for k, dk in gsys.d_harmonics.items()}
+    d_term = np.einsum("ti,tik,tk->t", adot, gsys.d_at(times), adot)
+    d_term += np.einsum("ti,tik,tk->t", a, synthesize(d_dt, omega, times), adot)
     S = (params.stiffness / params.rho) * zdot * zsec
-    fprime_dot = np.zeros(M)
-    for k, fk in gsys.f_harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        ph = np.exp(1j * omega * k * times)
-        fprime_dot += mult * (ph * (adot @ (1j * omega * k * fk))).real
+    f_dt = {k: 1j * omega * k * fk for k, fk in gsys.f_harmonics.items()} or {0: np.zeros(n)}
+    fprime_dot = np.einsum("ti,ti->t", adot, synthesize(f_dt, omega, times))
     gprime = derivative(gsys.g_signal)(times)
     F = traj.alpha * (fprime_dot + gprime * zsec / params.rho)
     identity_res = float(np.abs(N + Diss + d_term + S - F - Tri).max())
@@ -633,12 +617,10 @@ def stokes_rhs_norm(traj, gsys, theta=None, n_times=64):
     gpsi = basis.gradient_at(pts)  # (n, np, 2, 2)
     grad_theta = theta.grad(pts[:, 0], pts[:, 1])
 
-    from .carrier import _f_harmonics_at
-
-    f_harm = _f_harmonics_at(carrier, params, pts)
-    if forces.tilde_f is not None:
-        for k, fld in forces.tilde_f.harmonic_fields(pts).items():
-            f_harm[k] = f_harm.get(k, 0.0) + fld
+    f_harm = forces.f_harmonics_at(pts)
+    fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad")) for k in carrier.harmonics}
+    V_harm = {k: fld["V"] for k, fld in fields.items()}
+    GV_harm = {k: fld["grad"] for k, fld in fields.items()}
 
     states = traj.resample_states(n_times)[:-1]
     derivs = resample_periodic(traj.derivs[:-1], n_times)
@@ -652,20 +634,13 @@ def stokes_rhs_norm(traj, gsys, theta=None, n_times=64):
     g_t = forces.g(times)
     omega = carrier.omega
 
+    # one time at a time: all times at once would hold n_times copies of the
+    # (npts, 2, 2) gradient field
     norms = np.zeros(n_times)
     for it, t in enumerate(times):
-        V = np.zeros((len(pts), 2))
-        GV = np.zeros((len(pts), 2, 2))
-        for k in carrier.harmonics:
-            mult = 1.0 if k == 0 else 2.0
-            fld = carrier.harmonic_fields(pts, k, ("V", "grad"))
-            ph = np.exp(1j * omega * k * t)
-            V += mult * (fld["V"] * ph).real
-            GV += mult * (fld["grad"] * ph).real
-        f_t = np.zeros((len(pts), 2))
-        for k, fld in f_harm.items():
-            mult = 1.0 if k == 0 else 2.0
-            f_t += mult * (fld * np.exp(1j * omega * k * t)).real
+        V = synthesize(V_harm, omega, t)
+        GV = synthesize(GV_harm, omega, t)
+        f_t = synthesize(f_harm, omega, t)
         v = np.einsum("i,ipc->pc", a_s[it], psi)
         gv = np.einsum("i,ipcd->pcd", a_s[it], gpsi)
         dvdt = np.einsum("i,ipc->pc", adot_s[it], psi)

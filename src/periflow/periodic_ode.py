@@ -11,7 +11,7 @@ nominal or the halved step size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,18 +173,6 @@ class PeriodicTrajectory:
         res = resample_periodic(self.states[:-1], n_out)
         return np.vstack([res, res[:1]])
 
-    def distance(self, other, weights=None):
-        """Discrete L2(0,T) distance between two trajectories on equal grids."""
-        if other is None:
-            other = np.zeros_like(self.states)
-        diff = self.states[:-1] - (
-            other.states[:-1] if isinstance(other, PeriodicTrajectory) else other[:-1]
-        )
-        dt = self.period / self.n_steps
-        if weights is not None:
-            diff = diff @ weights
-        return math.sqrt(float(np.sum(diff**2)) * dt)
-
 
 def zero_trajectory(period, n_fluid, n_steps=DEFAULT_N_STEPS, alpha=1.0):
     states = np.zeros((n_steps + 1, n_fluid + 1))
@@ -238,16 +226,6 @@ def solve_linear_periodic(system, n_fluid=None, alpha=1.0, check_step_error=True
     )
 
 
-def _harmonic_series(harmonics, omega, times, shape):
-    """Real synthesis of one-sided harmonic data on a time grid."""
-    out = np.zeros((len(times),) + shape)
-    for k, val in harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        phase = np.exp(1j * omega * k * times)
-        out += mult * (phase.reshape((-1,) + (1,) * len(shape)) * val[None]).real
-    return out
-
-
 def linear_system_from_galerkin(
     gsys, tilde_a=None, alpha=1.0, n_steps=DEFAULT_N_STEPS
 ):
@@ -259,13 +237,10 @@ def linear_system_from_galerkin(
     """
     n = gsys.n
     T = gsys.period
-    omega = 2.0 * math.pi / T
     times2 = np.arange(4 * n_steps + 1) * (T / (4 * n_steps))
 
-    d_series = _harmonic_series(gsys.d_harmonics, omega, times2, (n, n))
-    f_series = _harmonic_series(
-        {k: v for k, v in gsys.f_harmonics.items()}, omega, times2, (n,)
-    )
+    d_series = gsys.d_at(times2)
+    f_series = gsys.f_at(times2)
     g_series = gsys.g_signal(times2)
 
     if tilde_a is None:

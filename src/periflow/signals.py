@@ -10,7 +10,6 @@ Signals are immutable; all operations return new instances.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +17,28 @@ import numpy as np
 
 DEFAULT_GRID_SIZE = 256
 MAX_DERIVATIVE_ORDER = 3
+
+
+def harmonic_weights(ks):
+    """Weights of the one-sided convention: 1 for k = 0, 2 for k >= 1.
+
+    They count the harmonic -k that c_{-k} = conj(c_k) leaves implicit, both
+    in the synthesis of a real series and in Parseval sums over |c_k|^2.
+    """
+    return np.where(np.asarray(ks) == 0, 1.0, 2.0)
+
+
+def synthesize(harmonics, omega, times):
+    """Real series c_0 + 2 sum_{k>=1} Re(c_k exp(i omega k t)) at `times`.
+
+    `harmonics` is a non-empty mapping from k >= 0 to a complex value c_k;
+    all values share one shape.  `times` is a scalar or an array.  Returns a real array of shape
+    times.shape + value.shape.
+    """
+    ks = np.fromiter(harmonics, dtype=float, count=len(harmonics))
+    values = np.stack([np.asarray(v, dtype=complex) for v in harmonics.values()])
+    phases = harmonic_weights(ks) * np.exp(1j * omega * np.multiply.outer(times, ks))
+    return np.tensordot(phases, values, axes=1).real
 
 
 @dataclass(frozen=True)
@@ -45,10 +66,7 @@ class PeriodicSignal:
         return np.arange(self.grid_size) * (self.period / self.grid_size)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        k = np.arange(1, len(self.fourier_coeffs))
-        phases = np.exp(1j * self.omega * np.multiply.outer(t, k))
-        val = self.fourier_coeffs[0].real + 2.0 * (phases @ self.fourier_coeffs[1:]).real
+        val = synthesize(dict(enumerate(self.fourier_coeffs)), self.omega, t)
         return val if val.shape else float(val)
 
     def __add__(self, other):
@@ -80,10 +98,6 @@ class PeriodicSignal:
                 if c != 0 or k == 0
             ],
         }
-
-    def dump_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
 
 def make_signal(period, coeffs, grid_size=DEFAULT_GRID_SIZE):
@@ -181,9 +195,7 @@ def l2_norm_sq(signal, deriv_order=0):
     """Squared L^2(0,T) norm of the deriv_order-th derivative (Parseval)."""
     k = np.arange(len(signal.fourier_coeffs))
     amp2 = np.abs(signal.fourier_coeffs) ** 2 * (signal.omega * k) ** (2 * deriv_order)
-    mult = np.full(len(k), 2.0)
-    mult[0] = 1.0
-    return signal.period * float(np.dot(mult, amp2))
+    return signal.period * float(np.dot(harmonic_weights(k), amp2))
 
 
 def sobolev_norm_T(signal, m):

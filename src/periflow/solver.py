@@ -7,7 +7,7 @@ scale and the end-to-end pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import NoConvergence, PeriflowError, StageError
 from .periodic_ode import (
     PeriodicTrajectory,
     linear_system_from_galerkin,
-    resample_periodic,
     solve_linear_periodic,
     spectral_time_derivative,
     zero_trajectory,
@@ -35,7 +34,6 @@ class FixedPointConfig:
     max_iter: int = DEFAULT_MAX_ITER
     alpha: float = 1.0
     n_steps: int = 256
-    warn_only: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -117,17 +115,8 @@ def residual_galerkin(gsys, traj):
     a, z = states2[half, :n], states2[half, n]
     adot, zdot_spec = dstates2[half, :n], dstates2[half, n]
 
-    omega = 2.0 * math.pi / T
-    d_h = np.zeros((len(half), n, n))
-    f_h = np.zeros((len(half), n))
-    for k, dk in gsys.d_harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        ph = np.exp(1j * omega * k * times_h)
-        d_h += mult * (ph[:, None, None] * dk[None]).real
-    for k, fk in gsys.f_harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        ph = np.exp(1j * omega * k * times_h)
-        f_h += mult * (ph[:, None] * fk[None]).real
+    d_h = gsys.d_at(times_h)
+    f_h = gsys.f_at(times_h)
     g_h = gsys.g_signal(times_h)
 
     rho = gsys.params.rho
@@ -154,16 +143,8 @@ def weak1_residual(gsys, traj, n_time_harmonics=4):
     zdot = traj.zdot[:-1]
     omega = 2.0 * math.pi / T
 
-    d_t = np.zeros((M, n, n))
-    f_t = np.zeros((M, n))
-    for k, dk in gsys.d_harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        ph = np.exp(1j * omega * k * tgrid)
-        d_t += mult * (ph[:, None, None] * dk[None]).real
-    for k, fk in gsys.f_harmonics.items():
-        mult = 1.0 if k == 0 else 2.0
-        ph = np.exp(1j * omega * k * tgrid)
-        f_t += mult * (ph[:, None] * fk[None]).real
+    d_t = gsys.d_at(tgrid)
+    f_t = gsys.f_at(tgrid)
     g_t = gsys.g_signal(tgrid)
 
     rho = gsys.params.rho
@@ -260,6 +241,14 @@ def homotopy_sweep(gsys, alphas, cfg=None):
     return rows, last
 
 
+def stage(name, fn):
+    """Run one pipeline stage, annotating a PeriflowError with its name."""
+    try:
+        return fn()
+    except PeriflowError as exc:
+        raise StageError(name, exc) from exc
+
+
 @dataclass(frozen=True)
 class SolveResult:
     trajectory: PeriodicTrajectory
@@ -280,12 +269,6 @@ def assemble_from_config(config):
     from .basis import assemble_system, build_basis
     from .geometry import build_mesh
     from .womersley import solve_poiseuille
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except PeriflowError as exc:
-            raise StageError(name, exc) from exc
 
     geom = stage("geometry", lambda: config.build_geometry())
     params = config.params
@@ -331,12 +314,6 @@ def galerkin_solve(config):
 
     warnings = []
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except PeriflowError as exc:
-            raise StageError(name, exc) from exc
-
     parts = assemble_from_config(config)
     params = parts["params"]
     phi = parts["phi"]
@@ -363,7 +340,6 @@ def galerkin_solve(config):
         tol=config.fixed_point_tol,
         max_iter=config.max_iter,
         n_steps=config.n_steps,
-        warn_only=config.warn_only,
     )
     traj, report = stage("fixed-point", lambda: fixed_point(gsys, cfg))
     report["smallness"] = small

@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import ResolutionError
-from .signals import PeriodicSignal, derivative, sobolev_norm_T
+from .signals import PeriodicSignal, harmonic_weights, sobolev_norm_T, synthesize
 
 DEFAULT_PROFILE_NODES = 129
 MIN_NODES_PER_STOKES_LAYER = 4
@@ -81,23 +81,20 @@ class PoiseuilleFlow:
         nu = self.params.nu
         return (1j * self.omega * k * self.chi[k] - self.pressure_coeffs.get(k, 0.0)) / nu
 
+    def chi_first_derivative(self, k):
+        """chi_k' as the antiderivative of the exact chi_k'', with the
+        constant fixed by chi_k(1) - chi_k(-1) = 0."""
+        d1 = CubicSpline(self.x2, self.chi_second_derivative(k)).antiderivative()(self.x2)
+        return d1 - CubicSpline(self.x2, d1).integrate(-1.0, 1.0) / 2.0
+
     def profile_at(self, t, x2=None):
         """Real profile chi(x2, t); x2 defaults to the solver grid."""
         vals = self.chi if x2 is None else {k: CubicSpline(self.x2, v)(x2) for k, v in self.chi.items()}
-        shape = len(self.x2) if x2 is None else np.shape(np.asarray(x2))
-        out = np.zeros(shape)
-        for k, v in vals.items():
-            mult = 1.0 if k == 0 else 2.0
-            out = out + mult * (v * np.exp(1j * self.omega * k * t)).real
-        return out
+        return synthesize(vals, self.omega, t)
 
     def flux_at(self, t):
-        spl_total = {k: CubicSpline(self.x2, v).integrate(-1.0, 1.0) for k, v in self.chi.items()}
-        total = 0.0
-        for k, q in spl_total.items():
-            mult = 1.0 if k == 0 else 2.0
-            total += mult * (q * np.exp(1j * self.omega * k * t)).real
-        return total
+        fluxes = {k: CubicSpline(self.x2, v).integrate(-1.0, 1.0) for k, v in self.chi.items()}
+        return synthesize(fluxes, self.omega, t)
 
 
 def solve_poiseuille(flowrate, params, n_nodes=DEFAULT_PROFILE_NODES, geometry=None):
@@ -148,22 +145,17 @@ def pressure_factor(flow, t):
 
 
 def _spatial_norms_sq(flow, k):
-    """(L2, W12, W22) squared spatial norms of the complex profile chi_k."""
+    """(L2, W22) squared spatial norms of the complex profile chi_k."""
     x2 = flow.x2
     v = flow.chi[k]
+    d1 = flow.chi_first_derivative(k)
     d2 = flow.chi_second_derivative(k)
-    # chi' = antiderivative of the exact chi'' up to a constant fixed by
-    # chi(1) - chi(-1) = 0
-    d1 = CubicSpline(x2, d2).antiderivative()(x2)
-    d1 = d1 - CubicSpline(x2, d1).integrate(-1.0, 1.0) / 2.0
 
     def nrm2(u):
         return float(CubicSpline(x2, np.abs(u) ** 2).integrate(-1.0, 1.0))
 
     l2 = nrm2(v)
-    w12 = l2 + nrm2(d1)
-    w22 = w12 + nrm2(d2)
-    return l2, w12, w22
+    return l2, l2 + nrm2(d1) + nrm2(d2)
 
 
 @dataclass(frozen=True)
@@ -181,27 +173,24 @@ def chi_norm_report(flow, grid_size=256):
     T = flow.period
     omega = flow.omega
     rows = []
-    sp = {k: _spatial_norms_sq(flow, k) for k in flow.harmonics}
+    ks = flow.harmonics
+    sp = np.array([_spatial_norms_sq(flow, k) for k in ks])  # (K, 2)
+    weights = T * harmonic_weights(ks)
+    wk2 = (omega * np.array(ks, dtype=float)) ** 2
+    dchi = {k: flow.chi_first_derivative(k) for k in ks}
     times = np.arange(grid_size) * (T / grid_size)
     for m in (1, 2, 3):
         # time-Sobolev norms via Parseval over harmonics
-        wk_w22_sq = 0.0
-        wk1_l2_sq = 0.0
-        for k in flow.harmonics:
-            mult = 1.0 if k == 0 else 2.0
-            wfac = sum((omega * k) ** (2 * j) for j in range(m))
-            wfac1 = sum((omega * k) ** (2 * j) for j in range(m + 1))
-            wk_w22_sq += T * mult * wfac * sp[k][2]
-            wk1_l2_sq += T * mult * wfac1 * sp[k][0]
-        # sup-in-time W^{1,2} norm of the (m-1)-th time derivative
-        sup = 0.0
-        for t in times:
-            val = 0.0
-            for k in flow.harmonics:
-                mult = 1.0 if k == 0 else 2.0
-                amp = abs((1j * omega * k) ** (m - 1) * np.exp(1j * omega * k * t)) ** 2
-                val += mult * amp * sp[k][1]
-            sup = max(sup, val)
+        wfac = sum(wk2**j for j in range(m))
+        wk_w22_sq = float(np.dot(weights, wfac * sp[:, 1]))
+        wk1_l2_sq = float(np.dot(weights, (wfac + wk2**m) * sp[:, 0]))
+        # sup-in-time W^{1,2} norm of the (m-1)-th time derivative of the
+        # real profile, which the harmonics' cross terms make time-dependent
+        fac = {k: (1j * omega * k) ** (m - 1) for k in ks}
+        u = synthesize({k: fac[k] * flow.chi[k] for k in ks}, omega, times)
+        du = synthesize({k: fac[k] * dchi[k] for k in ks}, omega, times)
+        w12_sq = CubicSpline(flow.x2, u**2 + du**2, axis=1).integrate(-1.0, 1.0)
+        sup = float(np.max(w12_sq))
         phi_norm = sobolev_norm_T(flow.flowrate, m)
         lhs = (math.sqrt(wk_w22_sq), math.sqrt(sup), math.sqrt(wk1_l2_sq))
         ratios = tuple((v / phi_norm if phi_norm > 0 else 0.0) for v in lhs)
@@ -221,4 +210,4 @@ def chi_norm_report(flow, grid_size=256):
 def flux_error(flow, n_times=64):
     """Max over a time grid of |flux(chi) - phi(t)| (construction check)."""
     times = np.arange(n_times) * (flow.period / n_times)
-    return max(abs(flow.flux_at(t) - flow.flowrate(t)) for t in times)
+    return float(np.max(np.abs(flow.flux_at(times) - flow.flowrate(times))))

@@ -15,6 +15,7 @@ from periflow.signals import (
     signal_from_json_dict,
     sine_signal,
     sobolev_norm_T,
+    synthesize,
     zero_signal,
 )
 
@@ -31,6 +32,15 @@ def signals(draw, max_harmonics=8, mean_zero=False):
     return make_signal(T, coeffs)
 
 
+def _loop_synthesis(harmonics, omega, t):
+    """Per-harmonic reference for one scalar time: c_0 + 2 sum Re(c_k e^{i omega k t})."""
+    out = 0.0
+    for k, c in harmonics.items():
+        weight = 1.0 if k == 0 else 2.0
+        out = out + weight * (np.asarray(c) * np.exp(1j * omega * k * t)).real
+    return out
+
+
 @settings(max_examples=50, deadline=None)
 @given(signals(), st.floats(0.0, 100.0))
 def test_periodicity(sig, t):
@@ -38,6 +48,9 @@ def test_periodicity(sig, t):
     # phase roundoff grows with the number of elapsed periods
     tol = 1e-12 * (1.0 + abs(t) / sig.period) * (1.0 + sig.max_abs())
     assert abs(a - b) <= tol
+    assert isinstance(a, float)
+    loop = _loop_synthesis(dict(enumerate(sig.fourier_coeffs)), sig.omega, t)
+    assert abs(a - loop) <= tol
 
 
 @settings(max_examples=50, deadline=None)
@@ -158,3 +171,26 @@ def test_scaling_and_addition():
     assert np.allclose(two(np.array([0.3])), 2.0 * s(np.array([0.3])))
     with pytest.raises(ValueError):
         s + sine_signal(2.0)
+
+
+_RNG = np.random.default_rng(3)
+_MATRICES = {k: _RNG.normal(size=(3, 3)) + 1j * _RNG.normal(size=(3, 3)) for k in (0, 4, 1)}
+
+
+@pytest.mark.parametrize(
+    "harmonics, times",
+    [
+        ({0: 0.3, 1: 0.2 - 0.1j, 3: -0.5j}, np.linspace(0.0, 2.0, 9)),
+        (_MATRICES, np.linspace(0.0, 2.0, 9)),
+        (_MATRICES, 0.7),
+        ({0: np.array([1.5, -2.0])}, np.linspace(0.0, 2.0, 5)),
+        ({0: 1.5}, 0.3),
+    ],
+)
+def test_synthesize_matches_harmonic_loop(harmonics, times):
+    omega = 2.0 * math.pi / 1.7
+    got = synthesize(harmonics, omega, times)
+    value_shape = np.shape(next(iter(harmonics.values())))
+    assert got.shape == np.shape(times) + value_shape
+    want = np.array([_loop_synthesis(harmonics, omega, t) for t in np.ravel(times)])
+    assert np.allclose(got, want.reshape(got.shape), rtol=1e-13, atol=1e-13)

@@ -7,7 +7,7 @@ import pytest
 
 from periflow.errors import ResolutionError
 from periflow.geometry import PhysicalParams
-from periflow.signals import constant_signal, sine_signal, zero_signal
+from periflow.signals import constant_signal, make_signal, sine_signal, zero_signal
 from periflow.womersley import (
     chi_norm_report,
     flux_error,
@@ -119,6 +119,25 @@ def test_profile_norm_ratios_stable_under_grid_refinement(unit_params):
     for rc, rf in zip(coarse, fine):
         for vc, vf in zip(rc.ratios, rf.ratios):
             assert vf == pytest.approx(vc, rel=0.05)
+
+
+def test_sup_w12_norm_matches_brute_force(unit_params):
+    # with two harmonics the k/-k cross terms make ||chi(t)||_{W^{1,2}}
+    # depend on t, so the sup differs from the Parseval mean
+    flow = solve_poiseuille(make_signal(1.0, {1: -0.5j, 2: 0.3}), unit_params, n_nodes=257)
+    rows = chi_norm_report(flow, grid_size=128)
+    x2, omega = flow.x2, flow.omega
+    for row in rows:
+        sup = 0.0
+        for t in np.arange(128) / 128.0:
+            u = np.zeros_like(x2)
+            for k, chi_k in flow.chi.items():
+                weight = 1.0 if k == 0 else 2.0
+                amp = (1j * omega * k) ** (row.order - 1) * np.exp(1j * omega * k * t)
+                u += weight * (amp * chi_k).real
+            du = np.gradient(u, x2, edge_order=2)
+            sup = max(sup, np.trapezoid(u**2 + du**2, x2))
+        assert row.ck_w12 == pytest.approx(math.sqrt(sup), rel=1e-3)
 
 
 def test_steady_flow_has_no_time_derivative_norms(unit_params):
