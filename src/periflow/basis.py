@@ -185,7 +185,7 @@ def _candidate_modes(geom, n):
     Body-coupled modes are distinguished by distinct ramp widths; at most
     ceil(n/4) of them (beyond the first) join the basis.
     """
-    bx0, bx1, by0, by1 = geom.body
+    bx0, bx1 = geom.body[:2]
     room_y = geom.wall_margin
     room_x = min(geom.X0 + 1.0 - max(abs(bx0), abs(bx1)), 2.0)
     r_in = 0.12 * room_y

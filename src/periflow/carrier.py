@@ -425,7 +425,6 @@ def force_bound_report(forces, n_times=256):
 
     carrier = forces.carrier
     phi = carrier.flow.flowrate
-    T = forces.period
     rows = []
 
     def ratio(lhs, tilde, phinorm):

@@ -138,6 +138,11 @@ class RunConfig:
             raise ConfigError("'n_modes', 'n_steps' and 'max_iter' must be >= 1")
         if self.profile_nodes < 3 or self.profile_nodes % 2 == 0:
             raise ConfigError("'profile_nodes' must be an odd number >= 3")
+        if not (0.0 < self.cutoff_inner < self.cutoff_outer):
+            raise ConfigError(
+                "'cutoff' needs 0 < inner < outer, got inner "
+                f"{self.cutoff_inner} and outer {self.cutoff_outer}"
+            )
 
     # --- builders used by the solve pipeline -----------------------------
     def build_geometry(self):

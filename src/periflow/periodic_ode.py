@@ -75,31 +75,36 @@ def integrate_rk4(system, x0, substeps=1):
 
     `x0` may be a vector (dim,) or a matrix (dim, k) of stacked initial
     conditions (columns evolve independently).  substeps must be 1 or 2.
+
+    The system is linear, so step j is the affine map x -> P_j x + q_j.  All
+    step maps are built at once from the strided coefficient slices; only
+    their application runs step by step.
     """
     if substeps not in (1, 2):
         raise ValueError("substeps must be 1 or 2")
-    mats, rhs = system.mats, system.rhs
     n_out = system.n_steps * substeps
     h = system.period / n_out
     s = 4 // substeps  # grid indices per step
-    x = np.array(x0, dtype=float)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
-    out = np.empty((n_out + 1,) + x.shape)
-    out[0] = x
-    for j in range(n_out):
-        i0 = s * j
-        B0, r0 = mats[i0], rhs[i0]
-        Bm, rm = mats[i0 + s // 2], rhs[i0 + s // 2]
-        B1, r1 = mats[i0 + s], rhs[i0 + s]
-        k1 = B0 @ x + r0[:, None]
-        k2 = Bm @ (x + 0.5 * h * k1) + rm[:, None]
-        k3 = Bm @ (x + 0.5 * h * k2) + rm[:, None]
-        k4 = B1 @ (x + h * k3) + r1[:, None]
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[j + 1] = x
-    return out[:, :, 0] if vec else out
+    B0, Bm, B1 = system.mats[:-1:s], system.mats[s // 2 :: s], system.mats[s::s]
+    r0, rm, r1 = system.rhs[:-1:s], system.rhs[s // 2 :: s], system.rhs[s::s]
+    eye = np.eye(system.dim)
+    # RK4 stages k_i = K_i x + c_i: linear parts K_i and offsets c_i (x = 0)
+    K2 = Bm @ (eye + (0.5 * h) * B0)
+    K3 = Bm @ (eye + (0.5 * h) * K2)
+    K4 = B1 @ (eye + h * K3)
+    P = eye + (h / 6.0) * (B0 + 2.0 * K2 + 2.0 * K3 + K4)
+    c2 = (0.5 * h) * np.einsum("tij,tj->ti", Bm, r0) + rm
+    c3 = (0.5 * h) * np.einsum("tij,tj->ti", Bm, c2) + rm
+    c4 = h * np.einsum("tij,tj->ti", B1, c3) + r1
+    q = (h / 6.0) * (r0 + 2.0 * c2 + 2.0 * c3 + c4)
+
+    x0 = np.asarray(x0, dtype=float)
+    out = np.empty((n_out + 1,) + x0.shape)
+    out[0] = x0
+    out[1:] = q if x0.ndim == 1 else q[:, :, None]
+    for Pj, prev, nxt in zip(P, out[:-1], out[1:]):
+        nxt += np.dot(Pj, prev)  # x_{j+1} = P_j x_j + q_j
+    return out
 
 
 def step_halving_error(system, x0):
@@ -250,7 +255,8 @@ def linear_system_from_galerkin(
         ta2 = resample_periodic(ta, 4 * n_steps)
         ta2 = np.vstack([ta2, ta2[:1]])
         # (c_ijk tilde_a_i) acting on a_j in the row-kappa equation
-        ct_series = np.einsum("ti,ijk->tkj", ta2, gsys.c)
+        ct = ta2 @ gsys.c.reshape(n, n * n)
+        ct_series = ct.reshape(-1, n, n).transpose(0, 2, 1)
 
     Ainv = np.linalg.inv(gsys.A)
     beta = gsys.beta
@@ -262,7 +268,7 @@ def linear_system_from_galerkin(
     rhs = np.zeros((len(times2), dim))
     bd = gsys.b[None].transpose(0, 2, 1) + d_series.transpose(0, 2, 1)
     coeff_a = ct_series - bd  # row kappa, column j
-    mats[:, :n, :n] = np.einsum("kj,tjl->tkl", Ainv, coeff_a)
+    mats[:, :n, :n] = Ainv @ coeff_a
     mats[:, :n, n] = -(k_over_rho) * (Ainv @ beta)[None]
     mats[:, n, :n] = beta
     forcing = alpha * (f_series + g_series[:, None] * beta[None] / rho)

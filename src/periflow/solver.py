@@ -182,7 +182,7 @@ def weak2_residual(gsys, traj, n_bumps=5, seed=7):
     quadrature, so the residual reflects the fields, not the mesh.
     """
     geom = gsys.basis.geometry
-    bx0, bx1, by0, by1 = geom.body
+    bx0, bx1 = geom.body[:2]
     rng = np.random.default_rng(seed)
     boxes = []
     for _ in range(n_bumps):

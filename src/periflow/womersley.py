@@ -97,12 +97,11 @@ class PoiseuilleFlow:
         return synthesize(fluxes, self.omega, t)
 
 
-def solve_poiseuille(flowrate, params, n_nodes=DEFAULT_PROFILE_NODES, geometry=None):
+def solve_poiseuille(flowrate, params, n_nodes=DEFAULT_PROFILE_NODES):
     """Solve the per-harmonic profile problems for the given flow rate.
 
-    `geometry` is accepted for interface symmetry but the cross-section is
-    always (-1, 1).  Raises ResolutionError when the Stokes layer of the
-    highest active harmonic spans fewer than 4 grid nodes.
+    The cross-section is always (-1, 1).  Raises ResolutionError when the
+    Stokes layer of the highest active harmonic spans fewer than 4 grid nodes.
     """
     x2 = np.linspace(-1.0, 1.0, int(n_nodes))
     h = x2[1] - x2[0]

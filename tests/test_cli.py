@@ -104,6 +104,14 @@ def test_unknown_key_is_config_error(tmp_path):
     assert main(["--config", cfg, "solve"]) == EXIT_CONFIG
 
 
+def test_inverted_cutoff_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "cutoff: {inner: 0.7, outer: 0.6}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_empty_resonance_factors_is_config_error(tmp_path):
     cfg = _write(
         tmp_path,

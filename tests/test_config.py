@@ -70,6 +70,9 @@ def test_parse_full_document():
         ({"seed": -1}, "seed"),
         ({"warn_only": "yes"}, "warn_only"),
         ({"forces": {"tilde_f": {"box": [0, 1, 0, 1]}}}, "direction"),
+        ({"cutoff": {"inner": 0.7, "outer": 0.6}}, "cutoff"),
+        ({"cutoff": {"inner": 0.6, "outer": 0.6}}, "cutoff"),
+        ({"cutoff": {"inner": 0.0}}, "cutoff"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):

@@ -43,6 +43,83 @@ def _time_system(period, n_steps, mat_fn, rhs_fn):
     )
 
 
+def _rk4_per_step(system, x0, substeps=1):
+    """Plain per-step classical RK4, stage by stage: the oracle for the
+    batched step maps of integrate_rk4."""
+    mats, rhs = system.mats, system.rhs
+    n_out = system.n_steps * substeps
+    h = system.period / n_out
+    s = 4 // substeps
+    x = np.array(x0, dtype=float)
+    vec = x.ndim == 1
+    if vec:
+        x = x[:, None]
+    out = np.empty((n_out + 1,) + x.shape)
+    out[0] = x
+    for j in range(n_out):
+        i0 = s * j
+        B0, r0 = mats[i0], rhs[i0]
+        Bm, rm = mats[i0 + s // 2], rhs[i0 + s // 2]
+        B1, r1 = mats[i0 + s], rhs[i0 + s]
+        k1 = B0 @ x + r0[:, None]
+        k2 = Bm @ (x + 0.5 * h * k1) + rm[:, None]
+        k3 = Bm @ (x + 0.5 * h * k2) + rm[:, None]
+        k4 = B1 @ (x + h * k3) + r1[:, None]
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[j + 1] = x
+    return out[:, :, 0] if vec else out
+
+
+def _varying_system(dim=5, n_steps=64, seed=3):
+    """Time-varying B(t) and nonzero r(t) with two harmonics each."""
+    rng = np.random.default_rng(seed)
+    B_parts = rng.standard_normal((3, dim, dim))
+    r_parts = rng.standard_normal((3, dim))
+
+    def mat_fn(t):
+        w = 2.0 * math.pi * t / 1.5
+        return (
+            B_parts[0] - 2.0 * np.eye(dim)
+            + np.sin(w)[:, None, None] * B_parts[1]
+            + np.cos(2.0 * w)[:, None, None] * B_parts[2]
+        )
+
+    def rhs_fn(t):
+        w = 2.0 * math.pi * t / 1.5
+        return (
+            r_parts[0]
+            + np.cos(w)[:, None] * r_parts[1]
+            + np.sin(3.0 * w)[:, None] * r_parts[2]
+        )
+
+    return _time_system(1.5, n_steps, mat_fn, rhs_fn)
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_integrate_rk4_matches_per_step_loop(substeps, columns):
+    sys = _varying_system()
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal(sys.dim if columns is None else (sys.dim, columns))
+    got = integrate_rk4(sys, x0, substeps=substeps)
+    want = _rk4_per_step(sys, x0, substeps=substeps)
+    assert got.shape == want.shape == (sys.n_steps * substeps + 1,) + x0.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def test_monodromy_matches_per_step_loop():
+    sys = _varying_system()
+    M, p = monodromy(sys)
+    homogeneous = LinearPeriodicSystem(
+        period=sys.period, mats=sys.mats, rhs=np.zeros_like(sys.rhs), n_steps=sys.n_steps
+    )
+    M_ref = _rk4_per_step(homogeneous, np.eye(sys.dim))[-1]
+    p_ref = _rk4_per_step(sys, np.zeros(sys.dim))[-1]
+    assert np.max(np.abs(M - M_ref)) <= 1e-12 * (1.0 + np.max(np.abs(M_ref)))
+    assert np.max(np.abs(p - p_ref)) <= 1e-12 * (1.0 + np.max(np.abs(p_ref)))
+    assert np.max(np.abs(p_ref)) > 0.1  # the forcing reaches the response
+
+
 def test_zero_rhs_constant_trajectory():
     sys = _constant_system([[0.0]], [0.0])
     out = integrate_rk4(sys, np.array([3.0]))
