@@ -137,16 +137,11 @@ class StreamMode:
     beta: float  # e1 . psi on the body boundary
     label: str
 
-    def stream(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.fx(pts[:, 0]) * self.gy(pts[:, 1])
-
     def fields(self, points, need=("V",)):
-        """Real mode fields: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i,
-        "lap" (npts, 2)."""
+        """Real mode fields: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x1, x2 = pts[:, 0], pts[:, 1]
-        fmax = 3 if "lap" in need else (2 if "grad" in need else 1)
+        fmax = 2 if "grad" in need else 1
         f = [self.fx(x1, d) for d in range(fmax + 1)]
         g = [self.gy(x2, d) for d in range(fmax + 1)]
         out = {}
@@ -157,10 +152,6 @@ class StreamMode:
             gr[:, 0, 0], gr[:, 0, 1] = f[1] * g[1], f[0] * g[2]
             gr[:, 1, 0], gr[:, 1, 1] = -f[2] * g[0], -f[1] * g[1]
             out["grad"] = gr
-        if "lap" in need:
-            l1 = f[2] * g[1] + f[0] * g[3]
-            l2 = -(f[3] * g[0] + f[1] * g[2])
-            out["lap"] = np.stack([l1, l2], axis=-1)
         return out
 
 
@@ -224,6 +215,9 @@ class GalerkinBasis:
     cell_weights: np.ndarray
     values: np.ndarray = field(repr=False)  # (n, nc, 2)
     grads: np.ndarray = field(repr=False)  # (n, nc, 2, 2)
+    grad_gram: np.ndarray = field(repr=False)  # (n, n): (grad psi_i, grad psi_k)
+    strain_gram: np.ndarray = field(repr=False)  # (n, n): (D psi_i, D psi_k)
+    c: np.ndarray = field(repr=False)  # (n, n, n) cubic transport, skew in (j, k)
 
     @property
     def n(self):
@@ -241,28 +235,10 @@ class GalerkinBasis:
         raw = np.stack([m.fields(points, ("grad",))["grad"] for m in self.modes])
         return self._combine(raw)
 
-    def laplacian_at(self, points):
-        raw = np.stack([m.fields(points, ("lap",))["lap"] for m in self.modes])
-        return self._combine(raw)
-
-    def stream_at(self, points):
-        raw = np.stack([m.stream(points) for m in self.modes])
-        return self._combine(raw)
-
     def l2_inner(self, i, k):
         return float(
             np.einsum("p,pc,pc->", self.cell_weights, self.values[i], self.values[k])
         )
-
-    def grad_gram(self):
-        """(n, n) matrix of (grad psi_i, grad psi_k)."""
-        return np.einsum(
-            "p,ipcd,kpcd->ik", self.cell_weights, self.grads, self.grads
-        )
-
-    def field_at_cells(self, a):
-        """v = sum a_i psi_i on the basis support cells, (nc, 2)."""
-        return np.tensordot(np.asarray(a), self.values, axes=(0, 0))
 
 
 def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
@@ -305,9 +281,16 @@ def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
     perm = list(range(n_int, n)) + list(range(n_int))
     coeff = coeff[:, perm]
     beta = coeff.T @ np.array([m.beta for m in modes])
-    values = np.tensordot(coeff, raw_v, axes=(0, 0))
-    grads = np.tensordot(coeff, raw_g, axes=(0, 0))
-    basis = GalerkinBasis(
+    if beta[0] <= 0:
+        raise BasisError("first mode lost its positive boundary coupling")
+    V = np.tensordot(coeff, raw_v, axes=(0, 0))  # (n, nc, 2)
+    G = np.tensordot(coeff, raw_g, axes=(0, 0))  # grad[i, p, c, d] = d_d psi_{i,c}
+
+    # D = sym grad, so (D psi_i, D psi_k) gives the viscous matrix b
+    D = 0.5 * (G + np.swapaxes(G, 2, 3))
+    # cubic transport tensor, skew-symmetrized in (j, kappa)
+    Q = np.einsum("p,ipd,jpcd,kpc->ijk", w, _shifted(V, beta), G, V, optimize=True)
+    return GalerkinBasis(
         geometry=geom,
         mesh=mesh,
         modes=modes,
@@ -315,12 +298,17 @@ def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
         beta=beta,
         cell_idx=idx,
         cell_weights=w,
-        values=values,
-        grads=grads,
+        values=V,
+        grads=G,
+        grad_gram=np.einsum("p,ipcd,kpcd->ik", w, G, G),
+        strain_gram=np.einsum("p,ipcd,kpcd->ik", w, D, D),
+        c=0.5 * (Q - np.transpose(Q, (0, 2, 1))),
     )
-    if basis.beta[0] <= 0:
-        raise BasisError("first mode lost its positive boundary coupling")
-    return basis
+
+
+def _shifted(V, beta):
+    """psi_i - beta_i e1 on the basis support cells, (n, nc, 2)."""
+    return V - beta[:, None, None] * np.array([1.0, 0.0])[None, None, :]
 
 
 @dataclass(frozen=True)
@@ -337,7 +325,6 @@ class GalerkinSystem:
     d_harmonics: dict  # flow harmonic k -> complex (n, n)
     f_harmonics: dict  # flow harmonic k -> complex (n,)
     beta: np.ndarray
-    grad_gram_matrix: np.ndarray  # (psi gradients Gram, for norm evaluation)
 
     @property
     def n(self):
@@ -365,8 +352,10 @@ class GalerkinSystem:
         return (float(self.g_signal(t)) / self.params.rho) * self.beta
 
 
-def assemble_system(basis, carrier, forces, params, mesh=None):
-    """Quadrature assembly of every tensor of the coefficient ODE system.
+def assemble_system(basis, carrier, forces, params):
+    """Quadrature assembly of the per-period tensors of the coefficient ODE
+    system; the basis-only tensors (strain Gram, cubic transport) come from
+    `build_basis`.
 
     The cubic transport tensor and the carrier-transport block are assembled
     in explicitly skew-symmetrized form: the continuum integrals are skew
@@ -375,7 +364,7 @@ def assemble_system(basis, carrier, forces, params, mesh=None):
     symmetrization restores that structure to machine precision against
     quadrature error (the standard energy-conserving convective form).
     """
-    mesh = mesh if mesh is not None else basis.mesh
+    mesh = basis.mesh
     n = basis.n
     w = basis.cell_weights
     V = basis.values  # (n, nc, 2)
@@ -386,14 +375,9 @@ def assemble_system(basis, carrier, forces, params, mesh=None):
     A = np.eye(n) + (params.mass / rho) * np.outer(beta, beta)
 
     # b = (2 mu / rho) (D(psi_i), D(psi_k)); D = sym grad
-    D = 0.5 * (G + np.swapaxes(G, 2, 3))
-    b = (2.0 * params.mu / rho) * np.einsum("p,ipcd,kpcd->ik", w, D, D)
+    b = (2.0 * params.mu / rho) * basis.strain_gram
     b = 0.5 * (b + b.T)
-
-    # cubic transport tensor, skew-symmetrized in (j, kappa)
-    Vm = V - beta[:, None, None] * np.array([1.0, 0.0])[None, None, :]
-    Q = np.einsum("p,ipd,jpcd,kpc->ijk", w, Vm, G, V, optimize=True)
-    c = 0.5 * (Q - np.transpose(Q, (0, 2, 1)))
+    Vm = _shifted(V, beta)
 
     # carrier transport d(t), per flow harmonic
     pts = mesh.centers[basis.cell_idx]
@@ -422,11 +406,10 @@ def assemble_system(basis, carrier, forces, params, mesh=None):
         params=params,
         A=A,
         b=b,
-        c=c,
+        c=basis.c,
         d_harmonics=d_harm,
         f_harmonics=f_harm,
         beta=beta,
-        grad_gram_matrix=basis.grad_gram(),
     )
 
 
@@ -480,14 +463,13 @@ def estimate_cq(basis, carrier, n_samples=200, seed=0, n_times=64):
     w = basis.cell_weights
     pts = basis.mesh.centers[basis.cell_idx]
     V = basis.values
-    beta = basis.beta
-    Vm = V - beta[:, None, None] * np.array([1.0, 0.0])[None, None, :]
+    Vm = _shifted(V, basis.beta)
     # per-harmonic bilinear forms B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j)
     B = {}
     for k in carrier.harmonics:
         Gc = carrier.harmonic_fields(pts, k, ("grad",))["grad"]
         B[k] = np.einsum("p,ipd,pcd,jpc->ij", w, Vm, Gc, V, optimize=True)
-    gg = basis.grad_gram()
+    gg = basis.grad_gram
 
     rng = np.random.default_rng(seed)
     samples = list(np.eye(basis.n))

@@ -25,7 +25,8 @@ import sys
 import numpy as np
 
 from .config import load_config, reference_config
-from .errors import ConfigError, NoConvergence, PeriflowError, StageError
+from .errors import BasisError, ConfigError, GeometryError, MeshError
+from .errors import NoConvergence, PeriflowError, StageError
 
 EXIT_OK = 0
 EXIT_GATE = 2
@@ -140,20 +141,19 @@ def cmd_resonance(config, out_dir):
     if not config.resonance_factors:
         raise ConfigError("'solver.resonance_factors' must not be empty")
     t_nat = config.params.natural_period
+    fp_cfg = FixedPointConfig(
+        damping=config.damping,
+        tol=config.fixed_point_tol,
+        max_iter=config.max_iter,
+        n_steps=config.n_steps,
+    )
     rows = []
+    basis = None  # built for the first factor, shared by the later ones
     for factor in config.resonance_factors:
         period = factor * t_nat
-        sub = config.with_period(period)
-        parts = assemble_from_config(sub)
-        probe = resonance_probe(
-            parts["system"],
-            FixedPointConfig(
-                damping=config.damping,
-                tol=config.fixed_point_tol,
-                max_iter=config.max_iter,
-                n_steps=config.n_steps,
-            ),
-        )
+        parts = assemble_from_config(config.with_period(period), basis=basis)
+        basis = parts["basis"]
+        probe = resonance_probe(parts["system"], fp_cfg)
         coupled = probe["coupled"]
         rows.append(
             (
@@ -223,20 +223,17 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(config, out_dir)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoConvergence as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except StageError as exc:
-        if isinstance(exc.original, NoConvergence):
+    except PeriflowError as exc:
+        # geometry, mesh and basis failures come from the config values
+        cause = exc.original if isinstance(exc, StageError) else exc
+        if isinstance(cause, (ConfigError, GeometryError, MeshError, BasisError)):
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        if isinstance(cause, NoConvergence):
             print(f"solver did not converge: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        print(f"pipeline failure: {exc}", file=sys.stderr)
-        return EXIT_GATE
-    except PeriflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        prefix = "pipeline failure" if isinstance(exc, StageError) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_GATE
 
 

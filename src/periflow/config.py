@@ -29,6 +29,17 @@ def _require(mapping, key, path, typ=None):
     return val
 
 
+def _number(val, path):
+    """float(val), or ConfigError naming the field unless it is a finite number."""
+    try:
+        out = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'{path}' must be a number, got {val!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"'{path}' must be finite, got {val!r}")
+    return out
+
+
 def _check_keys(mapping, allowed, path):
     extra = set(mapping) - set(allowed)
     if extra:
@@ -61,8 +72,8 @@ class SignalSpec:
             period = _require(data, "period", path, (int, float))
         else:
             period = data.get("period", period)
-        if not (isinstance(period, (int, float)) and period > 0):
-            raise ConfigError(f"'{path}.period' must be a positive number")
+        if not (isinstance(period, (int, float)) and 0 < period < math.inf):
+            raise ConfigError(f"'{path}.period' must be a positive finite number")
         rows = _require(data, "harmonics", path, list)
         harm = []
         for i, row in enumerate(rows):
@@ -73,7 +84,8 @@ class SignalSpec:
             k, re, im = row
             if not isinstance(k, int):
                 raise ConfigError(f"'{path}.harmonics[{i}]' index must be an integer")
-            harm.append((int(k), float(re), float(im)))
+            loc = f"{path}.harmonics[{i}]"
+            harm.append((int(k), _number(re, loc), _number(im, loc)))
         return SignalSpec(float(period), tuple(harm))
 
 
@@ -95,7 +107,9 @@ class ExternalForceSpec:
         sig_data = {k: v for k, v in data.items() if k in ("period", "harmonics")}
         sig = SignalSpec.parse(sig_data, path, period=period)
         return ExternalForceSpec(
-            tuple(float(v) for v in box), tuple(float(v) for v in direction), sig
+            tuple(_number(v, f"{path}.box") for v in box),
+            tuple(_number(v, f"{path}.direction") for v in direction),
+            sig,
         )
 
 
@@ -131,9 +145,18 @@ class RunConfig:
             from .geometry import PhysicalParams
 
             object.__setattr__(self, "params", PhysicalParams())
-        for name in ("fixed_point_tol", "mesh_h", "damping"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"'{name}' must be positive")
+        for name in ("fixed_point_tol", "mesh_h", "damping", "half_length"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"'{name}' must be positive and finite")
+        if self.damping > 1:
+            raise ConfigError(f"'damping' must lie in (0, 1], got {self.damping}")
+        if not all(0 < a <= 1 for a in self.alphas):
+            raise ConfigError(f"'alphas' must lie in (0, 1], got {list(self.alphas)}")
+        if not all(0 < f < math.inf for f in self.resonance_factors):
+            raise ConfigError(
+                "'resonance_factors' must be positive and finite, got "
+                f"{list(self.resonance_factors)}"
+            )
         if self.n_modes < 1 or self.n_steps < 2 or self.max_iter < 1:
             raise ConfigError("'n_modes', 'n_steps' and 'max_iter' must be >= 1")
         if self.profile_nodes < 3 or self.profile_nodes % 2 == 0:
@@ -225,12 +248,12 @@ def parse_config(data):
     geo = data.get("geometry", {})
     _check_keys(geo, {"half_length", "body"}, "geometry")
     if "half_length" in geo:
-        kwargs["half_length"] = float(geo["half_length"])
+        kwargs["half_length"] = _number(geo["half_length"], "geometry.half_length")
     if "body" in geo:
         body = geo["body"]
         if not (isinstance(body, list) and len(body) == 4):
             raise ConfigError("'geometry.body' must be [x0, x1, y0, y1]")
-        kwargs["body"] = tuple(float(v) for v in body)
+        kwargs["body"] = tuple(_number(v, "geometry.body") for v in body)
 
     par = data.get("params", {})
     _check_keys(par, {"rho", "mu", "mass", "stiffness"}, "params")
@@ -255,9 +278,9 @@ def parse_config(data):
     cut = data.get("cutoff", {})
     _check_keys(cut, {"inner", "outer"}, "cutoff")
     if "inner" in cut:
-        kwargs["cutoff_inner"] = float(cut["inner"])
+        kwargs["cutoff_inner"] = _number(cut["inner"], "cutoff.inner")
     if "outer" in cut:
-        kwargs["cutoff_outer"] = float(cut["outer"])
+        kwargs["cutoff_outer"] = _number(cut["outer"], "cutoff.outer")
 
     forces = data.get("forces", {})
     _check_keys(forces, {"tilde_f", "tilde_g"}, "forces")
@@ -296,14 +319,12 @@ def parse_config(data):
         ("max_iter", "max_iter", int),
     ):
         if src in sol:
-            try:
-                kwargs[dst] = cast(sol[src])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid 'solver.{src}': {exc}") from exc
-    if "alphas" in sol:
-        kwargs["alphas"] = tuple(float(a) for a in sol["alphas"])
-    if "resonance_factors" in sol:
-        kwargs["resonance_factors"] = tuple(float(a) for a in sol["resonance_factors"])
+            kwargs[dst] = cast(_number(sol[src], f"solver.{src}"))
+    for key in ("alphas", "resonance_factors"):
+        if key in sol:
+            if not isinstance(sol[key], list):
+                raise ConfigError(f"'solver.{key}' must be a list")
+            kwargs[key] = tuple(_number(a, f"solver.{key}") for a in sol[key])
 
     out = data.get("output", {})
     _check_keys(out, {"dir"}, "output")

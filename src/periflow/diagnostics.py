@@ -157,7 +157,7 @@ def energy_report(traj, gsys):
     E = energy_E(traj, params)
     delta = admissible_delta(basis, params)
     G = energy_G(traj, params, basis, delta)
-    gg = gsys.grad_gram_matrix
+    gg = basis.grad_gram
     dissipation = np.einsum("ti,ik,tk->t", traj.a, gg, traj.a)
     resid = check_energy_identity(traj, gsys)
     tol = 1e-6 * (1.0 + float(E.max()))
@@ -197,7 +197,7 @@ class PartialBoundRow:
 
 def check_partial_bound(traj, gsys, forces, baseline_c3=None):
     dt = traj.period / traj.n_steps
-    gg = gsys.grad_gram_matrix
+    gg = gsys.basis.grad_gram
     lhs = float(
         dt
         * np.sum(
@@ -257,7 +257,7 @@ def check_particular_energy(traj, gsys, forces, delta=None):
         delta = admissible_delta(basis, params)
     G = energy_G(traj, params, basis, delta)
     sqrtG = np.sqrt(np.maximum(G, 0.0))
-    gg = gsys.grad_gram_matrix
+    gg = basis.grad_gram
     r1 = (
         np.einsum("ti,ik,tk->t", traj.a, gg, traj.a) + traj.zdot**2
     )
@@ -475,7 +475,7 @@ def strong_regularity_monitor(traj, gsys):
     zdot = traj.zdot[:-1]
     zsec = adot @ gsys.beta
     times = traj.times[:-1]
-    gg = gsys.grad_gram_matrix
+    gg = gsys.basis.grad_gram
 
     vp = np.sqrt(np.sum(adot**2, axis=1))
     g_series = np.sqrt(np.einsum("ti,ik,tk->t", a, gg, a))

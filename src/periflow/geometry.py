@@ -132,10 +132,6 @@ class QuadratureMesh:
     def n_cells(self):
         return len(self.weights)
 
-    def subset(self, mask):
-        """Indices of cells whose centroid satisfies the boolean mask array."""
-        return np.nonzero(mask)[0]
-
     def cells_within(self, x1_abs_max):
         return np.nonzero(np.abs(self.centers[:, 0]) < x1_abs_max)[0]
 

@@ -58,10 +58,6 @@ class PeriodicSignal:
         return 2.0 * math.pi / self.period
 
     @property
-    def n_harmonics(self):
-        return len(self.fourier_coeffs) - 1
-
-    @property
     def grid_times(self):
         return np.arange(self.grid_size) * (self.period / self.grid_size)
 

@@ -56,7 +56,7 @@ def _iterate_distance(gsys, x, y):
     """Discrete L2(0,T;H1) + W{1,2} distance between trajectory iterates."""
     dt = x.period / x.n_steps
     da = x.a[:-1] - y.a[:-1]
-    gg = gsys.grad_gram_matrix
+    gg = gsys.basis.grad_gram
     d_fluid = float(np.einsum("ti,ik,tk->", da, gg + np.eye(gsys.n), da))
     dz = x.z[:-1] - y.z[:-1]
     dzd = x.zdot[:-1] - y.zdot[:-1]
@@ -258,22 +258,28 @@ class SolveResult:
     warnings: tuple = ()
 
 
-def assemble_from_config(config):
+def assemble_from_config(config, basis=None):
     """Run the pipeline stages up to the assembled coefficient system.
 
     Stages: flow-rate signal -> geometry/mesh -> channel profile -> carrier ->
-    forcing -> basis -> assembly.  Errors are re-raised annotated with the
-    failing stage.  Returns a dict with every intermediate object.
+    forcing -> basis -> assembly.  A `basis` built from a config that differs
+    from this one only in its period skips the geometry, mesh and basis
+    stages.  Errors are re-raised annotated with the failing stage.  Returns
+    a dict with every intermediate object.
     """
     from .carrier import build_flux_carrier, carrier_forces
     from .basis import assemble_system, build_basis
     from .geometry import build_mesh
     from .womersley import solve_poiseuille
 
-    geom = stage("geometry", lambda: config.build_geometry())
+    if basis is None:
+        geom = stage("geometry", lambda: config.build_geometry())
+    else:
+        geom, mesh = basis.geometry, basis.mesh
     params = config.params
     phi = stage("flowrate", lambda: config.build_flowrate())
-    mesh = stage("mesh", lambda: build_mesh(geom, config.mesh_h))
+    if basis is None:
+        mesh = stage("mesh", lambda: build_mesh(geom, config.mesh_h))
     flow = stage(
         "profile", lambda: solve_poiseuille(phi, params, n_nodes=config.profile_nodes)
     )
@@ -284,10 +290,9 @@ def assemble_from_config(config):
     forces = stage(
         "forces", lambda: carrier_forces(carrier, params, mesh, tilde_f, tilde_g)
     )
-    basis = stage("basis", lambda: build_basis(geom, config.n_modes, mesh=mesh))
-    gsys = stage(
-        "assembly", lambda: assemble_system(basis, carrier, forces, params, mesh)
-    )
+    if basis is None:
+        basis = stage("basis", lambda: build_basis(geom, config.n_modes, mesh=mesh))
+    gsys = stage("assembly", lambda: assemble_system(basis, carrier, forces, params))
     return {
         "geometry": geom,
         "params": params,

@@ -61,7 +61,7 @@ def _pipeline(phi, params, geom, mesh, basis, n_steps, fp_kwargs=None):
     flow = solve_poiseuille(phi, params, n_nodes=PROFILE_NODES)
     carrier = build_flux_carrier(flow, geom, CUTOFF)
     forces = carrier_forces(carrier, params, mesh)
-    gsys = assemble_system(basis, carrier, forces, params, mesh)
+    gsys = assemble_system(basis, carrier, forces, params)
     cfg = FixedPointConfig(n_steps=n_steps, **(fp_kwargs or {}))
     traj, report = fixed_point(gsys, cfg)
     return {
@@ -142,4 +142,4 @@ def zero_system(params, geom, mesh, basis):
     flow = solve_poiseuille(zero_signal(PERIOD), params, n_nodes=PROFILE_NODES)
     carrier = build_flux_carrier(flow, geom, CUTOFF)
     forces = carrier_forces(carrier, params, mesh)
-    return assemble_system(basis, carrier, forces, params, mesh)
+    return assemble_system(basis, carrier, forces, params)

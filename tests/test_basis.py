@@ -141,7 +141,7 @@ def test_transport_bound_holds_for_samples(basis, ref_run, ref_cq):
 
     carrier = ref_run["carrier"]
     phi_norm = sobolev_norm_T(carrier.flow.flowrate, 1)
-    gg = basis.grad_gram()
+    gg = basis.grad_gram
     pts = basis.mesh.centers[basis.cell_idx]
     w = basis.cell_weights
     e1 = np.array([1.0, 0.0])

@@ -112,6 +112,61 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # values that only the geometry, mesh and basis stages can judge
+        "geometry: {body: [-0.5, 0.5, 0.2, 0.9]}\n",
+        "geometry: {body: [-0.5, 0.5, 0.5, 1.2]}\n",
+        "geometry: {half_length: 1.0}\n",
+        "solver: {mesh_h: 0.5}\n",
+        "solver: {n_modes: 40}\n",
+        # values out of range or not finite
+        "flowrate: {period: 6.0, harmonics: [[1, .nan, 0.0]]}\n",
+        "flowrate: {period: 6.0, harmonics: [[1, 1.0e400, 0.0]]}\n",
+        "forces:\n  tilde_f: {box: [1.0, 2.0, -0.4, 0.4], direction: [0.0, 1.0],"
+        " harmonics: [[1, .nan, 0.0]]}\n",
+        "forces:\n  tilde_g: {harmonics: [[0, 1.0e400, 0.0]]}\n",
+        "flowrate: {period: .inf, harmonics: [[1, 0.0, -0.5]]}\n",
+        "geometry: {half_length: .nan}\n",
+        "solver: {damping: 1.5}\n",
+        "solver: {resonance_factors: [0.0]}\n",
+        "solver: {resonance_factors: [-1.0]}\n",
+        "solver: {resonance_factors: [.nan]}\n",
+        "solver: {alphas: [0.0]}\n",
+        "solver: {alphas: [1.5]}\n",
+    ],
+)
+def test_invalid_config_is_config_error(tmp_path, capsys, text):
+    cfg = _write(tmp_path, text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_resonance_builds_one_basis(tmp_path, monkeypatch):
+    import periflow.basis
+
+    calls = []
+    build_basis = periflow.basis.build_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_basis(*args, **kwargs)
+
+    monkeypatch.setattr(periflow.basis, "build_basis", counting)
+    cfg = _write(
+        tmp_path,
+        CHEAP_SOLVE.format(period=2.0 * math.pi).replace("2048", "256")
+        + "  resonance_factors: [0.8, 1.0, 1.2]\n",
+    )
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "resonance"]) == EXIT_OK
+    assert len(calls) == 1
+    assert len((out / "resonance.csv").read_text().strip().split("\n")) == 4
+
+
 def test_empty_resonance_factors_is_config_error(tmp_path):
     cfg = _write(
         tmp_path,

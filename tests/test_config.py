@@ -13,6 +13,9 @@ from periflow.config import (
 )
 from periflow.errors import ConfigError
 
+NAN = float("nan")
+FORCE_BOX = {"box": [1.0, 2.0, -0.4, 0.4], "direction": [0.0, 1.0]}
+
 
 def test_defaults_build():
     cfg = RunConfig()
@@ -73,6 +76,18 @@ def test_parse_full_document():
         ({"cutoff": {"inner": 0.7, "outer": 0.6}}, "cutoff"),
         ({"cutoff": {"inner": 0.6, "outer": 0.6}}, "cutoff"),
         ({"cutoff": {"inner": 0.0}}, "cutoff"),
+        ({"flowrate": {"period": 1, "harmonics": [[1, NAN, 0.0]]}}, "flowrate.harmonics[0]"),
+        ({"flowrate": {"period": 1, "harmonics": [[1, 0.0, "1.0e400"]]}}, "flowrate.harmonics[0]"),
+        ({"forces": {"tilde_f": {**FORCE_BOX, "harmonics": [[1, NAN, 0.0]]}}}, "tilde_f.harmonics[0]"),
+        ({"forces": {"tilde_g": {"harmonics": [[0, math.inf, 0.0]]}}}, "tilde_g.harmonics[0]"),
+        ({"flowrate": {"period": math.inf, "harmonics": []}}, "flowrate.period"),
+        ({"geometry": {"half_length": NAN}}, "geometry.half_length"),
+        ({"solver": {"damping": 1.5}}, "damping"),
+        ({"solver": {"resonance_factors": [0.0]}}, "resonance_factors"),
+        ({"solver": {"resonance_factors": [-1.0]}}, "resonance_factors"),
+        ({"solver": {"resonance_factors": [NAN]}}, "resonance_factors"),
+        ({"solver": {"alphas": [0.0, 1.0]}}, "alphas"),
+        ({"solver": {"alphas": [1.5]}}, "alphas"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):

@@ -129,3 +129,26 @@ def test_galerkin_solve_smallness_gate():
     with pytest.raises(StageError) as exc_info:
         galerkin_solve(cfg)
     assert exc_info.value.stage == "smallness"
+
+
+def test_shared_basis_assembly_matches_fresh_assembly():
+    from periflow.config import ExternalForceSpec, SignalSpec, reference_config
+    from periflow.solver import assemble_from_config
+
+    tilde_f = ExternalForceSpec(
+        (1.0, 2.0, -0.4, 0.4), (0.0, 1.0), SignalSpec(2.0 * np.pi, ((1, 0.1, 0.0),))
+    )
+    cfg = reference_config(n_modes=4, tilde_f=tilde_f)
+    parts = assemble_from_config(cfg)
+    moved = cfg.with_period(1.3 * cfg.flowrate.period)
+    shared = assemble_from_config(moved, basis=parts["basis"])["system"]
+    fresh = assemble_from_config(moved)["system"]
+    assert shared.basis is parts["basis"]
+    assert shared.period == fresh.period == moved.flowrate.period
+    for name in ("A", "b", "c"):
+        np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+    for name in ("d_harmonics", "f_harmonics"):
+        got, want = getattr(shared, name), getattr(fresh, name)
+        assert got.keys() == want.keys() and want
+        for k in want:
+            np.testing.assert_array_equal(got[k], want[k])
