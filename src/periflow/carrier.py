@@ -33,7 +33,8 @@ from scipy.interpolate import CubicSpline
 
 from ._bumps import EdgeBump
 from .errors import GeometryError
-from .signals import PeriodicSignal, harmonic_weights, synthesize
+from .signals import PeriodicSignal, derivative, differentiate, harmonic_weights
+from .signals import l2_norm_sq, norm_series, product, sobolev_norm_T, synthesize
 from .womersley import PoiseuilleFlow
 
 
@@ -87,9 +88,10 @@ class FluxCarrier:
     def harmonic_fields(self, points, k, need=("V",)):
         """Complex fields of harmonic k >= 0 at (npts, 2) points.
 
-        `need` may contain "V", "grad", "lap", "dt", "dtgrad".  Returns a dict:
+        `need` may contain "V", "grad", "lap".  Returns a dict:
         "V" -> (npts, 2); "grad" -> (npts, 2, 2) with grad[:, i, j] = d_j V_i;
-        "lap" -> (npts, 2); "dt" -> (npts, 2); "dtgrad" -> (npts, 2, 2).
+        "lap" -> (npts, 2).  Time derivatives are `signals.differentiate`
+        of these harmonics.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x1, x2 = pts[:, 0], pts[:, 1]
@@ -104,26 +106,17 @@ class FluxCarrier:
         one_m_theta = 1.0 - b1[0] * b2[0]
 
         out = {}
-
-        def velocity(chi, cs):
+        if "V" in need:
             v1 = chi * one_m_theta + cs * b1[0] * b2[1]
             v2 = -cs * b1[1] * b2[0]
-            return np.stack([v1, v2], axis=-1)
-
-        def gradient(chi, chi1, cs):
-            d1v1 = -chi * b1[1] * b2[0] + cs * b1[1] * b2[1]
-            d2v1 = chi1 * one_m_theta - 2.0 * chi * b1[0] * b2[1] + cs * b1[0] * b2[2]
-            d1v2 = -cs * b1[2] * b2[0]
-            d2v2 = chi * b1[1] * b2[0] - cs * b1[1] * b2[1]
-            g = np.empty(pts.shape[:1] + (2, 2), dtype=complex)
-            g[:, 0, 0], g[:, 0, 1] = d1v1, d2v1
-            g[:, 1, 0], g[:, 1, 1] = d1v2, d2v2
-            return g
-
-        if "V" in need:
-            out["V"] = velocity(chi, cs)
+            out["V"] = np.stack([v1, v2], axis=-1)
         if "grad" in need:
-            out["grad"] = gradient(chi, chi1, cs)
+            g = np.empty(pts.shape[:1] + (2, 2), dtype=complex)
+            g[:, 0, 0] = -chi * b1[1] * b2[0] + cs * b1[1] * b2[1]
+            g[:, 0, 1] = chi1 * one_m_theta - 2.0 * chi * b1[0] * b2[1] + cs * b1[0] * b2[2]
+            g[:, 1, 0] = -cs * b1[2] * b2[0]
+            g[:, 1, 1] = chi * b1[1] * b2[0] - cs * b1[1] * b2[1]
+            out["grad"] = g
         if "lap" in need:
             l1 = (
                 -chi * b1[2] * b2[0]
@@ -140,11 +133,6 @@ class FluxCarrier:
                 - cs * b1[1] * b2[2]
             )
             out["lap"] = np.stack([l1, l2], axis=-1)
-        iwk = 1j * self.omega * k
-        if "dt" in need:
-            out["dt"] = iwk * velocity(chi, cs)
-        if "dtgrad" in need:
-            out["dtgrad"] = iwk * gradient(chi, chi1, cs)
         return out
 
     def velocity_at(self, points, t):
@@ -229,12 +217,13 @@ class ExternalBodyForce:
             if c != 0
         }
 
-    def l2_l2_norm(self, mesh):
+    def shape_norm(self, mesh):
+        """L^2(Omega) norm of the spatial bump."""
         pts = mesh.centers
-        shape_sq = float(np.dot(mesh.weights, self.bump(pts[:, 0], pts[:, 1]) ** 2))
-        from .signals import l2_norm_sq
+        return math.sqrt(float(np.dot(mesh.weights, self.bump(pts[:, 0], pts[:, 1]) ** 2)))
 
-        return math.sqrt(l2_norm_sq(self.signal) * shape_sq)
+    def l2_l2_norm(self, mesh):
+        return math.sqrt(l2_norm_sq(self.signal)) * self.shape_norm(mesh)
 
 
 @dataclass(frozen=True)
@@ -253,20 +242,12 @@ class ForcingData:
     def period(self):
         return self.carrier.period
 
-    @property
-    def pressure_signal(self):
-        """psi(t); the carrier pressure is p~ = -psi(t) * x1."""
-        return self.carrier.flow.pressure_factor_signal
-
     def f_harmonics_at(self, points):
         """Harmonic amplitudes k -> (npts, 2) of the body force (carrier part
         plus the external force) at arbitrary points; a zero harmonic 0 when
         the force vanishes."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        harmonics = _f_harmonics_at(self.carrier, self.params, pts)
-        if self.tilde_f is not None:
-            for k, fld in self.tilde_f.harmonic_fields(pts).items():
-                harmonics[k] = harmonics.get(k, 0.0) + fld
+        harmonics = _f_harmonics_at(self.carrier, self.params, self.tilde_f, pts)
         return harmonics or {0: np.zeros(pts.shape)}
 
     def f_at(self, points, t):
@@ -278,10 +259,11 @@ class ForcingData:
         return self._l2_l2_norm(slice(None))
 
     def f_norm_series(self, n_times=256, dt_order=0):
-        """||d^r f/dt^r (t)||_{L^2(Omega)} on a uniform time grid."""
-        return _norm_series(
-            self.f_harmonics, self.cell_weights, self.period, n_times, dt_order
-        )
+        """||d^r f/dt^r (t)||_{L^2(Omega)} on the grid t_j = j T / n_times."""
+        omega = self.carrier.omega
+        times = np.arange(n_times) * (self.period / n_times)
+        harmonics = differentiate(self.f_harmonics, omega, dt_order)
+        return norm_series(harmonics, self.cell_weights, omega, times)
 
     def f_mass_outside(self, x1_abs_min=None):
         """L^2(0,T;L^2) mass of f outside |x1| < x1_abs_min (default: Omega_0)."""
@@ -301,63 +283,28 @@ class ForcingData:
         return math.sqrt(self.period * float(np.dot(weights, energies)))
 
 
-def _f_harmonics_at(carrier, params, pts):
-    """Harmonic amplitudes of the carrier-induced body force at points."""
-    nu = params.nu
-    ks = carrier.harmonics
-    fields = {
-        k: carrier.harmonic_fields(pts, k, ("V", "grad", "lap", "dt"))
-        for k in ks
-    }
+def _f_harmonics_at(carrier, params, tilde_f, pts):
+    """Harmonic amplitudes of the body force at points: the carrier-induced
+    nu Lap V - (V . grad) V - dV/dt + psi e1, plus the external force."""
+    fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad", "lap")) for k in carrier.harmonics}
+    V = {k: fld["V"] for k, fld in fields.items()}
+    dVdt = differentiate(V, carrier.omega)
     psi = carrier.flow.pressure_coeffs
-    out = {}
     e1 = np.array([1.0, 0.0])
-    for k in ks:
-        fk = nu * fields[k]["lap"] - fields[k]["dt"] + psi.get(k, 0.0) * e1[None, :]
-        out[k] = out.get(k, 0.0) + fk
-    # quadratic term -(V . grad V): convolution over two-sided harmonics
-    def V(k):
-        return fields[k]["V"] if k >= 0 else fields[-k]["V"].conj()
-
-    def G(k):
-        return fields[k]["grad"] if k >= 0 else fields[-k]["grad"].conj()
-
-    two_sided = sorted(set(ks) | {-k for k in ks})
-    for k1 in two_sided:
-        v1 = V(k1)
-        for k2 in two_sided:
-            K = k1 + k2
-            if K < 0:
-                continue
-            g2 = G(k2)
-            # (V . grad) V with grad[:, i, j] = d_j V_i
-            adv = np.einsum("pj,pij->pi", v1, g2)
-            out[K] = out.get(K, 0.0) - adv
-    return {k: v for k, v in out.items() if np.abs(v).max() > 0.0}
-
-
-def _norm_series(harmonic_fields, weights, period, n_times, dt_order=0):
-    """Time series of the spatial L^2 norm of a harmonic-represented field."""
-    omega = 2.0 * math.pi / period
-    ks = sorted(harmonic_fields)
-    two_sided = {}
-    for k in ks:
-        fac = (1j * omega * k) ** dt_order
-        two_sided[k] = fac * harmonic_fields[k]
-        if k > 0:
-            two_sided[-k] = np.conj(two_sided[k])
-    # cross Gram over harmonics, then synthesize |f(t)|^2 on the grid
-    diff_coeffs = {}
-    for ka, fa in two_sided.items():
-        for kb, fb in two_sided.items():
-            d = ka - kb
-            gram = complex(np.einsum("p,pi,pi->", weights, fa, np.conj(fb)))
-            diff_coeffs[d] = diff_coeffs.get(d, 0.0) + gram
-    times = np.arange(n_times) * (period / n_times)
-    series = np.zeros(n_times)
-    for d, cval in diff_coeffs.items():
-        series += (cval * np.exp(1j * omega * d * times)).real
-    return times, np.sqrt(np.maximum(series, 0.0))
+    out = {
+        k: params.nu * fld["lap"] - dVdt[k] + psi.get(k, 0.0) * e1[None, :]
+        for k, fld in fields.items()
+    }
+    # (V . grad) V with grad[:, i, j] = d_j V_i
+    grad = {k: fld["grad"] for k, fld in fields.items()}
+    advection = product(V, grad, lambda v, g: -np.einsum("pj,pij->pi", v, g))
+    for k, fld in advection.items():
+        out[k] = out[k] + fld if k in out else fld
+    out = {k: v for k, v in out.items() if np.abs(v).max() > 0.0}
+    if tilde_f is not None:
+        for k, fld in tilde_f.harmonic_fields(pts).items():
+            out[k] = out.get(k, 0.0) + fld
+    return out
 
 
 def carrier_forces(carrier, params, mesh, tilde_f=None, tilde_g=None):
@@ -371,6 +318,8 @@ def carrier_forces(carrier, params, mesh, tilde_f=None, tilde_g=None):
     dist = geom.dist_inf_to_body(pts[:, 0], pts[:, 1])
     mask = dist < carrier.cutoff.outer + mesh.h
     if tilde_f is not None:
+        if not math.isclose(tilde_f.signal.period, carrier.period, rel_tol=1e-12):
+            raise ValueError("external body force must share the flow-rate period")
         b = tilde_f.box
         inside = (
             (pts[:, 0] >= b[0]) & (pts[:, 0] <= b[1])
@@ -378,20 +327,9 @@ def carrier_forces(carrier, params, mesh, tilde_f=None, tilde_g=None):
         )
         mask |= inside
     idx = np.nonzero(mask)[0]
-    sub = pts[idx]
-    f_harm = _f_harmonics_at(carrier, params, sub)
-    if tilde_f is not None:
-        if not math.isclose(tilde_f.signal.period, carrier.period, rel_tol=1e-12):
-            raise ValueError("external body force must share the flow-rate period")
-        for k, fld in tilde_f.harmonic_fields(sub).items():
-            f_harm[k] = f_harm.get(k, 0.0) + fld
+    f_harm = _f_harmonics_at(carrier, params, tilde_f, pts[idx])
 
-    psi = carrier.flow.pressure_coeffs
-    n = max(psi, default=0)
-    gc = np.zeros(n + 1, dtype=complex)
-    for k, p in psi.items():
-        gc[k] = params.rho * geom.body_area * p
-    g = PeriodicSignal(carrier.period, gc, carrier.flow.flowrate.grid_size)
+    g = carrier.flow.pressure_factor_signal.scaled(params.rho * geom.body_area)
     if tilde_g is not None:
         if not math.isclose(tilde_g.period, carrier.period, rel_tol=1e-12):
             raise ValueError("external mass force must share the flow-rate period")
@@ -414,68 +352,32 @@ def carrier_forces(carrier, params, mesh, tilde_f=None, tilde_g=None):
 class ForceBoundRow:
     label: str
     lhs: float
-    phi_norm: float
-    tilde_norm: float
     empirical_constant: float
 
 
 def force_bound_report(forces, n_times=256):
     """Empirical constants for the six forcing-vs-flow-rate norm bounds."""
-    from .signals import derivative, l2_norm_sq, sobolev_norm_T
+    phi = forces.carrier.flow.flowrate
+    p1, p2, p3 = (sobolev_norm_T(phi, m) for m in (1, 2, 3))
+    tf, tg, mesh = forces.tilde_f, forces.tilde_g, forces.mesh
 
-    carrier = forces.carrier
-    phi = carrier.flow.flowrate
-    rows = []
+    def row(label, lhs, tilde, phinorm):
+        return ForceBoundRow(label, lhs, (lhs - tilde) / phinorm if phinorm > 0 else 0.0)
 
-    def ratio(lhs, tilde, phinorm):
-        return (lhs - tilde) / phinorm if phinorm > 0 else 0.0
-
-    tf_l2 = forces.tilde_f.l2_l2_norm(forces.mesh) if forces.tilde_f else 0.0
-    tg_l2 = math.sqrt(l2_norm_sq(forces.tilde_g)) if forces.tilde_g else 0.0
-
-    f_l2 = forces.f_l2_l2_norm()
-    p1 = sobolev_norm_T(phi, 1)
-    rows.append(ForceBoundRow("f_L2L2_vs_phi_W12", f_l2, p1, tf_l2, ratio(f_l2, tf_l2, p1)))
-
-    g_l2 = math.sqrt(l2_norm_sq(forces.g))
-    rows.append(ForceBoundRow("g_L2_vs_phi_W12", g_l2, p1, tg_l2, ratio(g_l2, tg_l2, p1)))
-
-    p2 = sobolev_norm_T(phi, 2)
-    _, fser = forces.f_norm_series(n_times)
-    f_inf = float(fser.max())
-    tf_inf = 0.0
-    if forces.tilde_f:
-        sig = forces.tilde_f.signal
-        tf_inf = sig.max_abs() * math.sqrt(
-            float(
-                np.dot(
-                    forces.mesh.weights,
-                    forces.tilde_f.bump(forces.mesh.centers[:, 0], forces.mesh.centers[:, 1]) ** 2,
-                )
-            )
-        )
-    rows.append(ForceBoundRow("f_LinfL2_vs_phi_W22", f_inf, p2, tf_inf, ratio(f_inf, tf_inf, p2)))
-
-    g_inf = forces.g.max_abs()
-    tg_inf = forces.tilde_g.max_abs() if forces.tilde_g else 0.0
-    rows.append(ForceBoundRow("g_Linf_vs_phi_W22", g_inf, p2, tg_inf, ratio(g_inf, tg_inf, p2)))
-
-    p3 = sobolev_norm_T(phi, 3)
-    _, dfser = forces.f_norm_series(n_times, dt_order=1)
-    df_inf = float(dfser.max())
-    tdf_inf = 0.0
-    if forces.tilde_f:
-        tdf_inf = derivative(forces.tilde_f.signal).max_abs() * math.sqrt(
-            float(
-                np.dot(
-                    forces.mesh.weights,
-                    forces.tilde_f.bump(forces.mesh.centers[:, 0], forces.mesh.centers[:, 1]) ** 2,
-                )
-            )
-        )
-    rows.append(ForceBoundRow("dfdt_LinfL2_vs_phi_W32", df_inf, p3, tdf_inf, ratio(df_inf, tdf_inf, p3)))
-
-    dg_inf = derivative(forces.g).max_abs()
-    tdg_inf = derivative(forces.tilde_g).max_abs() if forces.tilde_g else 0.0
-    rows.append(ForceBoundRow("dgdt_Linf_vs_phi_W32", dg_inf, p3, tdg_inf, ratio(dg_inf, tdg_inf, p3)))
-    return rows
+    tf_shape = tf.shape_norm(mesh) if tf else 0.0
+    tf_l2 = tf.l2_l2_norm(mesh) if tf else 0.0
+    tg_l2 = math.sqrt(l2_norm_sq(tg)) if tg else 0.0
+    tf_inf = tf.signal.max_abs() * tf_shape if tf else 0.0
+    tg_inf = tg.max_abs() if tg else 0.0
+    tdf_inf = derivative(tf.signal).max_abs() * tf_shape if tf else 0.0
+    tdg_inf = derivative(tg).max_abs() if tg else 0.0
+    f_inf = float(forces.f_norm_series(n_times).max())
+    df_inf = float(forces.f_norm_series(n_times, dt_order=1).max())
+    return [
+        row("f_L2L2_vs_phi_W12", forces.f_l2_l2_norm(), tf_l2, p1),
+        row("g_L2_vs_phi_W12", math.sqrt(l2_norm_sq(forces.g)), tg_l2, p1),
+        row("f_LinfL2_vs_phi_W22", f_inf, tf_inf, p2),
+        row("g_Linf_vs_phi_W22", forces.g.max_abs(), tg_inf, p2),
+        row("dfdt_LinfL2_vs_phi_W32", df_inf, tdf_inf, p3),
+        row("dgdt_Linf_vs_phi_W32", derivative(forces.g).max_abs(), tdg_inf, p3),
+    ]

@@ -86,7 +86,12 @@ class SignalSpec:
                 raise ConfigError(f"'{path}.harmonics[{i}]' index must be an integer")
             loc = f"{path}.harmonics[{i}]"
             harm.append((int(k), _number(re, loc), _number(im, loc)))
-        return SignalSpec(float(period), tuple(harm))
+        spec = SignalSpec(float(period), tuple(harm))
+        try:
+            spec.build()  # make_signal's rules for the harmonics of a real signal
+        except ValueError as exc:
+            raise ConfigError(f"'{path}.harmonics': {exc}") from None
+        return spec
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from .periodic_ode import (
     solve_linear_periodic,
     spectral_time_derivative,
 )
-from .signals import derivative, l2_norm_sq, sobolev_norm_T, synthesize
+from .signals import derivative, differentiate, l2_norm_sq, norm_series, sobolev_norm_T
+from .signals import synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,6 @@ class EnergyReport:
     E: np.ndarray
     G: np.ndarray
     dissipation: np.ndarray  # ||grad v||^2 series
-    zdot_sq: np.ndarray
     delta: float
     identity_residual: float
     identity_tol: float
@@ -172,7 +172,6 @@ def energy_report(traj, gsys):
         E=E,
         G=G,
         dissipation=dissipation,
-        zdot_sq=traj.zdot**2,
         delta=delta,
         identity_residual=resid,
         identity_tol=tol,
@@ -226,19 +225,11 @@ def check_partial_bound(traj, gsys, forces, baseline_c3=None):
 
 def _gradV_norm_series(gsys, times):
     """||grad V(t)||_{L^2} restricted to the basis support cells."""
-    from .carrier import _norm_series
-
     basis = gsys.basis
+    carrier = gsys.carrier
     pts = basis.mesh.centers[basis.cell_idx]
-    harm = {
-        k: gsys.carrier.harmonic_fields(pts, k, ("grad",))["grad"].reshape(
-            len(pts), -1
-        )
-        for k in gsys.carrier.harmonics
-    }
-    n_times = len(times)
-    _, series = _norm_series(harm, basis.cell_weights, gsys.period, n_times)
-    return series
+    harm = {k: carrier.harmonic_fields(pts, k, ("grad",))["grad"] for k in carrier.harmonics}
+    return norm_series(harm, basis.cell_weights, carrier.omega, times)
 
 
 def check_particular_energy(traj, gsys, forces, delta=None):
@@ -263,7 +254,7 @@ def check_particular_energy(traj, gsys, forces, delta=None):
     )
     times = traj.times[:-1]
     gradV = _gradV_norm_series(gsys, times)
-    _, f_series = forces.f_norm_series(M)
+    f_series = forces.f_norm_series(M)
     g_series = forces.g(times)
     r2 = gradV**2 + f_series**2 + g_series**2
 
@@ -425,10 +416,6 @@ def smallness_report(phi, tilde_f, tilde_g, params, cq, forces=None, constants=N
 
 @dataclass(frozen=True)
 class StrongRegularityReport:
-    vprime_norm: np.ndarray  # ||v'(t)||
-    zsecond: np.ndarray  # z''(t)
-    gradv_norm: np.ndarray  # ||grad v(t)||
-    gradvprime_norm: np.ndarray  # ||grad v'(t)||
     t_star: float  # grid time minimizing ||grad v||^2 + |z'|^2
     c8: float
     c9: float
@@ -439,7 +426,6 @@ class StrongRegularityReport:
     delta_prime: float  # min of the coefficient
     identity_residual: float  # differentiated energy balance check
     sup_prime_energy: float  # sup (||v'||^2 + (m/rho) |z''|^2)
-    prime_bound_lhs: float
     prime_bound_rhs: float
 
 
@@ -479,8 +465,7 @@ def strong_regularity_monitor(traj, gsys):
 
     vp = np.sqrt(np.sum(adot**2, axis=1))
     g_series = np.sqrt(np.einsum("ti,ik,tk->t", a, gg, a))
-    gp_series = np.sqrt(np.einsum("ti,ik,tk->t", adot, gg, adot))
-    D = gp_series**2 + m_rho * zsec**2
+    D = np.einsum("ti,ik,tk->t", adot, gg, adot) + m_rho * zsec**2
 
     # exact pieces of the differentiated energy balance
     prime_energy = vp**2 + m_rho * zsec**2
@@ -489,11 +474,11 @@ def strong_regularity_monitor(traj, gsys):
     Tri = np.einsum("ti,ijk,tj,tk->t", adot, gsys.c, a, adot, optimize=True)
 
     omega = 2.0 * math.pi / T
-    d_dt = {k: 1j * omega * k * dk for k, dk in gsys.d_harmonics.items()}
+    d_dt = differentiate(gsys.d_harmonics, omega)
     d_term = np.einsum("ti,tik,tk->t", adot, gsys.d_at(times), adot)
     d_term += np.einsum("ti,tik,tk->t", a, synthesize(d_dt, omega, times), adot)
     S = (params.stiffness / params.rho) * zdot * zsec
-    f_dt = {k: 1j * omega * k * fk for k, fk in gsys.f_harmonics.items()} or {0: np.zeros(n)}
+    f_dt = differentiate(gsys.f_harmonics, omega) or {0: np.zeros(n)}
     fprime_dot = np.einsum("ti,ti->t", adot, synthesize(f_dt, omega, times))
     gprime = derivative(gsys.g_signal)(times)
     F = traj.alpha * (fprime_dot + gprime * zsec / params.rho)
@@ -504,7 +489,7 @@ def strong_regularity_monitor(traj, gsys):
     c10 = float(np.min(Diss[active] / D[active])) if np.any(active) else params.nu
     qA = np.maximum(0.0, Tri - d_term)
     c9, c8 = _fit_two_constants(g_series * D, g_series**2 * D, qA)
-    _, df_series = gsys.forces.f_norm_series(M, dt_order=1)
+    df_series = gsys.forces.f_norm_series(M, dt_order=1)
     phi_w22 = sobolev_norm_T(gsys.carrier.flow.flowrate, 2)
     data = phi_w22**2 + gprime**2 + df_series**2
     qB = np.maximum(0.0, F - S)
@@ -524,10 +509,6 @@ def strong_regularity_monitor(traj, gsys):
         float(np.max(data)) * c12 + c11 * float(np.max(zdot**2))
     ) * T
     return StrongRegularityReport(
-        vprime_norm=vp,
-        zsecond=zsec,
-        gradv_norm=g_series,
-        gradvprime_norm=gp_series,
         t_star=t_star,
         c8=c8,
         c9=c9,
@@ -538,7 +519,6 @@ def strong_regularity_monitor(traj, gsys):
         delta_prime=delta_prime,
         identity_residual=identity_res,
         sup_prime_energy=sup_prime,
-        prime_bound_lhs=sup_prime,
         prime_bound_rhs=rhs_prime,
     )
 

@@ -117,22 +117,13 @@ def step_halving_error(system, x0):
 def monodromy(system):
     """(M, p): fundamental matrix over one period and particular response.
 
-    Uses the augmented homogeneous system [[B, r], [0, 0]]: its fundamental
-    matrix is [[M, p], [0, 1]], so one matrix integration yields both.
+    One sweep from the columns [I | 0]: every column gains p over the
+    period, so the sweep ends at [M + p | p].
     """
     dim = system.dim
-    ng = system.mats.shape[0]
-    mats_aug = np.zeros((ng, dim + 1, dim + 1))
-    mats_aug[:, :dim, :dim] = system.mats
-    mats_aug[:, :dim, dim] = system.rhs
-    aug = LinearPeriodicSystem(
-        period=system.period,
-        mats=mats_aug,
-        rhs=np.zeros((ng, dim + 1)),
-        n_steps=system.n_steps,
-    )
-    final = integrate_rk4(aug, np.eye(dim + 1))[-1]
-    return final[:dim, :dim], final[:dim, dim]
+    final = integrate_rk4(system, np.eye(dim, dim + 1))[-1]
+    p = final[:, dim]
+    return final[:, :dim] - p[:, None], p
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ the convention c_{-k} = conj(c_k), so
 
     s(t) = c_0 + 2 * sum_{k>=1} Re(c_k * exp(2*pi*i*k*t/T)).
 
-Signals are immutable; all operations return new instances.
+The convention lives in this module only: `synthesize` evaluates such a
+series, `differentiate` takes its time derivative harmonic by harmonic, and
+`product` forms the series of a bilinear product of two of them (the only
+place a negative harmonic is ever formed).  Values c_k may be arrays, so the
+same helpers serve harmonic fields.  Signals are immutable; all operations
+return new instances.
 """
 
 from __future__ import annotations
@@ -39,6 +44,42 @@ def synthesize(harmonics, omega, times):
     values = np.stack([np.asarray(v, dtype=complex) for v in harmonics.values()])
     phases = harmonic_weights(ks) * np.exp(1j * omega * np.multiply.outer(times, ks))
     return np.tensordot(phases, values, axes=1).real
+
+
+def differentiate(harmonics, omega, order=1):
+    """Harmonics {k: (i omega k)^order c_k} of the order-th time derivative."""
+    return {k: (1j * omega * k) ** order * c for k, c in harmonics.items()}
+
+
+def product(a, b, op):
+    """One-sided harmonics of op(a(t), b(t)) for real series a, b.
+
+    `op` is bilinear.  Harmonic K >= 0 is the sum of op(a_k1, b_k2) over
+    k1 + k2 = K with a_{-k} = conj(a_k) and b_{-k} = conj(b_k).
+    """
+
+    def with_negative(h):
+        return {**h, **{-k: np.conj(c) for k, c in h.items() if k > 0}}
+
+    a2, b2 = with_negative(a), with_negative(b)
+    out = {}
+    for k1 in sorted(a2):
+        for k2 in sorted(b2):
+            K = k1 + k2
+            if K >= 0:
+                term = op(a2[k1], b2[k2])
+                out[K] = out[K] + term if K in out else term
+    return out
+
+
+def norm_series(harmonics, weights, omega, times):
+    """sqrt(sum_p weights_p |u(t, p)|^2) at `times` for a real harmonic field
+    u with values of shape (npts, ...); zeros when `harmonics` is empty."""
+    if not harmonics:
+        return np.zeros(np.shape(times))
+    flat = {k: u.reshape(len(weights), -1) for k, u in harmonics.items()}
+    sq = product(flat, flat, lambda u, v: np.einsum("p,pi,pi->", weights, u, v))
+    return np.sqrt(np.maximum(synthesize(sq, omega, times), 0.0))
 
 
 @dataclass(frozen=True)
@@ -171,9 +212,8 @@ def derivative(signal, order=1):
     order = int(order)
     if order < 0 or order > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
-    k = np.arange(len(signal.fourier_coeffs))
-    c = signal.fourier_coeffs * (1j * signal.omega * k) ** order
-    return PeriodicSignal(signal.period, c, signal.grid_size)
+    c = differentiate(dict(enumerate(signal.fourier_coeffs)), signal.omega, order)
+    return PeriodicSignal(signal.period, list(c.values()), signal.grid_size)
 
 
 def antiderivative(signal):

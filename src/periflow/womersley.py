@@ -23,7 +23,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import ResolutionError
-from .signals import PeriodicSignal, harmonic_weights, sobolev_norm_T, synthesize
+from .signals import PeriodicSignal, differentiate, harmonic_weights, make_signal
+from .signals import sobolev_norm_T, synthesize
 
 DEFAULT_PROFILE_NODES = 129
 MIN_NODES_PER_STOKES_LAYER = 4
@@ -49,20 +50,13 @@ class PoiseuilleFlow:
     flowrate: PeriodicSignal
     params: object
     x2: np.ndarray
-    chi: dict  # harmonic k -> complex profile on x2 (c_{-k} = conj(c_k))
+    chi: dict  # harmonic k >= 0 -> complex profile on x2 (one-sided, see signals)
     pressure_coeffs: dict  # harmonic k -> complex P_k
     pressure_factor_signal: PeriodicSignal = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = max(self.pressure_coeffs, default=0)
-        c = np.zeros(n + 1, dtype=complex)
-        for k, p in self.pressure_coeffs.items():
-            c[k] = p
-        object.__setattr__(
-            self,
-            "pressure_factor_signal",
-            PeriodicSignal(self.flowrate.period, c, self.flowrate.grid_size),
-        )
+        psi = make_signal(self.flowrate.period, self.pressure_coeffs, self.flowrate.grid_size)
+        object.__setattr__(self, "pressure_factor_signal", psi)
 
     @property
     def period(self):
@@ -185,9 +179,8 @@ def chi_norm_report(flow, grid_size=256):
         wk1_l2_sq = float(np.dot(weights, (wfac + wk2**m) * sp[:, 0]))
         # sup-in-time W^{1,2} norm of the (m-1)-th time derivative of the
         # real profile, which the harmonics' cross terms make time-dependent
-        fac = {k: (1j * omega * k) ** (m - 1) for k in ks}
-        u = synthesize({k: fac[k] * flow.chi[k] for k in ks}, omega, times)
-        du = synthesize({k: fac[k] * dchi[k] for k in ks}, omega, times)
+        u = synthesize(differentiate(flow.chi, omega, m - 1), omega, times)
+        du = synthesize(differentiate(dchi, omega, m - 1), omega, times)
         w12_sq = CubicSpline(flow.x2, u**2 + du**2, axis=1).integrate(-1.0, 1.0)
         sup = float(np.max(w12_sq))
         phi_norm = sobolev_norm_T(flow.flowrate, m)

@@ -14,7 +14,7 @@ from periflow.carrier import (
 )
 from periflow.errors import GeometryError
 from periflow.geometry import PhysicalParams, build_geometry, build_mesh
-from periflow.signals import constant_signal, sine_signal, zero_signal
+from periflow.signals import constant_signal, make_signal, sine_signal, synthesize, zero_signal
 from periflow.womersley import solve_poiseuille
 
 FD_H = 1e-5
@@ -194,3 +194,47 @@ def test_external_force_enters_additively(params, geom, mesh, ref_carrier):
     ) * float(tf.signal(t))
     assert np.allclose(forces.f_at(pts, t), expect, atol=1e-12)
     assert forces.g(t) == pytest.approx(base.g(t) + tg(t), abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def two_harmonic_forces(params, geom, mesh):
+    """Flow rate with harmonics 1 and 2, so -(V . grad) V has cross terms."""
+    phi = make_signal(2.0 * math.pi, {1: -0.5j, 2: 0.2 + 0.1j})
+    flow = solve_poiseuille(phi, params, n_nodes=257)
+    carrier = build_flux_carrier(flow, geom, CutoffParams(inner=0.15, outer=0.6))
+    return carrier_forces(carrier, params, mesh)
+
+
+def test_body_force_matches_real_space_evaluation(two_harmonic_forces, params):
+    forces = two_harmonic_forces
+    carrier = forces.carrier
+    pts = forces.mesh.centers[forces.cell_idx][::7]
+    lap = {k: carrier.harmonic_fields(pts, k, ("lap",))["lap"] for k in carrier.harmonics}
+    h = 1e-5
+    for t in (0.0, 1.3, 4.1):
+        V = carrier.velocity_at(pts, t)
+        grad = carrier.gradient_at(pts, t)
+        dVdt = (carrier.velocity_at(pts, t + h) - carrier.velocity_at(pts, t - h)) / (2.0 * h)
+        psi = carrier.flow.pressure_factor_signal(t)
+        want = (
+            params.nu * synthesize(lap, carrier.omega, t)
+            - np.einsum("pj,pij->pi", V, grad)
+            - dVdt
+            + psi * np.array([1.0, 0.0])
+        )
+        got = forces.f_at(pts, t)
+        assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
+
+
+def test_force_norm_series_matches_real_space_norm(two_harmonic_forces):
+    forces = two_harmonic_forces
+    cells = forces.mesh.centers[forces.cell_idx]
+    n_times = 16
+    times = np.arange(n_times) * (forces.period / n_times)
+    f = forces.f_at(cells, times)
+    want = np.sqrt(np.einsum("p,tpi->t", forces.cell_weights, f**2))
+    assert np.allclose(forces.f_norm_series(n_times), want, rtol=1e-12)
+    h = 1e-5
+    df = (forces.f_at(cells, times + h) - forces.f_at(cells, times - h)) / (2.0 * h)
+    want_dt = np.sqrt(np.einsum("p,tpi->t", forces.cell_weights, df**2))
+    assert np.allclose(forces.f_norm_series(n_times, dt_order=1), want_dt, rtol=1e-8)

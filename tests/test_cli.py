@@ -135,6 +135,10 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
         "solver: {resonance_factors: [.nan]}\n",
         "solver: {alphas: [0.0]}\n",
         "solver: {alphas: [1.5]}\n",
+        # harmonics that are not those of a real signal
+        "flowrate: {period: 6.0, harmonics: [[0, 1.0, 0.5]]}\n",
+        "flowrate: {period: 6.0, harmonics: [[1, 0.0, -0.5], [-1, 0.0, 0.7]]}\n",
+        "forces: {tilde_g: {harmonics: [[0, 1.0, 0.3]]}}\n",
     ],
 )
 def test_invalid_config_is_config_error(tmp_path, capsys, text):

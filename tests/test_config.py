@@ -88,6 +88,13 @@ def test_parse_full_document():
         ({"solver": {"resonance_factors": [NAN]}}, "resonance_factors"),
         ({"solver": {"alphas": [0.0, 1.0]}}, "alphas"),
         ({"solver": {"alphas": [1.5]}}, "alphas"),
+        ({"flowrate": {"period": 6.0, "harmonics": [[0, 1.0, 0.5]]}}, "flowrate.harmonics"),
+        (
+            {"flowrate": {"period": 6.0, "harmonics": [[1, 0.0, -0.5], [-1, 0.0, 0.7]]}},
+            "flowrate.harmonics",
+        ),
+        ({"flowrate": {"period": 6.0, "harmonics": [[1, 0.0, -0.5], [1, 0.0, 0.2]]}}, "duplicate"),
+        ({"forces": {"tilde_g": {"harmonics": [[0, 1.0, 0.3]]}}}, "tilde_g.harmonics"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):

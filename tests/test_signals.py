@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from periflow.periodic_ode import spectral_time_derivative
 from periflow.signals import (
     antiderivative,
     constant_signal,
     derivative,
+    differentiate,
     l2_norm_sq,
     make_signal,
+    norm_series,
+    product,
     signal_from_json_dict,
     sine_signal,
     sobolev_norm_T,
@@ -194,3 +198,60 @@ def test_synthesize_matches_harmonic_loop(harmonics, times):
     assert got.shape == np.shape(times) + value_shape
     want = np.array([_loop_synthesis(harmonics, omega, t) for t in np.ravel(times)])
     assert np.allclose(got, want.reshape(got.shape), rtol=1e-13, atol=1e-13)
+
+
+_SCALARS = {0: 0.4, 1: 0.2 - 0.3j, 3: -0.5j}
+_FIELDS = {k: _RNG.normal(size=(5, 2)) + 1j * _RNG.normal(size=(5, 2)) for k in (0, 1, 3)}
+_FIELDS[0] = _FIELDS[0].real
+_GRADS = {k: _RNG.normal(size=(5, 2, 2)) + 1j * _RNG.normal(size=(5, 2, 2)) for k in (1, 3)}
+
+
+def _dot(u, v):
+    return (u * v).sum(axis=-1)
+
+
+def _advect(v, g):
+    return np.einsum("...j,...ij->...i", v, g)
+
+
+@pytest.mark.parametrize(
+    "a, b, op",
+    [
+        (_SCALARS, _SCALARS, np.multiply),
+        (_SCALARS, {2: 1.0 + 0.5j}, np.multiply),
+        (_FIELDS, _FIELDS, _dot),
+        (_FIELDS, _GRADS, _advect),
+    ],
+)
+def test_product_matches_time_samples(a, b, op):
+    omega = 2.0 * math.pi / 1.3
+    times = np.arange(32) * (1.3 / 32)
+    harmonics = product(a, b, op)
+    assert min(harmonics) >= 0
+    assert max(harmonics) == max(a) + max(b)
+    got = synthesize(harmonics, omega, times)
+    want = op(synthesize(a, omega, times), synthesize(b, omega, times))
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("harmonics", [_SCALARS, _FIELDS])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_differentiate_matches_time_samples(harmonics, order):
+    T = 1.3
+    omega = 2.0 * math.pi / T
+    times = np.arange(32) * (T / 32)
+    got = synthesize(differentiate(harmonics, omega, order), omega, times)
+    samples = synthesize(harmonics, omega, times)
+    want = spectral_time_derivative(samples, T, order) if order else samples
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_norm_series_matches_time_samples():
+    omega = 2.0 * math.pi / 1.3
+    times = np.arange(16) * (1.3 / 16)
+    weights = np.linspace(0.5, 1.5, 5)
+    got = norm_series(_GRADS, weights, omega, times)
+    field = synthesize(_GRADS, omega, times)
+    want = np.sqrt(np.einsum("p,tpij->t", weights, field**2))
+    assert np.allclose(got, want, rtol=1e-12)
+    assert np.array_equal(norm_series({}, weights, omega, times), np.zeros(16))
