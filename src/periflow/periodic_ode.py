@@ -222,15 +222,24 @@ def solve_linear_periodic(system, n_fluid=None, alpha=1.0, check_step_error=True
     )
 
 
-def linear_system_from_galerkin(
-    gsys, tilde_a=None, alpha=1.0, n_steps=DEFAULT_N_STEPS
-):
-    """Build the (n+1)-dimensional linear periodic system for frozen tilde_a.
+@dataclass(frozen=True)
+class FrozenLinearPart:
+    """The iterate-independent part of `linear_system_from_galerkin`.
 
-    tilde_a: (M, n) samples of the frozen transport coefficients on the
-    uniform grid (or None for zero).  The homotopy parameter alpha scales the
-    forcing terms only.
+    `system` is the linear system for a zero frozen iterate and unit forcing
+    scale (base matrices and unscaled rhs); `ainv_c` holds A^{-1} c as an
+    (n, n*n) matrix, so the transport block of an iterate with quarter-step
+    samples ta2 is (ta2 @ ainv_c).reshape(-1, n, n).
     """
+
+    system: LinearPeriodicSystem
+    ainv_c: np.ndarray
+
+
+def frozen_linear_part(gsys, n_steps=DEFAULT_N_STEPS):
+    """Everything of the linear system that does not depend on the frozen
+    iterate or the forcing scale: d, f and g synthesized on the quarter-step
+    grid, A^{-1}, the base matrices, the unscaled rhs and A^{-1} c."""
     n = gsys.n
     T = gsys.period
     times2 = np.arange(4 * n_steps + 1) * (T / (4 * n_steps))
@@ -238,16 +247,6 @@ def linear_system_from_galerkin(
     d_series = gsys.d_at(times2)
     f_series = gsys.f_at(times2)
     g_series = gsys.g_signal(times2)
-
-    if tilde_a is None:
-        ct_series = np.zeros((len(times2), n, n))
-    else:
-        ta = np.asarray(tilde_a, dtype=float)
-        ta2 = resample_periodic(ta, 4 * n_steps)
-        ta2 = np.vstack([ta2, ta2[:1]])
-        # (c_ijk tilde_a_i) acting on a_j in the row-kappa equation
-        ct = ta2 @ gsys.c.reshape(n, n * n)
-        ct_series = ct.reshape(-1, n, n).transpose(0, 2, 1)
 
     Ainv = np.linalg.inv(gsys.A)
     beta = gsys.beta
@@ -258,13 +257,50 @@ def linear_system_from_galerkin(
     mats = np.zeros((len(times2), dim, dim))
     rhs = np.zeros((len(times2), dim))
     bd = gsys.b[None].transpose(0, 2, 1) + d_series.transpose(0, 2, 1)
-    coeff_a = ct_series - bd  # row kappa, column j
-    mats[:, :n, :n] = Ainv @ coeff_a
+    mats[:, :n, :n] = -(Ainv @ bd)  # row kappa, column j
     mats[:, :n, n] = -(k_over_rho) * (Ainv @ beta)[None]
     mats[:, n, :n] = beta
-    forcing = alpha * (f_series + g_series[:, None] * beta[None] / rho)
-    rhs[:, :n] = forcing @ Ainv.T
-    return LinearPeriodicSystem(period=T, mats=mats, rhs=rhs, n_steps=n_steps)
+    rhs[:, :n] = (f_series + g_series[:, None] * beta[None] / rho) @ Ainv.T
+    # (A^{-1} c)[i, m, j] = sum_k A^{-1}_mk c_ijk: row m, column j for tilde_a_i
+    ainv_c = (gsys.c @ Ainv.T).transpose(0, 2, 1).reshape(n, n * n)
+    base = LinearPeriodicSystem(period=T, mats=mats, rhs=rhs, n_steps=n_steps)
+    return FrozenLinearPart(system=base, ainv_c=ainv_c)
+
+
+def linear_system_from_galerkin(
+    gsys, tilde_a=None, alpha=1.0, n_steps=DEFAULT_N_STEPS, frozen=None
+):
+    """Build the (n+1)-dimensional linear periodic system for frozen tilde_a.
+
+    tilde_a: (M, n) samples of the frozen transport coefficients on the
+    uniform grid (or None for zero).  The homotopy parameter alpha scales the
+    forcing terms only.
+
+    The build has two parts.  `frozen` (a `FrozenLinearPart` from
+    `frozen_linear_part(gsys, n_steps)`) holds everything that does not
+    depend on tilde_a or alpha; a fixed-point iteration builds it once and
+    passes it to every call.  Without it, one is built on the spot.  The
+    per-iterate part adds resample(tilde_a) @ (A^{-1} c) to the base
+    matrices and scales the rhs by alpha.
+    """
+    if frozen is None:
+        frozen = frozen_linear_part(gsys, n_steps)
+    elif frozen.system.n_steps != n_steps:
+        raise ValueError(
+            f"frozen part has {frozen.system.n_steps} steps, expected {n_steps}"
+        )
+    base = frozen.system
+    n = gsys.n
+    mats = base.mats.copy()
+    if tilde_a is not None:
+        ta = np.asarray(tilde_a, dtype=float)
+        ta2 = resample_periodic(ta, 4 * n_steps)
+        ta2 = np.vstack([ta2, ta2[:1]])
+        # (c_ijk tilde_a_i) acting on a_j in the row-kappa equation, times A^{-1}
+        mats[:, :n, :n] += (ta2 @ frozen.ainv_c).reshape(-1, n, n)
+    return LinearPeriodicSystem(
+        period=base.period, mats=mats, rhs=alpha * base.rhs, n_steps=n_steps
+    )
 
 
 def oscillator_system(params, g_signal, n_steps=1024):

@@ -143,3 +143,31 @@ def zero_system(params, geom, mesh, basis):
     carrier = build_flux_carrier(flow, geom, CUTOFF)
     forces = carrier_forces(carrier, params, mesh)
     return assemble_system(basis, carrier, forces, params)
+
+
+# --- a solution map whose outputs turn non-finite ---------------------------
+
+
+@pytest.fixture
+def nan_map_after(monkeypatch):
+    """Factory: make every `solver.apply_phi` output after the first `n_good`
+    all NaN; returns the list that counts the calls."""
+    from dataclasses import replace
+
+    from periflow import solver
+
+    def install(n_good):
+        real = solver.apply_phi
+        calls = []
+
+        def patched(*args, **kwargs):
+            y = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) > n_good:
+                y = replace(y, states=np.full_like(y.states, np.nan))
+            return y
+
+        monkeypatch.setattr(solver, "apply_phi", patched)
+        return calls
+
+    return install

@@ -200,6 +200,15 @@ def test_non_convergence_exit_code(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == EXIT_NO_CONVERGENCE
 
 
+def test_non_finite_iterate_exit_code(tmp_path, capsys, nan_map_after):
+    nan_map_after(0)
+    cfg = _write(tmp_path, CHEAP_SOLVE.format(period=2.0 * math.pi))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("solver did not converge: ") and err.count("\n") == 1
+    assert "non-finite" in err and "Traceback" not in err
+
+
 def test_seed_override_recorded(tmp_path):
     cfg = _write(tmp_path, CHEAP_SOLVE.format(period=2.0 * math.pi))
     out = tmp_path / "out"

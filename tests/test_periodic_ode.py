@@ -10,7 +10,9 @@ from periflow.errors import ResonantOrNonUnique
 from periflow.geometry import PhysicalParams
 from periflow.periodic_ode import (
     LinearPeriodicSystem,
+    frozen_linear_part,
     integrate_rk4,
+    linear_system_from_galerkin,
     monodromy,
     oscillator_system,
     resample_periodic,
@@ -208,6 +210,55 @@ def test_oscillator_off_resonance_solves():
     amp = 0.5 / (params.stiffness - params.mass * w**2)
     # grid max of |sin| undershoots the true peak by O((dt)^2)
     assert np.max(np.abs(traj.states[:, 0])) == pytest.approx(abs(amp), rel=1e-4)
+
+
+def _linear_system_from_scratch(gsys, tilde_a, alpha, n_steps):
+    """The coupled linear system built in one pass, term by term: the
+    oracle for the frozen/per-iterate split of linear_system_from_galerkin."""
+    n = gsys.n
+    t = np.arange(4 * n_steps + 1) * (gsys.period / (4 * n_steps))
+    ta2 = resample_periodic(tilde_a, 4 * n_steps)
+    ta2 = np.vstack([ta2, ta2[:1]])
+    # row kappa, column j: c_ijk tilde_a_i - b_jk - d_jk(t)
+    coeff_a = (
+        np.einsum("ti,ijk->tkj", ta2, gsys.c)
+        - gsys.b.T[None]
+        - gsys.d_at(t).transpose(0, 2, 1)
+    )
+    Ainv = np.linalg.inv(gsys.A)
+    rho = gsys.params.rho
+    mats = np.zeros((len(t), n + 1, n + 1))
+    mats[:, :n, :n] = np.einsum("mk,tkj->tmj", Ainv, coeff_a)
+    mats[:, :n, n] = -(gsys.params.stiffness / rho) * (Ainv @ gsys.beta)
+    mats[:, n, :n] = gsys.beta
+    forcing = alpha * (gsys.f_at(t) + np.outer(gsys.g_signal(t), gsys.beta) / rho)
+    rhs = np.zeros((len(t), n + 1))
+    rhs[:, :n] = np.einsum("mk,tk->tm", Ainv, forcing)
+    return mats, rhs
+
+
+@pytest.mark.parametrize("which", ["reference", "zero"])
+def test_linear_system_split_matches_from_scratch_build(which, ref_run, zero_system):
+    gsys = ref_run["system"] if which == "reference" else zero_system
+    n_steps = 256
+    tilde = np.random.default_rng(5).standard_normal((n_steps, gsys.n))
+    want_mats, want_rhs = _linear_system_from_scratch(gsys, tilde, 0.6, n_steps)
+    spot = linear_system_from_galerkin(gsys, tilde_a=tilde, alpha=0.6, n_steps=n_steps)
+    for got, want in ((spot.mats, want_mats), (spot.rhs, want_rhs)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    frozen = frozen_linear_part(gsys, n_steps)
+    passed = linear_system_from_galerkin(
+        gsys, tilde_a=tilde, alpha=0.6, n_steps=n_steps, frozen=frozen
+    )
+    assert np.array_equal(passed.mats, spot.mats)
+    assert np.array_equal(passed.rhs, spot.rhs)
+    # a build that uses the frozen part leaves it as it was
+    fresh = frozen_linear_part(gsys, n_steps)
+    assert np.array_equal(frozen.system.mats, fresh.system.mats)
+    assert np.array_equal(frozen.system.rhs, fresh.system.rhs)
+    with pytest.raises(ValueError):
+        linear_system_from_galerkin(gsys, tilde_a=tilde, n_steps=128, frozen=frozen)
 
 
 def test_homogeneous_coupled_system_trivial(zero_system):

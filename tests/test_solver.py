@@ -1,8 +1,12 @@
-"""Damped fixed-point solver, residual monitors, and the homotopy sweep."""
+"""Accelerated fixed-point solver, residual monitors, and the homotopy sweep."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from periflow import solver
+from periflow.diagnostics import energy_E
 from periflow.errors import NoConvergence, StageError
 from periflow.solver import (
     FixedPointConfig,
@@ -82,6 +86,49 @@ def test_no_convergence_raises_with_history(ref_run):
     with pytest.raises(NoConvergence) as exc_info:
         fixed_point(gsys, FixedPointConfig(n_steps=1024, max_iter=1))
     assert len(exc_info.value.history) == 1
+
+
+@pytest.mark.parametrize("n_good", [0, 2])
+def test_non_finite_map_output_stops_at_once(ref_run, nan_map_after, n_good):
+    calls = nan_map_after(n_good)
+    with pytest.raises(NoConvergence) as exc_info:
+        fixed_point(ref_run["system"], FixedPointConfig(n_steps=256))
+    assert len(calls) == n_good + 1
+    assert len(exc_info.value.history) == n_good + 1
+    assert "non-finite" in str(exc_info.value)
+
+
+def test_anderson_matches_damped_picard(ref_run, monkeypatch):
+    gsys = ref_run["system"]
+    cfg = FixedPointConfig(n_steps=256)
+    traj, report = fixed_point(gsys, cfg)
+    monkeypatch.setattr(solver, "ANDERSON_DEPTH", 0)
+    picard, picard_report = fixed_point(gsys, cfg)
+    assert report["converged"] and picard_report["converged"]
+    assert report["iterations"] < picard_report["iterations"]
+    scale = np.max(np.abs(picard.states))
+    assert np.max(np.abs(traj.states - picard.states)) <= 1e-10 * scale
+
+
+def test_warm_homotopy_matches_cold(ref_run):
+    gsys = ref_run["system"]
+    cfg = FixedPointConfig(n_steps=256)
+    alphas = (0.25, 0.5, 0.75, 1.0)
+    rows, last = homotopy_sweep(gsys, alphas, cfg)
+    cold_iterations = 0
+    for row, alpha in zip(rows, alphas):
+        traj, report = fixed_point(gsys, replace(cfg, alpha=alpha))
+        cold_iterations += report["iterations"]
+        sup_E = float(np.max(energy_E(traj, gsys.params)))
+        assert row["sup_E"] == pytest.approx(sup_E, rel=1e-9)
+    assert sum(r["iterations"] for r in rows) <= cold_iterations
+    assert last.alpha == 1.0
+
+
+def test_start_must_match_step_count(ref_run):
+    start = ref_run["trajectory"]
+    with pytest.raises(ValueError):
+        fixed_point(ref_run["system"], FixedPointConfig(n_steps=256), start=start)
 
 
 def test_homotopy_energy_monotone(ref_run):
