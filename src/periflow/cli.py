@@ -7,6 +7,8 @@ Subcommands:
               run manifest
   resonance   period sweep around the oscillator's natural period, coupled
               vs decoupled outcome table
+  homotopy    forcing-scale sweep over the config's alphas: sup E, iterations
+              and residual per scale
 
 Exit codes: 0 success, 2 diagnostic gate failure, 3 configuration error,
 4 solver non-convergence.  Outputs are deterministic for a fixed config and
@@ -136,17 +138,10 @@ def cmd_solve(config, out_dir):
 
 def cmd_resonance(config, out_dir):
     from .diagnostics import resonance_probe
-    from .solver import FixedPointConfig, assemble_from_config
+    from .solver import assemble_from_config
 
-    if not config.resonance_factors:
-        raise ConfigError("'solver.resonance_factors' must not be empty")
     t_nat = config.params.natural_period
-    fp_cfg = FixedPointConfig(
-        damping=config.damping,
-        tol=config.fixed_point_tol,
-        max_iter=config.max_iter,
-        n_steps=config.n_steps,
-    )
+    fp_cfg = config.build_fixed_point()
     rows = []
     basis = None  # built for the first factor, shared by the later ones
     for factor in config.resonance_factors:
@@ -179,6 +174,56 @@ def cmd_resonance(config, out_dir):
     return EXIT_OK
 
 
+def cmd_homotopy(config, out_dir):
+    from .solver import assemble_from_config, homotopy_sweep
+
+    parts = assemble_from_config(config)
+    rows, _ = homotopy_sweep(parts["system"], config.alphas, config.build_fixed_point())
+    _write_csv(
+        os.path.join(out_dir, "homotopy.csv"),
+        ["alpha", "sup_E", "iterations", "residual"],
+        [(r["alpha"], r["sup_E"], r["iterations"], r["residual"]) for r in rows],
+    )
+    _write_json(
+        os.path.join(out_dir, "manifest.json"),
+        _manifest(config, {"command": "homotopy"}),
+    )
+    return EXIT_OK
+
+
+def _print_solve(config, out_dir):
+    with open(os.path.join(out_dir, "ledger.json")) as fh:
+        ledger = json.load(fh)
+    rep = ledger["report"]
+    print(f"config hash: {config.config_hash()}")
+    print(f"converged in {rep['iterations']} iterations, residual {rep['residual']:.3e}")
+    print(f"{'check':34s} {'lhs':>12s} {'rhs':>12s}  result")
+    for row in ledger["diagnostics"]["rows"]:
+        status = "pass" if row["pass"] else "FAIL"
+        print(f"{row['check_id']:34s} {row['lhs']:12.4e} {row['rhs']:12.4e}  {status}")
+    series = ledger["diagnostics"]["series"]
+    print(
+        f"sup E = {series['E_max']:.6f}, sup G = {series['G_max']:.6f}, "
+        f"delta = {series['delta']:.4f}"
+    )
+
+
+def _print_table(path):
+    with open(path) as fh:
+        print(fh.read().rstrip())
+
+
+def _print_resonance(config, out_dir):
+    _print_table(os.path.join(out_dir, "resonance.csv"))
+
+
+def _print_homotopy(config, out_dir):
+    path = os.path.join(out_dir, "homotopy.csv")
+    _print_table(path)
+    sup_e = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
+    print(f"max sup E over the sweep: {sup_e.max():.6f}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="periflow",
@@ -193,7 +238,9 @@ def build_parser():
         help="downgrade data-smallness gate failures to warnings",
     )
     parser.add_argument(
-        "command", choices=["poiseuille", "solve", "resonance"], help="what to run"
+        "command",
+        choices=["poiseuille", "solve", "resonance", "homotopy"],
+        help="what to run",
     )
     return parser
 
@@ -216,13 +263,14 @@ def main(argv=None):
     out_dir = args.out or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    handler = {
-        "poiseuille": cmd_poiseuille,
-        "solve": cmd_solve,
-        "resonance": cmd_resonance,
+    handler, summary = {
+        "poiseuille": (cmd_poiseuille, None),
+        "solve": (cmd_solve, _print_solve),
+        "resonance": (cmd_resonance, _print_resonance),
+        "homotopy": (cmd_homotopy, _print_homotopy),
     }[args.command]
     try:
-        return handler(config, out_dir)
+        code = handler(config, out_dir)
     except PeriflowError as exc:
         # geometry, mesh and basis failures come from the config values
         cause = exc.original if isinstance(exc, StageError) else exc
@@ -235,6 +283,9 @@ def main(argv=None):
         prefix = "pipeline failure" if isinstance(exc, StageError) else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_GATE
+    if summary is not None:
+        summary(config, out_dir)
+    return code
 
 
 if __name__ == "__main__":

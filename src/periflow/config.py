@@ -155,6 +155,9 @@ class RunConfig:
                 raise ConfigError(f"'{name}' must be positive and finite")
         if self.damping > 1:
             raise ConfigError(f"'damping' must lie in (0, 1], got {self.damping}")
+        for name in ("alphas", "resonance_factors"):
+            if not getattr(self, name):
+                raise ConfigError(f"'{name}' must not be empty")
         if not all(0 < a <= 1 for a in self.alphas):
             raise ConfigError(f"'alphas' must lie in (0, 1], got {list(self.alphas)}")
         if not all(0 < f < math.inf for f in self.resonance_factors):
@@ -185,6 +188,16 @@ class RunConfig:
         from .carrier import CutoffParams
 
         return CutoffParams(inner=self.cutoff_inner, outer=self.cutoff_outer)
+
+    def build_fixed_point(self):
+        from .solver import FixedPointConfig
+
+        return FixedPointConfig(
+            damping=self.damping,
+            tol=self.fixed_point_tol,
+            max_iter=self.max_iter,
+            n_steps=self.n_steps,
+        )
 
     def build_external_forces(self):
         from .carrier import ExternalBodyForce
@@ -364,16 +377,4 @@ def load_config(path):
 
 def reference_config(**overrides):
     """The small-data reference setup used throughout the test suite."""
-    base = dict(
-        half_length=6.0,
-        body=(-0.5, 0.5, -0.3, 0.3),
-        flowrate=SignalSpec(DEFAULT_PERIOD, ((1, 0.0, -0.5),)),
-        cutoff_inner=0.15,
-        cutoff_outer=0.6,
-        n_modes=8,
-        n_steps=2048,
-        mesh_h=1.0 / 32.0,
-        profile_nodes=257,
-    )
-    base.update(overrides)
-    return RunConfig(**base)
+    return RunConfig(**overrides)

@@ -107,7 +107,9 @@ class EnergyReport:
     identity_residual: float
     identity_tol: float
     period_balance: float  # |E(T) - E(0)|
+    balance_tol: float
     equivalence_slack: float  # min(G - E, 3E - G) along the trajectory
+    equivalence_tol: float  # the slack may dip to -equivalence_tol
     passed: bool
 
 
@@ -160,14 +162,11 @@ def energy_report(traj, gsys):
     gg = basis.grad_gram
     dissipation = np.einsum("ti,ik,tk->t", traj.a, gg, traj.a)
     resid = check_energy_identity(traj, gsys)
-    tol = 1e-6 * (1.0 + float(E.max()))
+    scale = 1.0 + float(E.max())
+    tol, tol_bal, tol_eq = 1e-6 * scale, 1e-9 * scale, 1e-10 * scale
     balance = float(abs(E[-1] - E[0]))
     eq_slack = float(min(np.min(G - E), np.min(3.0 * E - G)))
-    passed = (
-        resid <= tol
-        and balance <= 1e-9 * (1.0 + float(E.max()))
-        and eq_slack >= -1e-10 * (1.0 + float(E.max()))
-    )
+    passed = resid <= tol and balance <= tol_bal and eq_slack >= -tol_eq
     return EnergyReport(
         E=E,
         G=G,
@@ -176,7 +175,9 @@ def energy_report(traj, gsys):
         identity_residual=resid,
         identity_tol=tol,
         period_balance=balance,
+        balance_tol=tol_bal,
         equivalence_slack=eq_slack,
+        equivalence_tol=tol_eq,
         passed=bool(passed),
     )
 
@@ -191,10 +192,9 @@ class PartialBoundRow:
     rhs_data: float  # int (||f||^2 + |g|^2)
     c3_hat: float
     zero_data: bool
-    regression_exceeded: bool
 
 
-def check_partial_bound(traj, gsys, forces, baseline_c3=None):
+def check_partial_bound(traj, gsys, forces):
     dt = traj.period / traj.n_steps
     gg = gsys.basis.grad_gram
     lhs = float(
@@ -211,12 +211,11 @@ def check_partial_bound(traj, gsys, forces, baseline_c3=None):
                 "zero forcing data but nonzero dissipation: contradicts the "
                 "uniqueness of the trivial periodic solution"
             )
-        return PartialBoundRow(0.0, 0.0, 0.0, True, False)
+        return PartialBoundRow(0.0, 0.0, 0.0, True)
     c3 = lhs / rhs
-    exceeded = baseline_c3 is not None and c3 > 2.0 * baseline_c3
     if not math.isfinite(c3):
         raise PeriflowError(f"dissipation/data ratio is not finite: {c3}")
-    return PartialBoundRow(lhs, rhs, c3, False, bool(exceeded))
+    return PartialBoundRow(lhs, rhs, c3, False)
 
 
 # ---------------------------------------------------------------------------
@@ -700,12 +699,10 @@ def diagnostics_bundle(traj, gsys, forces, seed=0):
     er = energy_report(traj, gsys)
     rows.append(_row("energy-identity", er.identity_residual, er.identity_tol,
                      er.identity_residual <= er.identity_tol))
-    tol_bal = 1e-9 * (1.0 + float(er.E.max()))
-    rows.append(_row("energy-period-balance", er.period_balance, tol_bal,
-                     er.period_balance <= tol_bal))
-    rows.append(_row("energy-equivalence", -er.equivalence_slack,
-                     1e-10 * (1.0 + float(er.E.max())),
-                     er.equivalence_slack >= -1e-10 * (1.0 + float(er.E.max()))))
+    rows.append(_row("energy-period-balance", er.period_balance, er.balance_tol,
+                     er.period_balance <= er.balance_tol))
+    rows.append(_row("energy-equivalence", -er.equivalence_slack, er.equivalence_tol,
+                     er.equivalence_slack >= -er.equivalence_tol))
 
     pb = check_partial_bound(traj, gsys, forces)
     rows.append(

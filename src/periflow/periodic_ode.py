@@ -182,7 +182,7 @@ def zero_trajectory(period, n_fluid, n_steps=DEFAULT_N_STEPS, alpha=1.0):
     )
 
 
-def solve_linear_periodic(system, n_fluid=None, alpha=1.0, check_step_error=True):
+def solve_linear_periodic(system, n_fluid=None, alpha=1.0):
     """Unique T-periodic solution of the linear system, or ResonantOrNonUnique."""
     M, p = monodromy(system)
     dim = system.dim
@@ -191,13 +191,12 @@ def solve_linear_periodic(system, n_fluid=None, alpha=1.0, check_step_error=True
     if sigma_min < SINGULARITY_THRESHOLD * max(scale, 1.0):
         raise ResonantOrNonUnique(sigma_min, SINGULARITY_THRESHOLD * max(scale, 1.0))
     x0 = np.linalg.solve(np.eye(dim) - M, p)
-    if check_step_error:
-        err = step_halving_error(system, x0)
-        if err > STEP_HALVING_TOL * (1.0 + float(np.max(np.abs(x0)))):
-            raise ResolutionError(
-                f"step-halving disagreement {err:.3e} exceeds tolerance; "
-                "increase the number of time steps"
-            )
+    err = step_halving_error(system, x0)
+    if err > STEP_HALVING_TOL * (1.0 + float(np.max(np.abs(x0)))):
+        raise ResolutionError(
+            f"step-halving disagreement {err:.3e} exceeds tolerance; "
+            "increase the number of time steps"
+        )
     states = integrate_rk4(system, x0)
     defect = float(np.max(np.abs(states[-1] - states[0])))
     tol = 1e-8 * (1.0 + float(np.max(np.abs(states))))

@@ -399,12 +399,7 @@ def galerkin_solve(config):
         else:
             raise StageError("smallness", PeriflowError(msg))
 
-    cfg = FixedPointConfig(
-        damping=config.damping,
-        tol=config.fixed_point_tol,
-        max_iter=config.max_iter,
-        n_steps=config.n_steps,
-    )
+    cfg = config.build_fixed_point()
     traj, report = stage("fixed-point", lambda: fixed_point(gsys, cfg))
     report["smallness"] = small
     report["c_q"] = cq

@@ -76,6 +76,37 @@ def test_solve_outputs_and_determinism(tmp_path):
     assert np.max(np.abs(data[-1, 1:] - data[0, 1:])) <= 1e-6
 
 
+def test_solve_prints_ledger(tmp_path, capsys):
+    cfg = _write(tmp_path, CHEAP_SOLVE.format(period=2.0 * math.pi))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "solve"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    ledger = json.loads((out / "ledger.json").read_text())
+    for row in ledger["diagnostics"]["rows"]:
+        assert row["check_id"] in printed
+
+
+def test_homotopy_outputs(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        CHEAP_SOLVE.format(period=2.0 * math.pi).replace("2048", "256")
+        + "  alphas: [0.5, 1.0]\n",
+    )
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["--config", cfg, "--out", str(out), "homotopy"]) == EXIT_OK
+        outs.append(out)
+    table = (outs[0] / "homotopy.csv").read_bytes()
+    assert table == (outs[1] / "homotopy.csv").read_bytes()
+    lines = table.decode().strip().split("\n")
+    assert lines[0] == "alpha,sup_E,iterations,residual"
+    assert [float(ln.split(",")[0]) for ln in lines[1:]] == [0.5, 1.0]
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert manifest["command"] == "homotopy"
+    assert "max sup E" in capsys.readouterr().out
+
+
 def test_resonance_outputs(tmp_path):
     cfg = _write(
         tmp_path,
@@ -135,6 +166,8 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
         "solver: {resonance_factors: [.nan]}\n",
         "solver: {alphas: [0.0]}\n",
         "solver: {alphas: [1.5]}\n",
+        "solver: {alphas: []}\n",
+        "solver: {resonance_factors: []}\n",
         # harmonics that are not those of a real signal
         "flowrate: {period: 6.0, harmonics: [[0, 1.0, 0.5]]}\n",
         "flowrate: {period: 6.0, harmonics: [[1, 0.0, -0.5], [-1, 0.0, 0.7]]}\n",

@@ -95,6 +95,8 @@ def test_parse_full_document():
         ),
         ({"flowrate": {"period": 6.0, "harmonics": [[1, 0.0, -0.5], [1, 0.0, 0.2]]}}, "duplicate"),
         ({"forces": {"tilde_g": {"harmonics": [[0, 1.0, 0.3]]}}}, "tilde_g.harmonics"),
+        ({"solver": {"alphas": []}}, "alphas"),
+        ({"solver": {"resonance_factors": []}}, "resonance_factors"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):

@@ -105,17 +105,6 @@ def test_partial_bound_reference(ref_run):
     assert not row.zero_data
     assert row.lhs > 0.0 and row.rhs_data > 0.0
     assert math.isfinite(row.c3_hat) and row.c3_hat > 0.0
-    assert not row.regression_exceeded
-
-
-def test_partial_bound_regression_flag(ref_run):
-    row = check_partial_bound(
-        ref_run["trajectory"],
-        ref_run["system"],
-        ref_run["forces"],
-        baseline_c3=1e-12,
-    )
-    assert row.regression_exceeded
 
 
 def test_partial_bound_zero_data(zero_system):
