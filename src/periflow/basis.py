@@ -138,12 +138,18 @@ class StreamMode:
     label: str
 
     def fields(self, points, need=("V",)):
-        """Real mode fields: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i."""
+        """Real mode fields: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i.
+
+        Each 1D factor is evaluated once per distinct coordinate and scattered
+        back to the points: the cells of the tensor-grid quadrature mesh share
+        a few hundred x1 and x2 values.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x1, x2 = pts[:, 0], pts[:, 1]
+        x1, at1 = np.unique(pts[:, 0], return_inverse=True)
+        x2, at2 = np.unique(pts[:, 1], return_inverse=True)
         fmax = 2 if "grad" in need else 1
-        f = [self.fx(x1, d) for d in range(fmax + 1)]
-        g = [self.gy(x2, d) for d in range(fmax + 1)]
+        f = [self.fx(x1, d)[at1] for d in range(fmax + 1)]
+        g = [self.gy(x2, d)[at2] for d in range(fmax + 1)]
         out = {}
         if "V" in need:
             out["V"] = np.stack([f[0] * g[1], -f[1] * g[0]], axis=-1)
@@ -153,6 +159,12 @@ class StreamMode:
             gr[:, 1, 0], gr[:, 1, 1] = -f[2] * g[0], -f[1] * g[1]
             out["grad"] = gr
         return out
+
+
+def _raw_fields(modes, points, need):
+    """Stacked raw mode fields at points, one array per entry of `need`."""
+    fields = [m.fields(points, need) for m in modes]
+    return [np.stack([fld[key] for fld in fields]) for key in need]
 
 
 def _gamma_mode(geom, r_in, r_out_x, r_out_y, label):
@@ -206,12 +218,20 @@ def _candidate_modes(geom, n):
 
 @dataclass(frozen=True)
 class GalerkinBasis:
+    """Orthonormal basis fields, evaluated once on the support cells.
+
+    `values` and `grads` hold psi and grad psi on the mesh cells `cell_idx`;
+    `fields_at_cells` reads them back for any cell set and evaluates only
+    the cells outside `cell_idx`.  The basis-only tensors are contracted
+    over the cells by BLAS products in `build_basis`.
+    """
+
     geometry: object
     mesh: object
     modes: list  # raw StreamModes
     coeff: np.ndarray  # (n_raw, n): psi_i = sum_r coeff[r, i] * raw_r
     beta: np.ndarray  # (n,) boundary values after orthonormalization
-    cell_idx: np.ndarray  # mesh cells carrying the basis support
+    cell_idx: np.ndarray  # sorted mesh cells carrying the basis support
     cell_weights: np.ndarray
     values: np.ndarray = field(repr=False)  # (n, nc, 2)
     grads: np.ndarray = field(repr=False)  # (n, nc, 2, 2)
@@ -228,12 +248,28 @@ class GalerkinBasis:
 
     def velocity_at(self, points):
         """(n, npts, 2) orthonormal basis velocities at arbitrary points."""
-        raw = np.stack([m.fields(points, ("V",))["V"] for m in self.modes])
+        (raw,) = _raw_fields(self.modes, points, ("V",))
         return self._combine(raw)
 
     def gradient_at(self, points):
-        raw = np.stack([m.fields(points, ("grad",))["grad"] for m in self.modes])
+        (raw,) = _raw_fields(self.modes, points, ("grad",))
         return self._combine(raw)
+
+    def fields_at_cells(self, cells):
+        """(psi, grad psi) at the centers of the mesh cells `cells`:
+        (n, m, 2) and (n, m, 2, 2).  Cells in `cell_idx` take their rows of
+        `values`/`grads`; only the others go through `velocity_at` and
+        `gradient_at`."""
+        cells = np.asarray(cells)
+        pos = np.minimum(np.searchsorted(self.cell_idx, cells), len(self.cell_idx) - 1)
+        stored = self.cell_idx[pos] == cells
+        # take() gives C-contiguous copies (values[:, pos] does not); the
+        # per-time contractions in stokes_rhs_norm are slower on strided rows
+        psi, gpsi = self.values.take(pos, axis=1), self.grads.take(pos, axis=1)
+        if not stored.all():
+            other = self.mesh.centers[cells[~stored]]
+            psi[:, ~stored], gpsi[:, ~stored] = self.velocity_at(other), self.gradient_at(other)
+        return psi, gpsi
 
     def l2_inner(self, i, k):
         return float(
@@ -242,7 +278,13 @@ class GalerkinBasis:
 
 
 def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
-    """Build the orthonormal divergence-free basis of size n."""
+    """Build the orthonormal divergence-free basis of size n.
+
+    Every raw mode is evaluated once ("V" and "grad" together) on the cells
+    within |x1| < X0 + 1.  The quadrature sums over those cells run as BLAS
+    matrix products: the gradient and strain Grams through `_weighted_gram`,
+    the cubic transport tensor through `_transport_tensor`.
+    """
     from .geometry import build_mesh
 
     if n < 1:
@@ -263,8 +305,9 @@ def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
     idx = mesh.cells_within(geom.X0 + 1.0)
     pts = mesh.centers[idx]
     w = mesh.weights[idx]
-    raw_v = np.stack([m.fields(pts, ("V",))["V"] for m in modes])
-    raw_g = np.stack([m.fields(pts, ("grad",))["grad"] for m in modes])
+    raw_v, raw_g = _raw_fields(modes, pts, ("V", "grad"))
+    # the mode Gram fixes coeff, hence values, grads and beta, so it keeps
+    # this summation order; a BLAS product moves all of them by ~1e-14
     gram = np.einsum("p,ipc,kpc->ik", w, raw_v, raw_v)
     try:
         L = np.linalg.cholesky(gram)
@@ -285,11 +328,17 @@ def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
         raise BasisError("first mode lost its positive boundary coupling")
     V = np.tensordot(coeff, raw_v, axes=(0, 0))  # (n, nc, 2)
     G = np.tensordot(coeff, raw_g, axes=(0, 0))  # grad[i, p, c, d] = d_d psi_{i,c}
+    # free each field array once its last reader is done: the contractions
+    # below hold an (n*n, nc) buffer, and the peak memory is what they add
+    del raw_v, raw_g
 
+    grad_gram = _weighted_gram(w, G, G)
     # D = sym grad, so (D psi_i, D psi_k) gives the viscous matrix b
     D = 0.5 * (G + np.swapaxes(G, 2, 3))
+    strain_gram = _weighted_gram(w, D, D)
+    del D
     # cubic transport tensor, skew-symmetrized in (j, kappa)
-    Q = np.einsum("p,ipd,jpcd,kpc->ijk", w, _shifted(V, beta), G, V, optimize=True)
+    Q = _transport_tensor(w, _shifted(V, beta), G, V)
     return GalerkinBasis(
         geometry=geom,
         mesh=mesh,
@@ -300,10 +349,34 @@ def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
         cell_weights=w,
         values=V,
         grads=G,
-        grad_gram=np.einsum("p,ipcd,kpcd->ik", w, G, G),
-        strain_gram=np.einsum("p,ipcd,kpcd->ik", w, D, D),
+        grad_gram=grad_gram,
+        strain_gram=strain_gram,
         c=0.5 * (Q - np.transpose(Q, (0, 2, 1))),
     )
+
+
+def _weighted_gram(w, X, Y):
+    """sum_p w_p X[i, p, ...] . Y[k, p, ...] over the cells p and the trailing
+    axes, (len(X), len(Y)), as one matrix product."""
+    wX = X * w.reshape(w.shape + (1,) * (X.ndim - 2))
+    return wX.reshape(len(X), -1) @ Y.reshape(len(Y), -1).T
+
+
+def _transport_tensor(w, S, G, V):
+    """Q[i, j, k] = sum_p w_p S[i,p,d] G[j,p,c,d] V[k,p,c], (n, n, n).
+
+    One matrix product per (c, d): the (n*n, ncells) products
+    w S[i,:,d] G[j,:,c,d], written into one reused buffer, against V[k,:,c].
+    """
+    n, ncells = V.shape[:2]
+    wS = w[None, :, None] * S
+    pairs = np.empty((n, n, ncells))
+    Q = np.zeros((n * n, n))
+    for c in range(2):
+        for d in range(2):
+            np.multiply(wS[:, None, :, d], G[None, :, :, c, d], out=pairs)
+            Q += pairs.reshape(n * n, ncells) @ V[:, :, c].T
+    return Q.reshape(n, n, n)
 
 
 def _shifted(V, beta):
@@ -391,9 +464,8 @@ def assemble_system(basis, carrier, forces, params):
         d_harm[k] = d1 + d2
 
     # projected forcing (f, psi_kappa) per harmonic, on the f support cells
-    fpts = mesh.centers[forces.cell_idx]
     fw = forces.cell_weights
-    psi_f = basis.velocity_at(fpts)  # (n, nf, 2)
+    psi_f, _ = basis.fields_at_cells(forces.cell_idx)  # (n, nf, 2)
     f_harm = {
         k: np.einsum("p,pc,ipc->i", fw, fld, psi_f)
         for k, fld in forces.f_harmonics.items()

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import load_config, reference_config
 from .errors import BasisError, ConfigError, GeometryError, MeshError
-from .errors import NoConvergence, PeriflowError, StageError
+from .errors import NoConvergence, PeriflowError, ResolutionError, StageError
 
 EXIT_OK = 0
 EXIT_GATE = 2
@@ -272,9 +272,11 @@ def main(argv=None):
     try:
         code = handler(config, out_dir)
     except PeriflowError as exc:
-        # geometry, mesh and basis failures come from the config values
+        # geometry, mesh, basis and resolution failures come from the config
+        # values (resolution: solver.n_steps or solver.profile_nodes too small)
         cause = exc.original if isinstance(exc, StageError) else exc
-        if isinstance(cause, (ConfigError, GeometryError, MeshError, BasisError)):
+        config_causes = (ConfigError, GeometryError, MeshError, BasisError, ResolutionError)
+        if isinstance(cause, config_causes):
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if isinstance(cause, NoConvergence):

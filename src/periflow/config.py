@@ -41,6 +41,8 @@ def _number(val, path):
 
 
 def _check_keys(mapping, allowed, path):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"'{path}' must be a mapping, got {mapping!r}")
     extra = set(mapping) - set(allowed)
     if extra:
         raise ConfigError(
@@ -254,6 +256,7 @@ _TOP_KEYS = {
     "seed",
     "warn_only",
 }
+_PARAM_KEYS = ("rho", "mu", "mass", "stiffness")
 
 
 def parse_config(data):
@@ -274,15 +277,12 @@ def parse_config(data):
         kwargs["body"] = tuple(_number(v, "geometry.body") for v in body)
 
     par = data.get("params", {})
-    _check_keys(par, {"rho", "mu", "mass", "stiffness"}, "params")
+    _check_keys(par, _PARAM_KEYS, "params")
     from .geometry import PhysicalParams
 
     try:
         kwargs["params"] = PhysicalParams(
-            rho=float(par.get("rho", 1.0)),
-            mu=float(par.get("mu", 1.0)),
-            mass=float(par.get("mass", 1.0)),
-            stiffness=float(par.get("stiffness", 1.0)),
+            **{key: _number(par.get(key, 1.0), f"params.{key}") for key in _PARAM_KEYS}
         )
     except ValueError as exc:
         raise ConfigError(f"invalid 'params': {exc}") from exc

@@ -592,8 +592,7 @@ def stokes_rhs_norm(traj, gsys, theta=None, n_times=64):
     cells = np.union1d(basis.cell_idx, forces.cell_idx)
     pts = mesh.centers[cells]
     w = mesh.weights[cells]
-    psi = basis.velocity_at(pts)  # (n, np, 2)
-    gpsi = basis.gradient_at(pts)  # (n, np, 2, 2)
+    psi, gpsi = basis.fields_at_cells(cells)  # (n, np, 2), (n, np, 2, 2)
     grad_theta = theta.grad(pts[:, 0], pts[:, 1])
 
     f_harm = forces.f_harmonics_at(pts)

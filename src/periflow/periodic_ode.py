@@ -195,14 +195,15 @@ def solve_linear_periodic(system, n_fluid=None, alpha=1.0):
     if err > STEP_HALVING_TOL * (1.0 + float(np.max(np.abs(x0)))):
         raise ResolutionError(
             f"step-halving disagreement {err:.3e} exceeds tolerance; "
-            "increase the number of time steps"
+            "increase solver.n_steps"
         )
     states = integrate_rk4(system, x0)
     defect = float(np.max(np.abs(states[-1] - states[0])))
     tol = 1e-8 * (1.0 + float(np.max(np.abs(states))))
     if defect > tol:
         raise ResolutionError(
-            f"periodicity defect {defect:.3e} exceeds {tol:.3e} after monodromy solve"
+            f"periodicity defect {defect:.3e} exceeds {tol:.3e} after monodromy "
+            "solve; increase solver.n_steps"
         )
     # exact trajectory derivatives from the ODE right-hand side at grid nodes
     grid_idx = np.arange(0, 4 * system.n_steps + 1, 4)

@@ -110,7 +110,7 @@ def solve_poiseuille(flowrate, params, n_nodes=DEFAULT_PROFILE_NODES):
             raise ResolutionError(
                 f"Stokes layer {layer:.3e} of harmonic {kmax} spans "
                 f"{layer / h:.1f} < {MIN_NODES_PER_STOKES_LAYER} grid nodes; "
-                "increase the profile resolution"
+                "increase solver.profile_nodes"
             )
 
     chi, pressure = {}, {}

@@ -4,7 +4,8 @@ These are deliberately different algorithms from the library code: the
 channel-profile oracle is a Crank-Nicolson time stepper with a bordered flux
 constraint (the library solves per-harmonic boundary-value problems), cubic
 tensor sums are brute-force triple loops, and the linear-ODE references are
-closed forms.
+closed forms.  The basis tensors have a multi-operand einsum reference
+(the library contracts them by BLAS products).
 """
 
 import math
@@ -112,6 +113,21 @@ def cubic_sum_bruteforce(c, a):
             for k in range(n):
                 total += c[i, j, k] * a[i] * a[j] * a[k]
     return total
+
+
+def basis_tensors_einsum(basis):
+    """The skew-symmetrized cubic transport tensor c and the gradient and
+    strain Gram matrices of a basis, by direct einsum over the support cells:
+    c_ijk = skew_jk sum_p w_p ((psi_i - beta_i e1) . grad psi_j) . psi_k."""
+    w, V, G = basis.cell_weights, basis.values, basis.grads
+    shifted = V - basis.beta[:, None, None] * np.array([1.0, 0.0])
+    D = 0.5 * (G + np.swapaxes(G, 2, 3))
+    Q = np.einsum("p,ipd,jpcd,kpc->ijk", w, shifted, G, V, optimize=True)
+    return {
+        "c": 0.5 * (Q - np.transpose(Q, (0, 2, 1))),
+        "grad_gram": np.einsum("p,ipcd,kpcd->ik", w, G, G),
+        "strain_gram": np.einsum("p,ipcd,kpcd->ik", w, D, D),
+    }
 
 
 def damped_cosine_response(omega_f, times):

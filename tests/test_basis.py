@@ -1,5 +1,6 @@
 """Divergence-free basis construction and coefficient-tensor assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from periflow.basis import build_basis, estimate_cq, grad_identity_gap
 from periflow.errors import BasisError
 
-from oracles import cubic_sum_bruteforce
+from oracles import basis_tensors_einsum, cubic_sum_bruteforce
 
 FD_H = 1e-5
 
@@ -96,6 +97,50 @@ def test_cubic_form_vanishes(ref_run):
         a = rng.standard_normal(n)
         val = cubic_sum_bruteforce(c, a)
         assert abs(val) <= 1e-7 * np.linalg.norm(a) ** 3
+
+
+def test_basis_tensors_match_einsum_oracle(basis):
+    for name, expect in basis_tensors_einsum(basis).items():
+        got = getattr(basis, name)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect)), name
+
+
+def test_fields_at_cells_matches_direct_evaluation(basis, mesh):
+    # keep every third support cell stored, so the other support cells
+    # (nonzero fields) and the cells beyond the support take the evaluated path
+    part = dataclasses.replace(
+        basis,
+        cell_idx=basis.cell_idx[::3],
+        values=basis.values[:, ::3],
+        grads=basis.grads[:, ::3],
+    )
+    rng = np.random.default_rng(3)
+    outside = np.setdiff1d(np.arange(mesh.n_cells), basis.cell_idx)
+    cells = np.concatenate(
+        [rng.choice(basis.cell_idx, 400), rng.choice(outside, 50), basis.cell_idx[:5]]
+    )
+    rng.shuffle(cells)
+    pts = mesh.centers[cells]
+    for b in (basis, part):
+        psi, gpsi = b.fields_at_cells(cells)
+        assert np.array_equal(psi, basis.velocity_at(pts))
+        assert np.array_equal(gpsi, basis.gradient_at(pts))
+
+
+def test_stream_mode_fields_at_unsorted_repeated_points(basis, mesh, geom):
+    rng = np.random.default_rng(4)
+    pts = np.concatenate(
+        [
+            mesh.centers[rng.choice(mesh.n_cells, 30)],
+            np.column_stack([rng.uniform(-geom.X0 - 1, geom.X0 + 1, 10), rng.uniform(-1, 1, 10)]),
+        ]
+    )
+    pts = pts[rng.permutation(np.concatenate([np.arange(40), np.arange(0, 40, 4)]))]
+    for mode in basis.modes:
+        together = mode.fields(pts, ("V", "grad"))
+        for key, fld in together.items():
+            one_by_one = np.concatenate([mode.fields(p, (key,))[key] for p in pts])
+            assert np.array_equal(fld, one_by_one), (mode.label, key)
 
 
 def test_zero_flowrate_assembly(zero_system):

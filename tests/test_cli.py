@@ -1,10 +1,15 @@
 """Command-line front end: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from periflow.cli import (
     EXIT_CONFIG,
@@ -172,6 +177,9 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
         "flowrate: {period: 6.0, harmonics: [[0, 1.0, 0.5]]}\n",
         "flowrate: {period: 6.0, harmonics: [[1, 0.0, -0.5], [-1, 0.0, 0.7]]}\n",
         "forces: {tilde_g: {harmonics: [[0, 1.0, 0.3]]}}\n",
+        # time or profile grid too coarse for the flow rate
+        "solver: {n_steps: 128}\n",
+        "solver: {profile_nodes: 5}\nflowrate: {period: 0.01, harmonics: [[1, 0.0, -0.5]]}\n",
     ],
 )
 def test_invalid_config_is_config_error(tmp_path, capsys, text):
@@ -248,3 +256,55 @@ def test_seed_override_recorded(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "--seed", "5", "poiseuille"]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
+
+
+_SCHEMA = {
+    "geometry": ("half_length", "body"),
+    "params": ("rho", "mu", "mass", "stiffness"),
+    "flowrate": ("period", "harmonics"),
+    "cutoff": ("inner", "outer"),
+    "forces": ("tilde_f", "tilde_g"),
+    "solver": (
+        "n_modes", "n_steps", "mesh_h", "profile_nodes", "damping", "tol",
+        "max_iter", "alphas", "resonance_factors",
+    ),
+    "output": ("dir",),
+    "seed": (),
+    "warn_only": (),
+}
+_KEYS = sorted({k for sub in _SCHEMA.values() for k in sub} | set(_SCHEMA) | {"box", "direction"})
+_SCALARS = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 3, 0.5, -0.5, 1e-3, math.nan, math.inf, -math.inf]),
+    st.integers(-5, 300),
+    st.floats(-10.0, 10.0),
+    st.text("ab1.-", max_size=4),
+    st.booleans(),
+    st.none(),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        name: _VALUES | st.dictionaries(st.sampled_from(sub or ("x",)), _VALUES, max_size=3)
+        for name, sub in _SCHEMA.items()
+    },
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_CONFIGS)
+def test_random_config_ends_in_documented_exit(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/run.yaml"
+        with open(path, "w") as fh:
+            yaml.safe_dump(data, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", path, "--out", f"{tmp}/out", "poiseuille"])
+    assert code in (EXIT_OK, EXIT_GATE, EXIT_CONFIG, EXIT_NO_CONVERGENCE)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

@@ -22,8 +22,10 @@ from periflow.diagnostics import (
     stokes_rhs_norm,
     strong_regularity_monitor,
 )
+from periflow.basis import assemble_system
+from periflow.carrier import ExternalBodyForce, carrier_forces
 from periflow.errors import PeriflowError
-from periflow.periodic_ode import PeriodicTrajectory, zero_trajectory
+from periflow.periodic_ode import PeriodicTrajectory, resample_periodic, zero_trajectory
 from periflow.solver import FixedPointConfig
 from periflow.signals import sine_signal, sobolev_norm_T
 
@@ -209,6 +211,57 @@ def test_stokes_rhs_norm(ref_run, zero_system):
     traj0 = zero_trajectory(zero_system.period, zero_system.n, 256)
     _, norms0 = stokes_rhs_norm(traj0, zero_system)
     assert norms0.max() == 0.0
+
+
+def _stokes_rhs_per_time(traj, gsys, n_times):
+    """Reference for `stokes_rhs_norm`: every field evaluated afresh at every
+    time, the basis fields through `velocity_at`/`gradient_at`, the carrier
+    and forcing through their real-time evaluations."""
+    basis, carrier, forces, params = gsys.basis, gsys.carrier, gsys.forces, gsys.params
+    theta = BodyPressureBump(carrier)
+    cells = np.union1d(basis.cell_idx, forces.cell_idx)
+    pts, w = basis.mesh.centers[cells], basis.mesh.weights[cells]
+    psi, gpsi = basis.velocity_at(pts), basis.gradient_at(pts)
+    grad_theta = theta.grad(pts[:, 0], pts[:, 1])
+    states = traj.resample_states(n_times)[:-1]
+    derivs = resample_periodic(traj.derivs[:-1], n_times)
+    n = basis.n
+    norms = []
+    for it in range(n_times):
+        t = it * (traj.period / n_times)
+        a, z, adot = states[it, :n], states[it, n], derivs[it, :n]
+        v, gv = np.tensordot(a, psi, 1), np.tensordot(a, gpsi, 1)
+        V, GV = carrier.velocity_at(pts, t), carrier.gradient_at(pts, t)
+        pressure = (
+            params.mass * (adot @ gsys.beta) - params.stiffness * z - float(forces.g(t))
+        ) / (params.rho * theta.boundary_weight)
+        h = (
+            traj.alpha * forces.f_at(pts, t)
+            - np.tensordot(adot, psi, 1)
+            - np.einsum("pd,pcd->pc", V, gv)
+            - np.einsum("pd,pcd->pc", v, GV)
+            + (a @ gsys.beta) * (gv[:, :, 0] + GV[:, :, 0])
+            + pressure * grad_theta
+        )
+        norms.append(math.sqrt(float(np.dot(w, np.sum(h**2, axis=1)))))
+    return np.array(norms)
+
+
+def test_stokes_rhs_norm_matches_per_time_evaluation(ref_run, params, mesh):
+    traj, gsys = ref_run["trajectory"], ref_run["system"]
+    carrier, T = gsys.carrier, gsys.period
+    # an external force beyond the basis support: its cells need fields that
+    # the basis does not store
+    tilde_f = ExternalBodyForce(
+        box=(3.5, 4.5, -0.4, 0.4), direction=(0.0, 1.0), signal=sine_signal(T, 0.5)
+    )
+    forces = carrier_forces(carrier, params, mesh, tilde_f=tilde_f)
+    assert np.setdiff1d(forces.cell_idx, gsys.basis.cell_idx).size > 0
+    outside = assemble_system(gsys.basis, carrier, forces, params)
+    for system in (gsys, outside):
+        _, norms = stokes_rhs_norm(traj, system, n_times=16)
+        expect = _stokes_rhs_per_time(traj, system, 16)
+        assert np.max(np.abs(norms - expect)) <= 1e-12 * np.max(expect)
 
 
 def test_resonance_probe_at_natural_period(ref_run):
