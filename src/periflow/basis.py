@@ -25,9 +25,7 @@ import numpy as np
 
 from ._bumps import EdgeBump, WindowBump
 from .errors import BasisError
-from .signals import sobolev_norm_T, synthesize
-
-DEFAULT_N_MODES = 8
+from .signals import derivative, differentiate, sobolev_norm_T, synthesize
 
 
 class _Poly1:
@@ -277,7 +275,7 @@ class GalerkinBasis:
         )
 
 
-def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
+def build_basis(geom, n, mesh):
     """Build the orthonormal divergence-free basis of size n.
 
     Every raw mode is evaluated once ("V" and "grad" together) on the cells
@@ -285,12 +283,8 @@ def build_basis(geom, n=DEFAULT_N_MODES, mesh=None, h=1.0 / 32.0):
     matrix products: the gradient and strain Grams through `_weighted_gram`,
     the cubic transport tensor through `_transport_tensor`.
     """
-    from .geometry import build_mesh
-
     if n < 1:
         raise BasisError(f"basis size must be >= 1, got {n}")
-    if mesh is None:
-        mesh = build_mesh(geom, h)
     interiors, gammas = _candidate_modes(geom, n)
     if len(interiors) + len(gammas) < n:
         raise BasisError(
@@ -386,7 +380,11 @@ def _shifted(V, beta):
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """All tensors of the coupled coefficient ODE system."""
+    """All tensors of the coefficient ODE A a' = -a.(b + d(t)) + c(a, a)
+    - (k/rho) z beta + alpha F(t), z' = beta.a, with d(t) (`d_at`) and
+    F = f + g beta / rho (`forcing_at`) stored per flow harmonic.
+    `transport_forms` holds the carrier half of each d harmonic,
+    B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j)."""
 
     basis: GalerkinBasis
     carrier: object
@@ -396,6 +394,7 @@ class GalerkinSystem:
     b: np.ndarray  # (n, n)
     c: np.ndarray  # (n, n, n), skew in the last two indices
     d_harmonics: dict  # flow harmonic k -> complex (n, n)
+    transport_forms: dict  # flow harmonic k -> complex (n, n) B_k
     f_harmonics: dict  # flow harmonic k -> complex (n,)
     beta: np.ndarray
 
@@ -407,22 +406,19 @@ class GalerkinSystem:
     def period(self):
         return self.carrier.period
 
-    @property
-    def g_signal(self):
-        return self.forces.g
+    def d_at(self, t, order=0):
+        """Order-th time derivative of the transport matrix d(t), for a
+        scalar or an array of times."""
+        omega = self.carrier.omega
+        return synthesize(differentiate(self.d_harmonics, omega, order), omega, t)
 
-    def d_at(self, t):
-        """Real transport matrix d(t), for a scalar or an array of times."""
-        return synthesize(self.d_harmonics, self.carrier.omega, t)
-
-    def f_at(self, t):
-        """Real projected forcing vector f_kappa(t), for a scalar or an array
-        of times (zero when no harmonic is stored)."""
-        return synthesize(self.f_harmonics or {0: np.zeros(self.n)}, self.carrier.omega, t)
-
-    def g_at(self, t):
-        """(1/rho) g(t) beta vector."""
-        return (float(self.g_signal(t)) / self.params.rho) * self.beta
+    def forcing_at(self, t, order=0):
+        """Order-th time derivative of the forcing F(t) = f(t) + g(t) beta / rho,
+        shape (n,) per time, for a scalar or an array of times."""
+        omega = self.carrier.omega
+        f = differentiate(self.f_harmonics, omega, order) or {0: np.zeros(self.n)}
+        g = derivative(self.forces.g, order)(t)
+        return synthesize(f, omega, t) + np.multiply.outer(g, self.beta) / self.params.rho
 
 
 def assemble_system(basis, carrier, forces, params):
@@ -454,14 +450,14 @@ def assemble_system(basis, carrier, forces, params):
 
     # carrier transport d(t), per flow harmonic
     pts = mesh.centers[basis.cell_idx]
-    d_harm = {}
+    d_harm, forms = {}, {}
     for k in carrier.harmonics:
         fld = carrier.harmonic_fields(pts, k, ("V", "grad"))
         Vc, Gc = fld["V"], fld["grad"]
         d1 = np.einsum("p,pd,ipcd,kpc->ik", w, Vc, G, V, optimize=True)
         d1 = 0.5 * (d1 - d1.T)
-        d2 = np.einsum("p,ipd,pcd,kpc->ik", w, Vm, Gc, V, optimize=True)
-        d_harm[k] = d1 + d2
+        forms[k] = np.einsum("p,ipd,pcd,kpc->ik", w, Vm, Gc, V, optimize=True)
+        d_harm[k] = d1 + forms[k]
 
     # projected forcing (f, psi_kappa) per harmonic, on the f support cells
     fw = forces.cell_weights
@@ -480,6 +476,7 @@ def assemble_system(basis, carrier, forces, params):
         b=b,
         c=basis.c,
         d_harmonics=d_harm,
+        transport_forms=forms,
         f_harmonics=f_harm,
         beta=beta,
     )
@@ -520,27 +517,20 @@ def grad_identity_gap(basis):
     return float(np.max(np.abs(gaps) / norms))
 
 
-def estimate_cq(basis, carrier, n_samples=200, seed=0, n_times=64):
+def estimate_cq(gsys, n_samples=200, seed=0, n_times=64):
     """Empirical transport-bound constant.
 
     Maximizes |((psi - beta e1) . grad V, psi)| / (||phi||_{W^{1,2}_T}
     ||grad psi||^2) over the basis elements and random unit-norm coefficient
-    combinations, across a time grid.  Returns (value, phi_is_zero_flag).
+    combinations, across a time grid.  The forms are the system's
+    `transport_forms`, synthesized in time.  Returns (value,
+    phi_is_zero_flag).
     """
-    phi = carrier.flow.flowrate
-    phi_norm = sobolev_norm_T(phi, 1)
+    basis, carrier = gsys.basis, gsys.carrier
+    phi_norm = sobolev_norm_T(carrier.flow.flowrate, 1)
     if phi_norm == 0.0:
         return 0.0, True
 
-    w = basis.cell_weights
-    pts = basis.mesh.centers[basis.cell_idx]
-    V = basis.values
-    Vm = _shifted(V, basis.beta)
-    # per-harmonic bilinear forms B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j)
-    B = {}
-    for k in carrier.harmonics:
-        Gc = carrier.harmonic_fields(pts, k, ("grad",))["grad"]
-        B[k] = np.einsum("p,ipd,pcd,jpc->ij", w, Vm, Gc, V, optimize=True)
     gg = basis.grad_gram
 
     rng = np.random.default_rng(seed)
@@ -554,7 +544,7 @@ def estimate_cq(basis, carrier, n_samples=200, seed=0, n_times=64):
     # gradient Gram matrix); random samples then only confirm the maximum
     from scipy.linalg import eigh
 
-    Bt = synthesize(B, carrier.omega, times)  # (n_times, n, n)
+    Bt = synthesize(gsys.transport_forms, carrier.omega, times)  # (n_times, n, n)
     for Bi in Bt:
         _, vecs = eigh(0.5 * (Bi + Bi.T), gg)
         samples.append(vecs[:, 0])

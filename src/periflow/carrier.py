@@ -265,12 +265,10 @@ class ForcingData:
         harmonics = differentiate(self.f_harmonics, omega, dt_order)
         return norm_series(harmonics, self.cell_weights, omega, times)
 
-    def f_mass_outside(self, x1_abs_min=None):
-        """L^2(0,T;L^2) mass of f outside |x1| < x1_abs_min (default: Omega_0)."""
-        if x1_abs_min is None:
-            x1_abs_min = self.carrier.geometry.X0
+    def f_mass_outside(self):
+        """L^2(0,T;L^2) mass of f outside Omega_0 = {|x1| < X0}."""
         pts = self.mesh.centers[self.cell_idx]
-        mask = np.abs(pts[:, 0]) >= x1_abs_min
+        mask = np.abs(pts[:, 0]) >= self.carrier.geometry.X0
         return self._l2_l2_norm(mask)
 
     def _l2_l2_norm(self, cells):

@@ -58,12 +58,10 @@ class SignalSpec:
     period: float
     harmonics: tuple  # ((k, re, im), ...)
 
-    def build(self, grid_size=256):
+    def build(self):
         from .signals import make_signal
 
-        return make_signal(
-            self.period, [list(h) for h in self.harmonics], grid_size=grid_size
-        )
+        return make_signal(self.period, [list(h) for h in self.harmonics])
 
     @staticmethod
     def parse(data, path, period=None):

@@ -22,8 +22,7 @@ from .periodic_ode import (
     solve_linear_periodic,
     spectral_time_derivative,
 )
-from .signals import derivative, differentiate, l2_norm_sq, norm_series, sobolev_norm_T
-from .signals import synthesize
+from .signals import derivative, l2_norm_sq, norm_series, sobolev_norm_T, synthesizer
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +66,18 @@ def _G_of_state(a, zdot, z, params, beta1, delta):
     )
 
 
-def energy_G(traj, params, basis, delta, n_probe=1000, seed=0):
+def energy_G(traj, params, basis, delta):
     """Augmented energy series G(t); errors if delta is not admissible.
 
-    Admissibility is probed on random states: E <= G <= 3E must hold for
-    every state, which is exactly the equivalence the cross terms must not
-    destroy.
+    Admissibility is probed on 1000 random states: E <= G <= 3E must hold
+    for every state, which is exactly the equivalence the cross terms must
+    not destroy.
     """
     beta1 = float(basis.beta[0])
-    rng = np.random.default_rng(seed)
-    pa = rng.standard_normal((n_probe, traj.a.shape[1]))
-    pzd = rng.standard_normal(n_probe)
-    pz = rng.standard_normal(n_probe)
+    rng = np.random.default_rng(0)
+    pa = rng.standard_normal((1000, traj.a.shape[1]))
+    pzd = rng.standard_normal(1000)
+    pz = rng.standard_normal(1000)
     pG = _G_of_state(pa, pzd, pz, params, beta1, delta)
     pE = 0.5 * (
         params.rho * np.sum(pa**2, axis=1)
@@ -116,8 +115,9 @@ class EnergyReport:
 def check_energy_identity(traj, gsys):
     """Max residual of the instantaneous energy balance at half-grid points.
 
-    dE/dt + rho a.b.a + rho a.d(t).a - alpha rho f(t).a - alpha g(t) z' = 0
-    along exact solutions; the transport tensor drops out by skew symmetry.
+    dE/dt + rho a.b.a + rho a.d(t).a - alpha rho a.F(t) = 0 along exact
+    solutions, where rho a.F = rho a.f + g z'; the transport tensor drops out
+    by skew symmetry.
     """
     n = gsys.n
     M = traj.n_steps
@@ -137,18 +137,15 @@ def check_energy_identity(traj, gsys):
     half = np.arange(1, 2 * M, 2)
     times_h = half * (T / (2 * M))
     a = a2[half]
-    zdot = zdot2[half]
 
     quad_d = np.einsum("ti,tik,tk->t", a, gsys.d_at(times_h), a)
-    dot_f = np.einsum("ti,ti->t", a, gsys.f_at(times_h))
-    g_h = gsys.g_signal(times_h)
+    dot_F = np.einsum("ti,ti->t", a, gsys.forcing_at(times_h))
 
     res = (
         dEdt[half]
         + rho * np.einsum("ti,ik,tk->t", a, gsys.b, a)
         + rho * quad_d
-        - alpha * rho * dot_f
-        - alpha * g_h * zdot
+        - alpha * rho * dot_F
     )
     return float(np.abs(res).max())
 
@@ -231,7 +228,7 @@ def _gradV_norm_series(gsys, times):
     return norm_series(harm, basis.cell_weights, carrier.omega, times)
 
 
-def check_particular_energy(traj, gsys, forces, delta=None):
+def check_particular_energy(traj, gsys, forces):
     """Ledger rows for the decay inequality of the augmented energy.
 
     All unnamed constants are fitted minimally on this run; the genuine
@@ -243,9 +240,7 @@ def check_particular_energy(traj, gsys, forces, delta=None):
     T = traj.period
     M = traj.n_steps
     dt = T / M
-    if delta is None:
-        delta = admissible_delta(basis, params)
-    G = energy_G(traj, params, basis, delta)
+    G = energy_G(traj, params, basis, admissible_delta(basis, params))
     sqrtG = np.sqrt(np.maximum(G, 0.0))
     gg = basis.grad_gram
     r1 = (
@@ -337,22 +332,19 @@ def _eps_star(c8, c9, c10):
     return ((c9 - math.sqrt(c9**2 + 4.0 * c10 * c8)) / (-2.0 * c8)) ** 2
 
 
-def smallness_report(phi, tilde_f, tilde_g, params, cq, forces=None, constants=None):
+def smallness_report(phi, tilde_f, tilde_g, params, cq, forces=None):
     """Margins of the three data-smallness conditions.
 
     The primary (gating) condition compares the flow-rate norm to the
     transport constant estimated on this geometry; the two refinements use
-    fitted constants when supplied and nominal unit constants otherwise
-    (reported as such).
+    nominal unit constants (reported as such).
     """
-    cons = dict(_NOMINAL_CONSTANTS)
-    if constants:
-        cons.update(constants)
+    cons = _NOMINAL_CONSTANTS
     T = phi.period
     phi_w12 = sobolev_norm_T(phi, 1)
     phi_w22 = sobolev_norm_T(phi, 2)
 
-    out = {"nominal_constants": not bool(constants)}
+    out = {"nominal_constants": True}
     if cq > 0:
         rhs_weak = params.mu / (params.rho * cq)
         margin = 1.0 - phi_w12 / rhs_weak
@@ -450,7 +442,6 @@ def _fit_two_constants(u, v, q):
 def strong_regularity_monitor(traj, gsys):
     """Differentiated-energy diagnostics: fitted coefficient positivity and
     the bound on the time-derivative energy over one period."""
-    n = gsys.n
     M = traj.n_steps
     T = traj.period
     params = gsys.params
@@ -472,15 +463,12 @@ def strong_regularity_monitor(traj, gsys):
     Diss = np.einsum("ti,ik,tk->t", adot, gsys.b, adot)
     Tri = np.einsum("ti,ijk,tj,tk->t", adot, gsys.c, a, adot, optimize=True)
 
-    omega = 2.0 * math.pi / T
-    d_dt = differentiate(gsys.d_harmonics, omega)
     d_term = np.einsum("ti,tik,tk->t", adot, gsys.d_at(times), adot)
-    d_term += np.einsum("ti,tik,tk->t", a, synthesize(d_dt, omega, times), adot)
+    d_term += np.einsum("ti,tik,tk->t", a, gsys.d_at(times, 1), adot)
     S = (params.stiffness / params.rho) * zdot * zsec
-    f_dt = differentiate(gsys.f_harmonics, omega) or {0: np.zeros(n)}
-    fprime_dot = np.einsum("ti,ti->t", adot, synthesize(f_dt, omega, times))
-    gprime = derivative(gsys.g_signal)(times)
-    F = traj.alpha * (fprime_dot + gprime * zsec / params.rho)
+    # a'.F' = a'.f' + g' z'' / rho
+    F = traj.alpha * np.einsum("ti,ti->t", adot, gsys.forcing_at(times, 1))
+    gprime = derivative(gsys.forces.g)(times)
     identity_res = float(np.abs(N + Diss + d_term + S - F - Tri).max())
 
     # fitted constants
@@ -575,16 +563,15 @@ class BodyPressureBump:
         )
 
 
-def stokes_rhs_norm(traj, gsys, theta=None, n_times=64):
+def stokes_rhs_norm(traj, gsys, n_times=64):
     """sup-in-time L^2 norm of the forcing of the instantaneous Stokes
     problem satisfied by v(t), with the pressure-like correction built from
-    a body bump theta (must have nonzero boundary weight)."""
+    the body bump theta (must have nonzero boundary weight)."""
     basis = gsys.basis
     carrier = gsys.carrier
     forces = gsys.forces
     params = gsys.params
-    if theta is None:
-        theta = BodyPressureBump(carrier)
+    theta = BodyPressureBump(carrier)
     if abs(theta.boundary_weight) < 1e-14:
         raise PeriflowError("theta has zero boundary weight; cannot normalize")
 
@@ -595,10 +582,11 @@ def stokes_rhs_norm(traj, gsys, theta=None, n_times=64):
     psi, gpsi = basis.fields_at_cells(cells)  # (n, np, 2), (n, np, 2, 2)
     grad_theta = theta.grad(pts[:, 0], pts[:, 1])
 
-    f_harm = forces.f_harmonics_at(pts)
+    omega = carrier.omega
+    f_at = synthesizer(forces.f_harmonics_at(pts), omega)
     fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad")) for k in carrier.harmonics}
-    V_harm = {k: fld["V"] for k, fld in fields.items()}
-    GV_harm = {k: fld["grad"] for k, fld in fields.items()}
+    V_at = synthesizer({k: fld["V"] for k, fld in fields.items()}, omega)
+    GV_at = synthesizer({k: fld["grad"] for k, fld in fields.items()}, omega)
 
     states = traj.resample_states(n_times)[:-1]
     derivs = resample_periodic(traj.derivs[:-1], n_times)
@@ -610,15 +598,14 @@ def stokes_rhs_norm(traj, gsys, theta=None, n_times=64):
     zsec_s = adot_s @ gsys.beta
     times = np.arange(n_times) * (traj.period / n_times)
     g_t = forces.g(times)
-    omega = carrier.omega
 
     # one time at a time: all times at once would hold n_times copies of the
     # (npts, 2, 2) gradient field
     norms = np.zeros(n_times)
     for it, t in enumerate(times):
-        V = synthesize(V_harm, omega, t)
-        GV = synthesize(GV_harm, omega, t)
-        f_t = synthesize(f_harm, omega, t)
+        V = V_at(t)
+        GV = GV_at(t)
+        f_t = f_at(t)
         v = np.einsum("i,ipc->pc", a_s[it], psi)
         gv = np.einsum("i,ipcd->pcd", a_s[it], gpsi)
         dvdt = np.einsum("i,ipc->pc", adot_s[it], psi)
@@ -665,7 +652,7 @@ def resonance_probe(gsys, fp_cfg=None):
     except PeriflowError as exc:
         report["coupled"] = {"converged": False, "error": f"{type(exc).__name__}: {exc}"}
 
-    osc = oscillator_system(params, gsys.g_signal)
+    osc = oscillator_system(params, gsys.forces.g)
     try:
         sol = solve_linear_periodic(osc)
         report["decoupled"] = {

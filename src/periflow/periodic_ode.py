@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ResolutionError, ResonantOrNonUnique
 
-DEFAULT_N_STEPS = 256
 STEP_HALVING_TOL = 1e-6
 SINGULARITY_THRESHOLD = 1e-8
 
@@ -131,8 +130,7 @@ class PeriodicTrajectory:
     """T-periodic solution samples on the uniform grid t_j = j T / M."""
 
     period: float
-    n_fluid: int  # number of leading coefficient components
-    states: np.ndarray  # (M+1, dim); last row repeats t=0 up to the defect
+    states: np.ndarray  # (M+1, n+1) = [a, z]; last row repeats t=0 up to the defect
     derivs: np.ndarray  # (M+1, dim), exact ODE right-hand side values
     periodicity_defect: float
     alpha: float = 1.0
@@ -140,6 +138,11 @@ class PeriodicTrajectory:
     @property
     def n_steps(self):
         return self.states.shape[0] - 1
+
+    @property
+    def n_fluid(self):
+        """Number of fluid coefficients a: every column but the last (z)."""
+        return self.states.shape[1] - 1
 
     @property
     def times(self):
@@ -170,11 +173,10 @@ class PeriodicTrajectory:
         return np.vstack([res, res[:1]])
 
 
-def zero_trajectory(period, n_fluid, n_steps=DEFAULT_N_STEPS, alpha=1.0):
+def zero_trajectory(period, n_fluid, n_steps, alpha=1.0):
     states = np.zeros((n_steps + 1, n_fluid + 1))
     return PeriodicTrajectory(
         period=period,
-        n_fluid=n_fluid,
         states=states,
         derivs=np.zeros_like(states),
         periodicity_defect=0.0,
@@ -182,7 +184,7 @@ def zero_trajectory(period, n_fluid, n_steps=DEFAULT_N_STEPS, alpha=1.0):
     )
 
 
-def solve_linear_periodic(system, n_fluid=None, alpha=1.0):
+def solve_linear_periodic(system, alpha=1.0):
     """Unique T-periodic solution of the linear system, or ResonantOrNonUnique."""
     M, p = monodromy(system)
     dim = system.dim
@@ -211,10 +213,8 @@ def solve_linear_periodic(system, n_fluid=None, alpha=1.0):
         np.einsum("tij,tj->ti", system.mats[grid_idx], states)
         + system.rhs[grid_idx]
     )
-    nf = system.dim - 1 if n_fluid is None else n_fluid
     return PeriodicTrajectory(
         period=system.period,
-        n_fluid=nf,
         states=states,
         derivs=derivs,
         periodicity_defect=defect,
@@ -236,79 +236,63 @@ class FrozenLinearPart:
     ainv_c: np.ndarray
 
 
-def frozen_linear_part(gsys, n_steps=DEFAULT_N_STEPS):
+def frozen_linear_part(gsys, n_steps):
     """Everything of the linear system that does not depend on the frozen
-    iterate or the forcing scale: d, f and g synthesized on the quarter-step
-    grid, A^{-1}, the base matrices, the unscaled rhs and A^{-1} c."""
+    iterate or the forcing scale: d and the forcing F synthesized on the
+    quarter-step grid, A^{-1}, the base matrices, the unscaled rhs and
+    A^{-1} c."""
     n = gsys.n
     T = gsys.period
     times2 = np.arange(4 * n_steps + 1) * (T / (4 * n_steps))
 
-    d_series = gsys.d_at(times2)
-    f_series = gsys.f_at(times2)
-    g_series = gsys.g_signal(times2)
-
     Ainv = np.linalg.inv(gsys.A)
     beta = gsys.beta
-    rho = gsys.params.rho
-    k_over_rho = gsys.params.stiffness / rho
+    k_over_rho = gsys.params.stiffness / gsys.params.rho
 
     dim = n + 1
     mats = np.zeros((len(times2), dim, dim))
     rhs = np.zeros((len(times2), dim))
-    bd = gsys.b[None].transpose(0, 2, 1) + d_series.transpose(0, 2, 1)
+    bd = gsys.b[None].transpose(0, 2, 1) + gsys.d_at(times2).transpose(0, 2, 1)
     mats[:, :n, :n] = -(Ainv @ bd)  # row kappa, column j
     mats[:, :n, n] = -(k_over_rho) * (Ainv @ beta)[None]
     mats[:, n, :n] = beta
-    rhs[:, :n] = (f_series + g_series[:, None] * beta[None] / rho) @ Ainv.T
+    rhs[:, :n] = gsys.forcing_at(times2) @ Ainv.T
     # (A^{-1} c)[i, m, j] = sum_k A^{-1}_mk c_ijk: row m, column j for tilde_a_i
     ainv_c = (gsys.c @ Ainv.T).transpose(0, 2, 1).reshape(n, n * n)
     base = LinearPeriodicSystem(period=T, mats=mats, rhs=rhs, n_steps=n_steps)
     return FrozenLinearPart(system=base, ainv_c=ainv_c)
 
 
-def linear_system_from_galerkin(
-    gsys, tilde_a=None, alpha=1.0, n_steps=DEFAULT_N_STEPS, frozen=None
-):
-    """Build the (n+1)-dimensional linear periodic system for frozen tilde_a.
+def linear_system_from_galerkin(frozen, tilde_a=None, alpha=1.0):
+    """The (n+1)-dimensional linear periodic system for frozen tilde_a.
 
-    tilde_a: (M, n) samples of the frozen transport coefficients on the
-    uniform grid (or None for zero).  The homotopy parameter alpha scales the
-    forcing terms only.
-
-    The build has two parts.  `frozen` (a `FrozenLinearPart` from
-    `frozen_linear_part(gsys, n_steps)`) holds everything that does not
-    depend on tilde_a or alpha; a fixed-point iteration builds it once and
-    passes it to every call.  Without it, one is built on the spot.  The
-    per-iterate part adds resample(tilde_a) @ (A^{-1} c) to the base
-    matrices and scales the rhs by alpha.
+    `frozen` is the `FrozenLinearPart` of the coefficient system at the
+    step count of the solve.  tilde_a: (M, n) samples of the frozen
+    transport coefficients on the uniform grid (or None for zero).  The
+    system adds resample(tilde_a) @ (A^{-1} c) to the base matrices and
+    scales the rhs by the homotopy parameter alpha, which scales the forcing
+    terms only.
     """
-    if frozen is None:
-        frozen = frozen_linear_part(gsys, n_steps)
-    elif frozen.system.n_steps != n_steps:
-        raise ValueError(
-            f"frozen part has {frozen.system.n_steps} steps, expected {n_steps}"
-        )
     base = frozen.system
-    n = gsys.n
+    n = base.dim - 1
     mats = base.mats.copy()
     if tilde_a is not None:
-        ta = np.asarray(tilde_a, dtype=float)
-        ta2 = resample_periodic(ta, 4 * n_steps)
+        ta2 = resample_periodic(tilde_a, 4 * base.n_steps)
         ta2 = np.vstack([ta2, ta2[:1]])
         # (c_ijk tilde_a_i) acting on a_j in the row-kappa equation, times A^{-1}
         mats[:, :n, :n] += (ta2 @ frozen.ainv_c).reshape(-1, n, n)
     return LinearPeriodicSystem(
-        period=base.period, mats=mats, rhs=alpha * base.rhs, n_steps=n_steps
+        period=base.period, mats=mats, rhs=alpha * base.rhs, n_steps=base.n_steps
     )
 
 
-def oscillator_system(params, g_signal, n_steps=1024):
+def oscillator_system(params, g_signal):
     """Pure mass-spring oscillator m z'' + k z = g(t) as a 2D periodic system.
 
-    State (z, z').  Used as the decoupled resonance probe; the fine default
-    grid keeps the integrator error well below the singularity threshold.
+    State (z, z').  Used as the decoupled resonance probe; its fine grid of
+    1024 steps keeps the integrator error well below the singularity threshold.
     """
+    n_steps = 1024
     T = g_signal.period
     times2 = np.arange(4 * n_steps + 1) * (T / (4 * n_steps))
     mats = np.zeros((len(times2), 2, 2))

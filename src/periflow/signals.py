@@ -6,7 +6,8 @@ the convention c_{-k} = conj(c_k), so
     s(t) = c_0 + 2 * sum_{k>=1} Re(c_k * exp(2*pi*i*k*t/T)).
 
 The convention lives in this module only: `synthesize` evaluates such a
-series, `differentiate` takes its time derivative harmonic by harmonic, and
+series (`synthesizer` stacks it once for evaluation at many times),
+`differentiate` takes its time derivative harmonic by harmonic, and
 `product` forms the series of a bilinear product of two of them (the only
 place a negative harmonic is ever formed).  Values c_k may be arrays, so the
 same helpers serve harmonic fields.  Signals are immutable; all operations
@@ -16,11 +17,11 @@ return new instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_GRID_SIZE = 256
+GRID_SIZE = 256  # samples behind PeriodicSignal.max_abs
 MAX_DERIVATIVE_ORDER = 3
 
 
@@ -33,17 +34,28 @@ def harmonic_weights(ks):
     return np.where(np.asarray(ks) == 0, 1.0, 2.0)
 
 
+def synthesizer(harmonics, omega):
+    """`times` -> synthesize(harmonics, omega, times), stacking the harmonics
+    once for evaluation at many times."""
+    ks = np.fromiter(harmonics, dtype=float, count=len(harmonics))
+    values = np.stack([np.asarray(v, dtype=complex) for v in harmonics.values()])
+    weights = harmonic_weights(ks)
+
+    def series(times):
+        phases = weights * np.exp(1j * omega * np.multiply.outer(times, ks))
+        return np.tensordot(phases, values, axes=1).real
+
+    return series
+
+
 def synthesize(harmonics, omega, times):
     """Real series c_0 + 2 sum_{k>=1} Re(c_k exp(i omega k t)) at `times`.
 
     `harmonics` is a non-empty mapping from k >= 0 to a complex value c_k;
-    all values share one shape.  `times` is a scalar or an array.  Returns a real array of shape
-    times.shape + value.shape.
+    all values share one shape.  `times` is a scalar or an array.  Returns a
+    real array of shape times.shape + value.shape.
     """
-    ks = np.fromiter(harmonics, dtype=float, count=len(harmonics))
-    values = np.stack([np.asarray(v, dtype=complex) for v in harmonics.values()])
-    phases = harmonic_weights(ks) * np.exp(1j * omega * np.multiply.outer(times, ks))
-    return np.tensordot(phases, values, axes=1).real
+    return synthesizer(harmonics, omega)(times)
 
 
 def differentiate(harmonics, omega, order=1):
@@ -86,13 +98,10 @@ def norm_series(harmonics, weights, omega, times):
 class PeriodicSignal:
     period: float
     fourier_coeffs: np.ndarray  # complex, index k = 0..N (one-sided)
-    grid_size: int = DEFAULT_GRID_SIZE
-    grid_samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = np.asarray(self.fourier_coeffs, dtype=complex)
         object.__setattr__(self, "fourier_coeffs", coeffs)
-        object.__setattr__(self, "grid_samples", self(self.grid_times))
 
     @property
     def omega(self):
@@ -100,7 +109,11 @@ class PeriodicSignal:
 
     @property
     def grid_times(self):
-        return np.arange(self.grid_size) * (self.period / self.grid_size)
+        return np.arange(GRID_SIZE) * (self.period / GRID_SIZE)
+
+    @property
+    def grid_samples(self):
+        return self(self.grid_times)
 
     def __call__(self, t):
         val = synthesize(dict(enumerate(self.fourier_coeffs)), self.omega, t)
@@ -115,13 +128,13 @@ class PeriodicSignal:
         c = np.zeros(n, dtype=complex)
         c[: len(self.fourier_coeffs)] += self.fourier_coeffs
         c[: len(other.fourier_coeffs)] += other.fourier_coeffs
-        return PeriodicSignal(self.period, c, grid_size=max(self.grid_size, other.grid_size))
+        return PeriodicSignal(self.period, c)
 
     def scaled(self, factor):
-        return PeriodicSignal(self.period, float(factor) * self.fourier_coeffs, self.grid_size)
+        return PeriodicSignal(self.period, float(factor) * self.fourier_coeffs)
 
     def max_abs(self):
-        return float(np.max(np.abs(self.grid_samples))) if self.grid_size else 0.0
+        return float(np.max(np.abs(self.grid_samples)))
 
     def is_zero(self, tol=0.0):
         return bool(np.all(np.abs(self.fourier_coeffs) <= tol))
@@ -137,7 +150,7 @@ class PeriodicSignal:
         }
 
 
-def make_signal(period, coeffs, grid_size=DEFAULT_GRID_SIZE):
+def make_signal(period, coeffs):
     """Build a real T-periodic signal from harmonic amplitudes.
 
     `coeffs` maps harmonic index k (possibly negative) to a complex amplitude,
@@ -187,24 +200,24 @@ def make_signal(period, coeffs, grid_size=DEFAULT_GRID_SIZE):
     for k, c in entries.items():
         one_sided[k] = c
     one_sided[0] = one_sided[0].real
-    return PeriodicSignal(float(period), one_sided, grid_size=grid_size)
+    return PeriodicSignal(float(period), one_sided)
 
 
-def zero_signal(period, grid_size=DEFAULT_GRID_SIZE):
-    return make_signal(period, {0: 0.0}, grid_size=grid_size)
+def zero_signal(period):
+    return make_signal(period, {0: 0.0})
 
 
-def sine_signal(period, amplitude=1.0, harmonic=1, grid_size=DEFAULT_GRID_SIZE):
+def sine_signal(period, amplitude=1.0, harmonic=1):
     """amplitude * sin(2*pi*harmonic*t/T)."""
-    return make_signal(period, {harmonic: -0.5j * amplitude}, grid_size=grid_size)
+    return make_signal(period, {harmonic: -0.5j * amplitude})
 
 
-def constant_signal(period, value, grid_size=DEFAULT_GRID_SIZE):
-    return make_signal(period, {0: value}, grid_size=grid_size)
+def constant_signal(period, value):
+    return make_signal(period, {0: value})
 
 
-def signal_from_json_dict(data, grid_size=DEFAULT_GRID_SIZE):
-    return make_signal(data["T"], data["harmonics"], grid_size=grid_size)
+def signal_from_json_dict(data):
+    return make_signal(data["T"], data["harmonics"])
 
 
 def derivative(signal, order=1):
@@ -213,7 +226,7 @@ def derivative(signal, order=1):
     if order < 0 or order > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}")
     c = differentiate(dict(enumerate(signal.fourier_coeffs)), signal.omega, order)
-    return PeriodicSignal(signal.period, list(c.values()), signal.grid_size)
+    return PeriodicSignal(signal.period, list(c.values()))
 
 
 def antiderivative(signal):
@@ -224,7 +237,7 @@ def antiderivative(signal):
     k = np.arange(1, len(c))
     c[1:] = c[1:] / (1j * signal.omega * k)
     c[0] = 0.0
-    return PeriodicSignal(signal.period, c, signal.grid_size)
+    return PeriodicSignal(signal.period, c)
 
 
 def l2_norm_sq(signal, deriv_order=0):

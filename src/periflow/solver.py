@@ -55,15 +55,14 @@ class FixedPointConfig:
             raise ValueError("tolerance and iteration cap must be positive")
 
 
-def apply_phi(gsys, tilde, alpha=1.0, n_steps=256, frozen=None):
+def apply_phi(frozen, tilde, alpha=1.0):
     """One application of the solution map: freeze the transport coefficients
-    of `tilde`, solve the resulting linear periodic system.  `frozen` is the
-    iterate-independent part of the linear system (built here when None)."""
+    of `tilde` (None for zero), solve the resulting linear periodic system.
+    `frozen` is the `FrozenLinearPart` of the coefficient system at the
+    step count of `tilde`."""
     ta = None if tilde is None else tilde.a[:-1]
-    lin = linear_system_from_galerkin(
-        gsys, tilde_a=ta, alpha=alpha, n_steps=n_steps, frozen=frozen
-    )
-    return solve_linear_periodic(lin, n_fluid=gsys.n, alpha=alpha)
+    lin = linear_system_from_galerkin(frozen, tilde_a=ta, alpha=alpha)
+    return solve_linear_periodic(lin, alpha=alpha)
 
 
 def _iterate_distance(gsys, x, y):
@@ -112,7 +111,7 @@ def fixed_point(gsys, cfg=None, start=None):
     history = []
     us, gs = [], []  # recent iterates and map outputs, flattened
     for it in range(cfg.max_iter):
-        y = apply_phi(gsys, x, alpha=cfg.alpha, n_steps=cfg.n_steps, frozen=frozen)
+        y = apply_phi(frozen, x, alpha=cfg.alpha)
         dist = _iterate_distance(gsys, x, y)
         history.append(dist)
         if not (np.isfinite(y.states).all() and np.isfinite(y.derivs).all()):
@@ -149,6 +148,17 @@ def fixed_point(gsys, cfg=None, start=None):
     raise NoConvergence(history)
 
 
+def _coefficient_rhs(gsys, times, a, z, alpha):
+    """A a' of the coefficient ODE, c(a, a) - a.(b + d) - (k/rho) z beta
+    + alpha F, at `times` for fluid states a (m, n) and positions z (m,)."""
+    rhs = np.einsum("ti,ijk,tj->tk", a, gsys.c, a, optimize=True)
+    rhs -= a @ gsys.b  # b symmetric
+    rhs -= np.einsum("ti,tik->tk", a, gsys.d_at(times))
+    rhs -= (gsys.params.stiffness / gsys.params.rho) * np.outer(z, gsys.beta)
+    rhs += alpha * gsys.forcing_at(times)
+    return rhs
+
+
 def residual_galerkin(gsys, traj):
     """Max residual of the nonlinear coefficient system at half-grid points.
 
@@ -159,7 +169,6 @@ def residual_galerkin(gsys, traj):
     n = gsys.n
     M = traj.n_steps
     T = traj.period
-    alpha = traj.alpha
     states2 = traj.resample_states(2 * M)[:-1]  # (2M, n+1)
     dstates2 = spectral_time_derivative(states2, T)
     half = np.arange(1, 2 * M, 2)
@@ -167,61 +176,31 @@ def residual_galerkin(gsys, traj):
     a, z = states2[half, :n], states2[half, n]
     adot, zdot_spec = dstates2[half, :n], dstates2[half, n]
 
-    d_h = gsys.d_at(times_h)
-    f_h = gsys.f_at(times_h)
-    g_h = gsys.g_signal(times_h)
-
-    rho = gsys.params.rho
-    res_a = adot @ gsys.A.T  # A_ik adot_i = (A adot)_k, A symmetric
-    res_a -= np.einsum("ti,ijk,tj->tk", a, gsys.c, a, optimize=True)
-    res_a += (gsys.params.stiffness / rho) * np.outer(z, gsys.beta)
-    res_a += a @ gsys.b  # b symmetric
-    res_a += np.einsum("ti,tik->tk", a, d_h)
-    res_a -= alpha * (f_h + np.outer(g_h, gsys.beta) / rho)
+    # A_ik adot_i = (A adot)_k, A symmetric
+    res_a = adot @ gsys.A.T - _coefficient_rhs(gsys, times_h, a, z, traj.alpha)
     res_z = zdot_spec - a @ gsys.beta
     return float(max(np.abs(res_a).max(), np.abs(res_z).max()))
 
 
 def weak1_residual(gsys, traj, n_time_harmonics=4):
     """Space-time weak-form residual against (basis mode, Fourier-in-time)
-    test pairs; returns the max over all pairs."""
-    n = gsys.n
-    M = traj.n_steps
+    test pairs: the max over all pairs of int (A a) eta' + (A a') eta dt,
+    with A a' the right-hand side of the coefficient ODE."""
     T = traj.period
-    alpha = traj.alpha
-    dt = T / M
     tgrid = traj.times[:-1]
     a, z = traj.a[:-1], traj.z[:-1]
-    zdot = traj.zdot[:-1]
     omega = 2.0 * math.pi / T
+    Aa = a @ gsys.A  # A symmetric
+    rhs = _coefficient_rhs(gsys, tgrid, a, z, traj.alpha)
 
-    d_t = gsys.d_at(tgrid)
-    f_t = gsys.f_at(tgrid)
-    g_t = gsys.g_signal(tgrid)
-
-    rho = gsys.params.rho
-    cubic = np.einsum("ti,ijk,tj->tk", a, gsys.c, a, optimize=True)
-    visc = a @ gsys.b
-    transport = np.einsum("ti,tik->tk", a, d_t)
-    rhs_t = transport - alpha * (f_t + np.outer(g_t, gsys.beta) / rho)
-
-    etas = [(np.ones(M), np.zeros(M))]
+    etas = [(np.ones_like(tgrid), np.zeros_like(tgrid))]
     for k in range(1, n_time_harmonics + 1):
         etas.append((np.cos(omega * k * tgrid), -omega * k * np.sin(omega * k * tgrid)))
         etas.append((np.sin(omega * k * tgrid), omega * k * np.cos(omega * k * tgrid)))
 
     worst = 0.0
-    m_over_rho = gsys.params.mass / rho
-    k_over_rho = gsys.params.stiffness / rho
     for eta, etad in etas:
-        lhs = (
-            a * etad[:, None]
-            + cubic * eta[:, None]
-            - visc * eta[:, None]
-            + np.outer(m_over_rho * zdot * etad - k_over_rho * z * eta, np.ones(n))
-            * gsys.beta[None, :]
-        )
-        val = dt * np.sum(lhs - rhs_t * eta[:, None], axis=0)
+        val = (T / traj.n_steps) * (etad @ Aa + eta @ rhs)
         worst = max(worst, float(np.abs(val).max()))
     return worst
 
@@ -381,13 +360,11 @@ def galerkin_solve(config):
     parts = assemble_from_config(config)
     params = parts["params"]
     phi = parts["phi"]
-    carrier = parts["carrier"]
     forces = parts["forces"]
-    basis = parts["basis"]
     gsys = parts["system"]
     tilde_f, tilde_g = parts["tilde_f"], parts["tilde_g"]
 
-    cq, cq_zero_flag = estimate_cq(basis, carrier, seed=config.seed)
+    cq, cq_zero_flag = estimate_cq(gsys, seed=config.seed)
     small = smallness_report(phi, tilde_f, tilde_g, params, cq, forces=forces)
     if not small["weak"]["ok"]:
         msg = (

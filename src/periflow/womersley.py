@@ -55,7 +55,7 @@ class PoiseuilleFlow:
     pressure_factor_signal: PeriodicSignal = field(init=False, repr=False)
 
     def __post_init__(self):
-        psi = make_signal(self.flowrate.period, self.pressure_coeffs, self.flowrate.grid_size)
+        psi = make_signal(self.flowrate.period, self.pressure_coeffs)
         object.__setattr__(self, "pressure_factor_signal", psi)
 
     @property

@@ -89,8 +89,8 @@ def ref_run(phi_ref, params, geom, mesh, basis):
 
 
 @pytest.fixture(scope="session")
-def ref_cq(basis, ref_run):
-    cq, zero_flag = estimate_cq(basis, ref_run["carrier"], seed=0)
+def ref_cq(ref_run):
+    cq, zero_flag = estimate_cq(ref_run["system"], seed=0)
     assert not zero_flag
     return cq
 

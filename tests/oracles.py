@@ -5,7 +5,8 @@ channel-profile oracle is a Crank-Nicolson time stepper with a bordered flux
 constraint (the library solves per-harmonic boundary-value problems), cubic
 tensor sums are brute-force triple loops, and the linear-ODE references are
 closed forms.  The basis tensors have a multi-operand einsum reference
-(the library contracts them by BLAS products).
+(the library contracts them by BLAS products), and the carrier transport
+forms a per-component loop (the library uses one einsum).
 """
 
 import math
@@ -128,6 +129,25 @@ def basis_tensors_einsum(basis):
         "grad_gram": np.einsum("p,ipcd,kpcd->ik", w, G, G),
         "strain_gram": np.einsum("p,ipcd,kpcd->ik", w, D, D),
     }
+
+
+def carrier_transport_forms(basis, carrier):
+    """Per flow harmonic k, the carrier transport form
+    B_k[i, j] = sum_p w_p ((psi_i - beta_i e1) . grad V_k) . psi_j over the
+    basis support cells, with the carrier gradient evaluated afresh and the
+    sum over the components (c, d) of grad V_k an explicit loop."""
+    w, V = basis.cell_weights, basis.values
+    shifted = V - basis.beta[:, None, None] * np.array([1.0, 0.0])
+    pts = basis.mesh.centers[basis.cell_idx]
+    forms = {}
+    for k in carrier.harmonics:
+        grad = carrier.harmonic_fields(pts, k, ("grad",))["grad"]  # d_d V_c
+        B = np.zeros((basis.n, basis.n), dtype=complex)
+        for c in range(2):
+            for d in range(2):
+                B += (shifted[:, :, d] * (w * grad[:, c, d])) @ V[:, :, c].T
+        forms[k] = B
+    return forms
 
 
 def damped_cosine_response(omega_f, times):

@@ -25,6 +25,7 @@ from periflow.errors import ResonantOrNonUnique
 from periflow.geometry import PhysicalParams
 from periflow.periodic_ode import (
     LinearPeriodicSystem,
+    frozen_linear_part,
     linear_system_from_galerkin,
     oscillator_system,
     solve_linear_periodic,
@@ -195,8 +196,8 @@ def test_criterion_05_linear_periodic_solver(zero_system):
     # homogeneous coupled system with random frozen transport coefficients
     rng = np.random.default_rng(2)
     tilde = rng.standard_normal((256, zero_system.n))
-    lin = linear_system_from_galerkin(zero_system, tilde_a=tilde, n_steps=256)
-    hom_sup = solve_linear_periodic(lin, n_fluid=zero_system.n).sup_norm()
+    lin = linear_system_from_galerkin(frozen_linear_part(zero_system, 256), tilde_a=tilde)
+    hom_sup = solve_linear_periodic(lin).sup_norm()
 
     # undamped oscillator at its natural period
     params = PhysicalParams()
@@ -306,14 +307,14 @@ def test_criterion_09_resonance_claim(ref_run, offres_run, params):
     # decoupled oscillator is singular exactly there
     singular = False
     try:
-        solve_linear_periodic(oscillator_system(params, ref_run["system"].g_signal))
+        solve_linear_periodic(oscillator_system(params, ref_run["system"].forces.g))
     except ResonantOrNonUnique:
         singular = True
 
     # off-resonant control: both behave
     off_ok = offres_run["report"]["converged"]
     osc_off = solve_linear_periodic(
-        oscillator_system(params, offres_run["system"].g_signal)
+        oscillator_system(params, offres_run["system"].forces.g)
     )
     _report(
         9,
@@ -352,7 +353,7 @@ def test_criterion_10_strong_regularity(ref_run, ref_run_fine):
     )
 
 
-def test_criterion_11_scaling(ref_run, half_run, params, basis):
+def test_criterion_11_scaling(ref_run, half_run, params):
     # profile norms scale linearly with the flow-rate amplitude
     T = ref_run["phi"].period
     rows_full = chi_norm_report(solve_poiseuille(sine_signal(T, 1.0), params))
@@ -372,8 +373,8 @@ def test_criterion_11_scaling(ref_run, half_run, params, basis):
     quad_ok = abs(ratio - 0.25) <= 0.025
 
     # every smallness margin widens when the amplitude halves
-    cq, _ = estimate_cq(basis, ref_run["carrier"], seed=0)
-    cq_h, _ = estimate_cq(basis, half_run["carrier"], seed=0)
+    cq, _ = estimate_cq(ref_run["system"], seed=0)
+    cq_h, _ = estimate_cq(half_run["system"], seed=0)
     rep_full = smallness_report(
         ref_run["phi"], None, None, params, cq, forces=ref_run["forces"]
     )

@@ -9,7 +9,7 @@ import pytest
 from periflow.basis import build_basis, estimate_cq, grad_identity_gap
 from periflow.errors import BasisError
 
-from oracles import basis_tensors_einsum, cubic_sum_bruteforce
+from oracles import basis_tensors_einsum, carrier_transport_forms, cubic_sum_bruteforce
 
 FD_H = 1e-5
 
@@ -148,7 +148,7 @@ def test_zero_flowrate_assembly(zero_system):
     for dk in gsys.d_harmonics.values():
         assert np.max(np.abs(dk)) == 0.0
     assert not gsys.f_harmonics
-    assert gsys.g_signal.is_zero(tol=1e-15)
+    assert gsys.forces.g.is_zero(tol=1e-15)
 
 
 def test_periodic_coefficient_evaluation(ref_run):
@@ -156,8 +156,34 @@ def test_periodic_coefficient_evaluation(ref_run):
     T = gsys.period
     for t in (0.3, 2.2):
         assert np.allclose(gsys.d_at(t), gsys.d_at(t + T), atol=1e-12)
-        assert np.allclose(gsys.f_at(t), gsys.f_at(t + T), atol=1e-12)
-        assert np.allclose(gsys.g_at(t), gsys.g_at(t + T), atol=1e-12)
+        assert np.allclose(gsys.forcing_at(t), gsys.forcing_at(t + T), atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["reference", "zero"])
+def test_time_derivatives_match_centred_differences(which, ref_run, zero_system):
+    gsys = ref_run["system"] if which == "reference" else zero_system
+    times = np.array([0.3, 1.7, 4.1])
+    h = 1e-5
+    for at, shape in ((gsys.forcing_at, (gsys.n,)), (gsys.d_at, (gsys.n, gsys.n))):
+        got = at(times, 1)
+        assert got.shape == times.shape + shape
+        assert at(0.3, 1).shape == shape
+        fd = (at(times + h) - at(times - h)) / (2.0 * h)
+        assert np.max(np.abs(got - fd)) <= 1e-7 * (1.0 + np.max(np.abs(got)))
+    if which == "zero":
+        assert not np.any(gsys.forcing_at(times, 1)) and not np.any(gsys.d_at(times, 1))
+
+
+def test_transport_forms_match_oracle(ref_run):
+    gsys = ref_run["system"]
+    expect = carrier_transport_forms(gsys.basis, gsys.carrier)
+    assert set(gsys.transport_forms) == set(expect) == set(gsys.d_harmonics)
+    for k, B in expect.items():
+        got = gsys.transport_forms[k]
+        assert np.max(np.abs(got - B)) <= 1e-13 * np.max(np.abs(B))
+        # what d_k adds to B_k is the skew-symmetrized half
+        rest = gsys.d_harmonics[k] - got
+        assert np.max(np.abs(rest + rest.T)) <= 1e-13 * np.max(np.abs(rest))
 
 
 def test_too_many_modes_rejected(geom, mesh):
@@ -167,13 +193,13 @@ def test_too_many_modes_rejected(geom, mesh):
         build_basis(geom, 0, mesh=mesh)
 
 
-def test_transport_constant_zero_for_zero_flow(basis, zero_system):
-    cq, flag = estimate_cq(basis, zero_system.carrier)
+def test_transport_constant_zero_for_zero_flow(zero_system):
+    cq, flag = estimate_cq(zero_system)
     assert cq == 0.0 and flag is True
 
 
-def test_transport_constant_stable_under_resampling(basis, ref_run, ref_cq):
-    cq2, _ = estimate_cq(basis, ref_run["carrier"], n_samples=400, seed=1)
+def test_transport_constant_stable_under_resampling(ref_run, ref_cq):
+    cq2, _ = estimate_cq(ref_run["system"], n_samples=400, seed=1)
     assert cq2 == pytest.approx(ref_cq, rel=0.10)
     # more samples can only confirm or raise the maximum slightly
     assert cq2 >= ref_cq * (1.0 - 1e-9)

@@ -43,7 +43,7 @@ def _toy_trajectory():
     states = np.array([[2.0, 1.0], [0.0, -1.0], [2.0, 1.0]])
     derivs = np.array([[0.0, 3.0], [0.0, 0.5], [0.0, 3.0]])
     return PeriodicTrajectory(
-        period=1.0, n_fluid=1, states=states, derivs=derivs, periodicity_defect=0.0
+        period=1.0, states=states, derivs=derivs, periodicity_defect=0.0
     )
 
 

@@ -20,7 +20,7 @@ from periflow.periodic_ode import (
     spectral_time_derivative,
     step_halving_error,
 )
-from periflow.signals import sine_signal
+from periflow.signals import sine_signal, synthesize
 from periflow.solver import apply_phi
 
 from oracles import damped_cosine_response
@@ -231,7 +231,8 @@ def _linear_system_from_scratch(gsys, tilde_a, alpha, n_steps):
     mats[:, :n, :n] = np.einsum("mk,tkj->tmj", Ainv, coeff_a)
     mats[:, :n, n] = -(gsys.params.stiffness / rho) * (Ainv @ gsys.beta)
     mats[:, n, :n] = gsys.beta
-    forcing = alpha * (gsys.f_at(t) + np.outer(gsys.g_signal(t), gsys.beta) / rho)
+    f = synthesize(gsys.f_harmonics or {0: np.zeros(n)}, 2.0 * math.pi / gsys.period, t)
+    forcing = alpha * (f + np.outer(gsys.forces.g(t), gsys.beta) / rho)
     rhs = np.zeros((len(t), n + 1))
     rhs[:, :n] = np.einsum("mk,tk->tm", Ainv, forcing)
     return mats, rhs
@@ -243,31 +244,23 @@ def test_linear_system_split_matches_from_scratch_build(which, ref_run, zero_sys
     n_steps = 256
     tilde = np.random.default_rng(5).standard_normal((n_steps, gsys.n))
     want_mats, want_rhs = _linear_system_from_scratch(gsys, tilde, 0.6, n_steps)
-    spot = linear_system_from_galerkin(gsys, tilde_a=tilde, alpha=0.6, n_steps=n_steps)
-    for got, want in ((spot.mats, want_mats), (spot.rhs, want_rhs)):
+    frozen = frozen_linear_part(gsys, n_steps)
+    lin = linear_system_from_galerkin(frozen, tilde_a=tilde, alpha=0.6)
+    assert lin.n_steps == n_steps
+    for got, want in ((lin.mats, want_mats), (lin.rhs, want_rhs)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    frozen = frozen_linear_part(gsys, n_steps)
-    passed = linear_system_from_galerkin(
-        gsys, tilde_a=tilde, alpha=0.6, n_steps=n_steps, frozen=frozen
-    )
-    assert np.array_equal(passed.mats, spot.mats)
-    assert np.array_equal(passed.rhs, spot.rhs)
     # a build that uses the frozen part leaves it as it was
     fresh = frozen_linear_part(gsys, n_steps)
     assert np.array_equal(frozen.system.mats, fresh.system.mats)
     assert np.array_equal(frozen.system.rhs, fresh.system.rhs)
-    with pytest.raises(ValueError):
-        linear_system_from_galerkin(gsys, tilde_a=tilde, n_steps=128, frozen=frozen)
 
 
 def test_homogeneous_coupled_system_trivial(zero_system):
     rng = np.random.default_rng(2)
     tilde = rng.standard_normal((256, zero_system.n))
-    from periflow.periodic_ode import linear_system_from_galerkin
-
-    lin = linear_system_from_galerkin(zero_system, tilde_a=tilde, n_steps=256)
-    traj = solve_linear_periodic(lin, n_fluid=zero_system.n)
+    lin = linear_system_from_galerkin(frozen_linear_part(zero_system, 256), tilde_a=tilde)
+    traj = solve_linear_periodic(lin)
     assert traj.sup_norm() <= 1e-9
 
 
@@ -275,8 +268,9 @@ def test_solution_map_deterministic(zero_system):
     from periflow.periodic_ode import zero_trajectory
 
     tilde = zero_trajectory(zero_system.period, zero_system.n, 256)
-    a = apply_phi(zero_system, tilde, n_steps=256)
-    b = apply_phi(zero_system, tilde, n_steps=256)
+    frozen = frozen_linear_part(zero_system, 256)
+    a = apply_phi(frozen, tilde)
+    b = apply_phi(frozen, tilde)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.derivs, b.derivs)
 
@@ -294,7 +288,8 @@ def test_kinematic_row_consistency():
         ).copy(),
         lambda t: np.column_stack([np.cos(omega_f * t), np.zeros(len(t))]),
     )
-    traj = solve_linear_periodic(sys, n_fluid=1)
+    traj = solve_linear_periodic(sys)
+    assert traj.n_fluid == 1
     assert np.max(np.abs(traj.zdot - traj.a[:, 0])) <= 1e-12
 
 

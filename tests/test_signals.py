@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from periflow.periodic_ode import spectral_time_derivative
 from periflow.signals import (
+    GRID_SIZE,
     antiderivative,
     constant_signal,
     derivative,
@@ -66,7 +67,7 @@ def test_grid_samples_match_evaluation(sig):
 @settings(max_examples=50, deadline=None)
 @given(signals())
 def test_parseval_matches_grid_quadrature(sig):
-    dt = sig.period / sig.grid_size
+    dt = sig.period / GRID_SIZE
     quad = dt * float(np.sum(sig.grid_samples**2))
     assert quad == pytest.approx(l2_norm_sq(sig), rel=1e-8, abs=1e-12)
 
