@@ -517,12 +517,12 @@ def grad_identity_gap(basis):
     return float(np.max(np.abs(gaps) / norms))
 
 
-def estimate_cq(gsys, n_samples=200, seed=0, n_times=64):
+def estimate_cq(gsys, n_samples=200, seed=0):
     """Empirical transport-bound constant.
 
     Maximizes |((psi - beta e1) . grad V, psi)| / (||phi||_{W^{1,2}_T}
     ||grad psi||^2) over the basis elements and random unit-norm coefficient
-    combinations, across a time grid.  The forms are the system's
+    combinations, across a grid of 64 times.  The forms are the system's
     `transport_forms`, synthesized in time.  Returns (value,
     phi_is_zero_flag).
     """
@@ -537,7 +537,7 @@ def estimate_cq(gsys, n_samples=200, seed=0, n_times=64):
     samples = list(np.eye(basis.n))
     extra = rng.normal(size=(n_samples, basis.n))
     samples += list(extra / np.linalg.norm(extra, axis=1, keepdims=True))
-    times = np.arange(n_times) * (carrier.period / n_times)
+    times = np.arange(64) * (carrier.period / 64)
 
     # deterministic candidates: exact maximizers of the quadratic-form ratio
     # at each grid time (generalized symmetric eigenproblem against the

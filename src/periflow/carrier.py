@@ -147,13 +147,14 @@ class FluxCarrier:
         }
         return synthesize(fields, self.omega, t)
 
-    def section_flux(self, x1, t, n_quad=2049):
-        """Flux of V through the fluid part of the vertical section x1=const."""
+    def section_flux(self, x1, t):
+        """Flux of V through the fluid part of the vertical section x1=const
+        (cubic-spline quadrature on 2049 points per fluid segment)."""
         bx0, bx1, by0, by1 = self.geometry.body
         segments = [(-1.0, 1.0)] if not (bx0 <= x1 <= bx1) else [(-1.0, by0), (by1, 1.0)]
         total = 0.0
         for lo, hi in segments:
-            y = np.linspace(lo, hi, n_quad)
+            y = np.linspace(lo, hi, 2049)
             pts = np.column_stack([np.full_like(y, x1), y])
             v1 = self.velocity_at(pts, t)[:, 0]
             total += CubicSpline(y, v1).integrate(lo, hi)
@@ -353,8 +354,9 @@ class ForceBoundRow:
     empirical_constant: float
 
 
-def force_bound_report(forces, n_times=256):
-    """Empirical constants for the six forcing-vs-flow-rate norm bounds."""
+def force_bound_report(forces):
+    """Empirical constants for the six forcing-vs-flow-rate norm bounds; the
+    sup-in-time norms of f are taken on 256 times."""
     phi = forces.carrier.flow.flowrate
     p1, p2, p3 = (sobolev_norm_T(phi, m) for m in (1, 2, 3))
     tf, tg, mesh = forces.tilde_f, forces.tilde_g, forces.mesh
@@ -369,8 +371,8 @@ def force_bound_report(forces, n_times=256):
     tg_inf = tg.max_abs() if tg else 0.0
     tdf_inf = derivative(tf.signal).max_abs() * tf_shape if tf else 0.0
     tdg_inf = derivative(tg).max_abs() if tg else 0.0
-    f_inf = float(forces.f_norm_series(n_times).max())
-    df_inf = float(forces.f_norm_series(n_times, dt_order=1).max())
+    f_inf = float(forces.f_norm_series(256).max())
+    df_inf = float(forces.f_norm_series(256, dt_order=1).max())
     return [
         row("f_L2L2_vs_phi_W12", forces.f_l2_l2_norm(), tf_l2, p1),
         row("g_L2_vs_phi_W12", math.sqrt(l2_norm_sq(forces.g)), tg_l2, p1),

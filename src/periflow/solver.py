@@ -182,10 +182,11 @@ def residual_galerkin(gsys, traj):
     return float(max(np.abs(res_a).max(), np.abs(res_z).max()))
 
 
-def weak1_residual(gsys, traj, n_time_harmonics=4):
+def weak1_residual(gsys, traj):
     """Space-time weak-form residual against (basis mode, Fourier-in-time)
-    test pairs: the max over all pairs of int (A a) eta' + (A a') eta dt,
-    with A a' the right-hand side of the coefficient ODE."""
+    test pairs, time harmonics 0 to 4: the max over all pairs of
+    int (A a) eta' + (A a') eta dt, with A a' the right-hand side of the
+    coefficient ODE."""
     T = traj.period
     tgrid = traj.times[:-1]
     a, z = traj.a[:-1], traj.z[:-1]
@@ -194,7 +195,7 @@ def weak1_residual(gsys, traj, n_time_harmonics=4):
     rhs = _coefficient_rhs(gsys, tgrid, a, z, traj.alpha)
 
     etas = [(np.ones_like(tgrid), np.zeros_like(tgrid))]
-    for k in range(1, n_time_harmonics + 1):
+    for k in range(1, 5):
         etas.append((np.cos(omega * k * tgrid), -omega * k * np.sin(omega * k * tgrid)))
         etas.append((np.sin(omega * k * tgrid), omega * k * np.cos(omega * k * tgrid)))
 
@@ -205,8 +206,8 @@ def weak1_residual(gsys, traj, n_time_harmonics=4):
     return worst
 
 
-def weak2_residual(gsys, traj, n_bumps=5, seed=7):
-    """Kinematic-coupling residual against scalar test bumps.
+def weak2_residual(gsys, traj):
+    """Kinematic-coupling residual against five random scalar test bumps.
 
     Each bump is a tensor product supported strictly inside the fluid; the
     pairing with every basis velocity is computed by exact separable
@@ -214,9 +215,9 @@ def weak2_residual(gsys, traj, n_bumps=5, seed=7):
     """
     geom = gsys.basis.geometry
     bx0, bx1 = geom.body[:2]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     boxes = []
-    for _ in range(n_bumps):
+    for _ in range(5):
         side = rng.integers(0, 2)
         if side == 0:
             x1 = rng.uniform(-geom.X0 - 0.5, bx0 - 0.3)
@@ -303,7 +304,8 @@ def assemble_from_config(config, basis=None):
     forcing -> basis -> assembly.  A `basis` built from a config that differs
     from this one only in its period skips the geometry, mesh and basis
     stages.  Errors are re-raised annotated with the failing stage.  Returns
-    a dict with every intermediate object.
+    {"params", "basis", "system"}; the system carries the carrier, the
+    forcing (with the external forces) and the flow rate.
     """
     from .carrier import build_flux_carrier, carrier_forces
     from .basis import assemble_system, build_basis
@@ -331,41 +333,27 @@ def assemble_from_config(config, basis=None):
     if basis is None:
         basis = stage("basis", lambda: build_basis(geom, config.n_modes, mesh=mesh))
     gsys = stage("assembly", lambda: assemble_system(basis, carrier, forces, params))
-    return {
-        "geometry": geom,
-        "params": params,
-        "phi": phi,
-        "mesh": mesh,
-        "flow": flow,
-        "carrier": carrier,
-        "forces": forces,
-        "tilde_f": tilde_f,
-        "tilde_g": tilde_g,
-        "basis": basis,
-        "system": gsys,
-    }
+    return {"params": params, "basis": basis, "system": gsys}
 
 
 def galerkin_solve(config):
     """End-to-end pipeline from a run configuration.
 
     Adds to `assemble_from_config`: the smallness gate, the accelerated
-    fixed point, and the diagnostics ledger.
+    fixed point, and the diagnostics ledger, all reading their data from
+    the assembled system.
     """
     from .basis import estimate_cq
     from .diagnostics import diagnostics_bundle, smallness_report
 
     warnings = []
 
-    parts = assemble_from_config(config)
-    params = parts["params"]
-    phi = parts["phi"]
-    forces = parts["forces"]
-    gsys = parts["system"]
-    tilde_f, tilde_g = parts["tilde_f"], parts["tilde_g"]
+    gsys = assemble_from_config(config)["system"]
 
     cq, cq_zero_flag = estimate_cq(gsys, seed=config.seed)
-    small = smallness_report(phi, tilde_f, tilde_g, params, cq, forces=forces)
+    small = smallness_report(
+        gsys.carrier.flow.flowrate, gsys.params, cq, forces=gsys.forces
+    )
     if not small["weak"]["ok"]:
         msg = (
             "flow-rate smallness condition violated "
@@ -382,7 +370,7 @@ def galerkin_solve(config):
     report["c_q"] = cq
     report["c_q_zero_flowrate"] = cq_zero_flag
     diag = stage(
-        "diagnostics", lambda: diagnostics_bundle(traj, gsys, forces, config.seed)
+        "diagnostics", lambda: diagnostics_bundle(traj, gsys, config.seed)
     )
     return SolveResult(
         trajectory=traj,

@@ -199,7 +199,7 @@ def chi_norm_report(flow, grid_size=256):
     return rows
 
 
-def flux_error(flow, n_times=64):
-    """Max over a time grid of |flux(chi) - phi(t)| (construction check)."""
-    times = np.arange(n_times) * (flow.period / n_times)
+def flux_error(flow):
+    """Max over 64 grid times of |flux(chi) - phi(t)| (construction check)."""
+    times = np.arange(64) * (flow.period / 64)
     return float(np.max(np.abs(flow.flux_at(times) - flow.flowrate(times))))

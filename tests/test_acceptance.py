@@ -261,10 +261,10 @@ def test_criterion_07_energy_ledger(ref_run, ref_run_fine, params, basis):
         np.all(G >= E - 1e-10 * scale) and np.all(G <= 3.0 * E + 1e-10 * scale)
     )
     balance = float(abs(E[-1] - E[0]))
-    c3 = check_partial_bound(traj, gsys, ref_run["forces"]).c3_hat
-    c3_fine = check_partial_bound(
-        ref_run_fine["trajectory"], ref_run_fine["system"], ref_run_fine["forces"]
-    ).c3_hat
+    c3 = check_partial_bound(traj, gsys)["c3_hat"]
+    c3_fine = check_partial_bound(ref_run_fine["trajectory"], ref_run_fine["system"])[
+        "c3_hat"
+    ]
     two_grid = abs(c3_fine - c3) / c3
     _report(
         7,
@@ -375,12 +375,8 @@ def test_criterion_11_scaling(ref_run, half_run, params):
     # every smallness margin widens when the amplitude halves
     cq, _ = estimate_cq(ref_run["system"], seed=0)
     cq_h, _ = estimate_cq(half_run["system"], seed=0)
-    rep_full = smallness_report(
-        ref_run["phi"], None, None, params, cq, forces=ref_run["forces"]
-    )
-    rep_half = smallness_report(
-        half_run["phi"], None, None, params, cq_h, forces=half_run["forces"]
-    )
+    rep_full = smallness_report(ref_run["phi"], params, cq, forces=ref_run["forces"])
+    rep_half = smallness_report(half_run["phi"], params, cq_h, forces=half_run["forces"])
     margins_ok = all(
         rep_half[key]["margin"] > rep_full[key]["margin"]
         for key in ("weak", "strong1", "strong2")
