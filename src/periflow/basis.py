@@ -532,25 +532,19 @@ def estimate_cq(gsys, n_samples=200, seed=0):
         return 0.0, True
 
     gg = basis.grad_gram
-
     rng = np.random.default_rng(seed)
-    samples = list(np.eye(basis.n))
     extra = rng.normal(size=(n_samples, basis.n))
-    samples += list(extra / np.linalg.norm(extra, axis=1, keepdims=True))
     times = np.arange(64) * (carrier.period / 64)
 
     # deterministic candidates: exact maximizers of the quadratic-form ratio
     # at each grid time (generalized symmetric eigenproblem against the
-    # gradient Gram matrix); random samples then only confirm the maximum
-    from scipy.linalg import eigh
-
+    # gradient Gram matrix gg = L L^T, reduced to L^-1 B L^-T); random
+    # samples then only confirm the maximum
+    Linv = np.linalg.inv(np.linalg.cholesky(gg))
     Bt = synthesize(gsys.transport_forms, carrier.omega, times)  # (n_times, n, n)
-    for Bi in Bt:
-        _, vecs = eigh(0.5 * (Bi + Bi.T), gg)
-        samples.append(vecs[:, 0])
-        samples.append(vecs[:, -1])
-
-    S = np.array(samples)
+    _, vecs = np.linalg.eigh(Linv @ (0.5 * (Bt + Bt.transpose(0, 2, 1))) @ Linv.T)
+    extreme = (Linv.T @ vecs[:, :, [0, -1]]).transpose(0, 2, 1).reshape(-1, basis.n)
+    S = np.vstack([np.eye(basis.n), extra / np.linalg.norm(extra, axis=1, keepdims=True), extreme])
     denom = phi_norm * np.einsum("si,ij,sj->s", S, gg, S)
     forms = np.einsum("si,tij,sj->ts", S, Bt, S)
     best = float(np.max(np.abs(forms) / denom))

@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._bumps import EdgeBump
+from ._spline import cubic_spline
 from .errors import GeometryError
 from .signals import PeriodicSignal, derivative, differentiate, harmonic_weights
 from .signals import l2_norm_sq, norm_series, product, sobolev_norm_T, synthesize
@@ -54,13 +54,10 @@ class _HarmonicProfile:
     """Spatial ingredients of one profile harmonic, spline-evaluated."""
 
     def __init__(self, flow, k):
-        x2 = flow.x2
-        chi = flow.chi[k]
-        chi2 = flow.chi_second_derivative(k)
-        self.chi = CubicSpline(x2, chi)
-        self.chi1 = CubicSpline(x2, flow.chi_first_derivative(k))
-        self.chi2 = CubicSpline(x2, chi2)
-        self.S = CubicSpline(x2, chi).antiderivative()
+        self.chi = cubic_spline(flow.x2, flow.chi[k])
+        self.chi1 = cubic_spline(flow.x2, flow.chi_first_derivative(k))
+        self.chi2 = cubic_spline(flow.x2, flow.chi_second_derivative(k))
+        self.S = self.chi.antiderivative()
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ class FluxCarrier:
             y = np.linspace(lo, hi, 2049)
             pts = np.column_stack([np.full_like(y, x1), y])
             v1 = self.velocity_at(pts, t)[:, 0]
-            total += CubicSpline(y, v1).integrate(lo, hi)
+            total += cubic_spline(y, v1).integrate(lo, hi)
         return total
 
 
@@ -259,7 +256,7 @@ class ForcingData:
         """||f||_{L^2(0,T;L^2(Omega))} from harmonic data (Parseval)."""
         return self._l2_l2_norm(slice(None))
 
-    def f_norm_series(self, n_times=256, dt_order=0):
+    def f_norm_series(self, n_times, dt_order=0):
         """||d^r f/dt^r (t)||_{L^2(Omega)} on the grid t_j = j T / n_times."""
         omega = self.carrier.omega
         times = np.arange(n_times) * (self.period / n_times)

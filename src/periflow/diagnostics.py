@@ -393,22 +393,31 @@ class StrongRegularityReport:
 
 
 def _fit_two_constants(u, v, q):
-    """Minimal (x, y) >= 0 with x*u + y*v >= q pointwise (LP)."""
+    """Minimal x + y over x, y >= 0 with x*u + y*v >= q pointwise (an LP):
+    (x, y) = (1 - tau, tau) / h at the maximum over [0, 1] of the concave
+    h(tau) = min_i ((1 - tau) u_i + tau v_i) / q_i.  Bisection on the sign of
+    h' finds the two lines lowest there, whose constraints give the exact
+    vertex; on an axis, x or y is exactly 0.0."""
     mask = q > 0
     if not np.any(mask):
         return 0.0, 0.0
-    from scipy.optimize import linprog
+    P, Q = u[mask] / q[mask], v[mask] / q[mask]
 
-    A = -np.column_stack([u[mask], v[mask]])
-    res = linprog(
-        c=[1.0, 1.0], A_ub=A, b_ub=-q[mask], bounds=[(0, None), (0, None)]
-    )
-    if not res.success:
-        # fall back to loading a single constant
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = float(np.nanmax(np.where(u[mask] > 0, q[mask] / u[mask], np.inf)))
-        return x, 0.0
-    return float(res.x[0]), float(res.x[1])
+    def lowest(tau):  # the line lowest at tau, and whether it rises
+        i = int(np.argmin((1.0 - tau) * P + tau * Q))
+        return i, Q[i] > P[i]
+
+    if not lowest(0.0)[1]:
+        return float(1.0 / P.min()), 0.0
+    if lowest(1.0)[1]:
+        return 0.0, float(1.0 / Q.min())
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if lowest(mid)[1] else (lo, mid)
+    (a, _), (b, _) = lowest(lo), lowest(hi)
+    det = P[a] * Q[b] - P[b] * Q[a]
+    return float((Q[b] - Q[a]) / det), float((P[a] - P[b]) / det)
 
 
 def strong_regularity_monitor(traj, gsys):
@@ -597,19 +606,19 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
 # resonance probe
 
 
-def resonance_probe(gsys, fp_cfg=None):
+def resonance_probe(gsys, fp_cfg):
     """Coupled solve vs decoupled pure oscillator at the system period.
 
     Returns both outcomes: the coupled problem should converge with bounded
     energy at any period (fluid dissipation damps the oscillator), while the
     bare oscillator is singular exactly at its natural period.
     """
-    from .solver import FixedPointConfig, fixed_point
+    from .solver import fixed_point
 
     params = gsys.params
     report = {"period": gsys.period, "natural_period": params.natural_period}
     try:
-        traj, rep = fixed_point(gsys, fp_cfg or FixedPointConfig())
+        traj, rep = fixed_point(gsys, fp_cfg)
         E = energy_E(traj, params)
         report["coupled"] = {
             "converged": True,

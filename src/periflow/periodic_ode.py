@@ -188,7 +188,15 @@ def solve_linear_periodic(system, alpha=1.0):
     """Unique T-periodic solution of the linear system, or ResonantOrNonUnique."""
     M, p = monodromy(system)
     dim = system.dim
-    scale = float(np.linalg.norm(M, 2))
+    # The exact monodromy of these dissipative systems is O(1) (0.978 on the
+    # reference run); RK4 on too coarse a grid blows it up (1.1e86 at 64 steps),
+    # and past 1/SINGULARITY_THRESHOLD the test below cannot tell the two apart.
+    scale = float(np.linalg.norm(M, 2)) if np.isfinite(M).all() else math.inf
+    if scale > 1.0 / SINGULARITY_THRESHOLD:
+        raise ResolutionError(
+            f"monodromy norm {scale:.3e} above {1.0 / SINGULARITY_THRESHOLD:.0e}; "
+            "increase solver.n_steps"
+        )
     sigma_min = float(np.linalg.svd(np.eye(dim) - M, compute_uv=False)[-1])
     if sigma_min < SINGULARITY_THRESHOLD * max(scale, 1.0):
         raise ResonantOrNonUnique(sigma_min, SINGULARITY_THRESHOLD * max(scale, 1.0))

@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
+from ._spline import cubic_spline, solve_tridiagonal
 from .errors import ResolutionError
 from .signals import PeriodicSignal, differentiate, harmonic_weights, make_signal
 from .signals import sobolev_norm_T, synthesize
@@ -32,16 +31,11 @@ MIN_NODES_PER_STOKES_LAYER = 4
 
 def _fd_solve(alpha, nu, x2):
     """Solve alpha*u - nu*u'' = 1 on the grid with homogeneous Dirichlet BCs."""
-    n = len(x2)
     h = x2[1] - x2[0]
-    ni = n - 2
-    ab = np.zeros((3, ni), dtype=complex)
-    ab[0, 1:] = -nu / h**2
-    ab[1, :] = alpha + 2.0 * nu / h**2
-    ab[2, :-1] = -nu / h**2
-    rhs = np.ones(ni, dtype=complex)
-    u = np.zeros(n, dtype=complex)
-    u[1:-1] = solve_banded((1, 1), ab, rhs)
+    ni = len(x2) - 2
+    off = np.full(ni - 1, -nu / h**2)
+    u = np.zeros(len(x2), dtype=complex)
+    u[1:-1] = solve_tridiagonal(off, np.full(ni, alpha + 2.0 * nu / h**2), off, np.ones(ni))
     return u
 
 
@@ -78,16 +72,16 @@ class PoiseuilleFlow:
     def chi_first_derivative(self, k):
         """chi_k' as the antiderivative of the exact chi_k'', with the
         constant fixed by chi_k(1) - chi_k(-1) = 0."""
-        d1 = CubicSpline(self.x2, self.chi_second_derivative(k)).antiderivative()(self.x2)
-        return d1 - CubicSpline(self.x2, d1).integrate(-1.0, 1.0) / 2.0
+        d1 = cubic_spline(self.x2, self.chi_second_derivative(k)).antiderivative()(self.x2)
+        return d1 - cubic_spline(self.x2, d1).integrate(-1.0, 1.0) / 2.0
 
     def profile_at(self, t, x2=None):
         """Real profile chi(x2, t); x2 defaults to the solver grid."""
-        vals = self.chi if x2 is None else {k: CubicSpline(self.x2, v)(x2) for k, v in self.chi.items()}
+        vals = self.chi if x2 is None else {k: cubic_spline(self.x2, v)(x2) for k, v in self.chi.items()}
         return synthesize(vals, self.omega, t)
 
     def flux_at(self, t):
-        fluxes = {k: CubicSpline(self.x2, v).integrate(-1.0, 1.0) for k, v in self.chi.items()}
+        fluxes = {k: cubic_spline(self.x2, v).integrate(-1.0, 1.0) for k, v in self.chi.items()}
         return synthesize(fluxes, self.omega, t)
 
 
@@ -117,7 +111,7 @@ def solve_poiseuille(flowrate, params, n_nodes=DEFAULT_PROFILE_NODES):
     for k in active:
         alpha = 1j * omega * k
         unit = _fd_solve(alpha, nu, x2)
-        flux_unit = complex(CubicSpline(x2, unit).integrate(-1.0, 1.0))
+        flux_unit = complex(cubic_spline(x2, unit).integrate(-1.0, 1.0))
         if abs(flux_unit) < 1e-300:
             raise ResolutionError(f"singular flux response for harmonic {k}")
         p_k = complex(flowrate.fourier_coeffs[k]) / flux_unit
@@ -137,20 +131,6 @@ def pressure_factor(flow, t):
     return flow.pressure_factor_signal(t)
 
 
-def _spatial_norms_sq(flow, k):
-    """(L2, W22) squared spatial norms of the complex profile chi_k."""
-    x2 = flow.x2
-    v = flow.chi[k]
-    d1 = flow.chi_first_derivative(k)
-    d2 = flow.chi_second_derivative(k)
-
-    def nrm2(u):
-        return float(CubicSpline(x2, np.abs(u) ** 2).integrate(-1.0, 1.0))
-
-    l2 = nrm2(v)
-    return l2, l2 + nrm2(d1) + nrm2(d2)
-
-
 @dataclass(frozen=True)
 class ChiNormRow:
     order: int  # 1, 2 or 3: row of the estimate family
@@ -167,21 +147,23 @@ def chi_norm_report(flow, grid_size=256):
     omega = flow.omega
     rows = []
     ks = flow.harmonics
-    sp = np.array([_spatial_norms_sq(flow, k) for k in ks])  # (K, 2)
     weights = T * harmonic_weights(ks)
     wk2 = (omega * np.array(ks, dtype=float)) ** 2
     dchi = {k: flow.chi_first_derivative(k) for k in ks}
+    # squared spatial L2 norms of chi_k, chi_k' and chi_k'', each (K,)
+    sq = np.abs([[flow.chi[k], dchi[k], flow.chi_second_derivative(k)] for k in ks]) ** 2
+    l2, d1, d2 = cubic_spline(flow.x2, sq, axis=2).integrate(-1.0, 1.0).T
     times = np.arange(grid_size) * (T / grid_size)
     for m in (1, 2, 3):
         # time-Sobolev norms via Parseval over harmonics
         wfac = sum(wk2**j for j in range(m))
-        wk_w22_sq = float(np.dot(weights, wfac * sp[:, 1]))
-        wk1_l2_sq = float(np.dot(weights, (wfac + wk2**m) * sp[:, 0]))
+        wk_w22_sq = float(np.dot(weights, wfac * (l2 + d1 + d2)))
+        wk1_l2_sq = float(np.dot(weights, (wfac + wk2**m) * l2))
         # sup-in-time W^{1,2} norm of the (m-1)-th time derivative of the
         # real profile, which the harmonics' cross terms make time-dependent
         u = synthesize(differentiate(flow.chi, omega, m - 1), omega, times)
         du = synthesize(differentiate(dchi, omega, m - 1), omega, times)
-        w12_sq = CubicSpline(flow.x2, u**2 + du**2, axis=1).integrate(-1.0, 1.0)
+        w12_sq = cubic_spline(flow.x2, u**2 + du**2, axis=1).integrate(-1.0, 1.0)
         sup = float(np.max(w12_sq))
         phi_norm = sobolev_norm_T(flow.flowrate, m)
         lhs = (math.sqrt(wk_w22_sq), math.sqrt(sup), math.sqrt(wk1_l2_sq))

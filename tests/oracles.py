@@ -6,14 +6,18 @@ constraint (the library solves per-harmonic boundary-value problems), cubic
 tensor sums are brute-force triple loops, and the linear-ODE references are
 closed forms.  The basis tensors have a multi-operand einsum reference
 (the library contracts them by BLAS products), and the carrier transport
-forms a per-component loop (the library uses one einsum).
+forms a per-component loop (the library uses one einsum).  scipy is the
+reference for the library's numpy numerics: `CubicSpline` for its splines,
+`solve_banded` for its tridiagonal solve, the generalized `eigh` for its
+Cholesky-reduced eigenproblem and `linprog` for its two-constant fit.
 """
 
 import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import eigh, lu_factor, lu_solve, solve_banded
+from scipy.optimize import linprog
 
 
 def spline_quadrature_weights(x2):
@@ -155,3 +159,24 @@ def damped_cosine_response(omega_f, times):
     return (np.cos(omega_f * times) + omega_f * np.sin(omega_f * times)) / (
         1.0 + omega_f**2
     )
+
+
+def tridiagonal_solve_banded(sub, diag, sup, rhs):
+    """LAPACK banded solve (partial pivoting) of the tridiagonal system."""
+    ab = np.zeros((3, len(diag)), dtype=np.result_type(sub, diag, sup))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    return solve_banded((1, 1), ab, np.asarray(rhs, dtype=np.result_type(ab, rhs)))
+
+
+def generalized_eigenvalues(B, G):
+    """Eigenvalues of B x = lambda G x (B symmetric, G positive definite)."""
+    return eigh(B, G, eigvals_only=True)
+
+
+def two_constants_linprog(u, v, q):
+    """Minimal x + y over x, y >= 0 with x*u + y*v >= q where q > 0, by HiGHS."""
+    mask = q > 0
+    A = -np.column_stack([u[mask], v[mask]])
+    res = linprog(c=[1.0, 1.0], A_ub=A, b_ub=-q[mask], bounds=[(0, None), (0, None)])
+    assert res.success, res.message
+    return float(res.x[0]), float(res.x[1])

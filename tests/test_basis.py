@@ -2,14 +2,21 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from periflow.basis import build_basis, estimate_cq, grad_identity_gap
 from periflow.errors import BasisError
+from periflow.signals import sine_signal, sobolev_norm_T, synthesize
 
-from oracles import basis_tensors_einsum, carrier_transport_forms, cubic_sum_bruteforce
+from oracles import (
+    basis_tensors_einsum,
+    carrier_transport_forms,
+    cubic_sum_bruteforce,
+    generalized_eigenvalues,
+)
 
 FD_H = 1e-5
 
@@ -205,11 +212,36 @@ def test_transport_constant_stable_under_resampling(ref_run, ref_cq):
     assert cq2 >= ref_cq * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_transport_constant_candidates_are_the_extreme_eigenvectors(sign):
+    # without random samples the estimate is the largest |Rayleigh quotient|
+    # of the candidates; for the extreme generalized eigenvectors of every
+    # grid time that is the largest |eigenvalue|, reached by the top
+    # eigenvector for one sign of the forms and by the bottom one for the other
+    rng = np.random.default_rng(3)
+    n, period = 6, 2.0 * math.pi
+    X = rng.normal(size=(n, n))
+    forms = {
+        k: sign * (rng.normal(size=(n, n)) + 1j * k * rng.normal(size=(n, n))) for k in (0, 1)
+    }
+    flow = SimpleNamespace(flowrate=sine_signal(period, 1.0))
+    gsys = SimpleNamespace(
+        basis=SimpleNamespace(grad_gram=X @ X.T + n * np.eye(n), n=n),
+        carrier=SimpleNamespace(flow=flow, period=period, omega=1.0),
+        transport_forms=forms,
+    )
+    cq, _ = estimate_cq(gsys, n_samples=0)
+    Bt = synthesize(forms, 1.0, np.arange(64) * (period / 64))
+    lam = max(
+        np.abs(generalized_eigenvalues(0.5 * (B + B.T), gsys.basis.grad_gram)).max()
+        for B in Bt
+    )
+    assert cq == pytest.approx(lam / sobolev_norm_T(flow.flowrate, 1), rel=1e-12)
+
+
 def test_transport_bound_holds_for_samples(basis, ref_run, ref_cq):
     # spot-check the fitted transport bound on fresh random combinations,
     # evaluating the trilinear form directly from the carrier fields
-    from periflow.signals import sobolev_norm_T
-
     carrier = ref_run["carrier"]
     phi_norm = sobolev_norm_T(carrier.flow.flowrate, 1)
     gg = basis.grad_gram

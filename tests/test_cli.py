@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import periflow
 from periflow.cli import (
     EXIT_CONFIG,
     EXIT_GATE,
@@ -79,6 +83,25 @@ def test_solve_outputs_and_determinism(tmp_path):
     assert data[-1, 0] == pytest.approx(2.0 * math.pi)
     # first and last rows agree up to the periodicity defect
     assert np.max(np.abs(data[-1, 1:] - data[0, 1:])) <= 1e-6
+
+
+def test_solve_loads_no_scipy(tmp_path):
+    # a fresh interpreter, so that any import, deferred ones included,
+    # shows in sys.modules after the run
+    cfg = _write(tmp_path, CHEAP_SOLVE.format(period=2.0 * math.pi))
+    script = (
+        "import sys\n"
+        "from periflow.cli import main\n"
+        f"code = main(['--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}, 'solve'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(periflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
 
 def test_solve_prints_ledger(tmp_path, capsys):
@@ -179,6 +202,7 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
         "forces: {tilde_g: {harmonics: [[0, 1.0, 0.3]]}}\n",
         # time or profile grid too coarse for the flow rate
         "solver: {n_steps: 128}\n",
+        "solver: {n_steps: 64}\n",
         "solver: {profile_nodes: 5}\nflowrate: {period: 0.01, harmonics: [[1, 0.0, -0.5]]}\n",
     ],
 )

@@ -9,6 +9,7 @@ import pytest
 
 from periflow.diagnostics import (
     BodyPressureBump,
+    _fit_two_constants,
     admissible_delta,
     check_energy_identity,
     check_partial_bound,
@@ -29,6 +30,8 @@ from periflow.errors import PeriflowError
 from periflow.periodic_ode import PeriodicTrajectory, resample_periodic, zero_trajectory
 from periflow.solver import FixedPointConfig
 from periflow.signals import sine_signal, sobolev_norm_T
+
+from oracles import two_constants_linprog
 
 
 class _StubBasis:
@@ -170,6 +173,38 @@ def test_strong_regularity_reference(ref_run):
     assert min(sr.c8, sr.c9, sr.c10, sr.c11, sr.c12) >= 0.0
     assert sr.prime_bound_rhs >= 0.0
     assert 0.0 <= sr.t_star < ref_run["trajectory"].period
+
+
+def test_fit_two_constants_matches_linprog():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(2, 400))
+        u, v = rng.exponential(size=n), rng.exponential(size=n)
+        u[rng.random(n) < 0.05] = 0.0  # rows that only y can meet
+        q = rng.normal(size=n)
+        x, y = _fit_two_constants(u, v, q)
+        rx, ry = two_constants_linprog(u, v, q)
+        assert x + y == pytest.approx(rx + ry, rel=1e-12)
+        assert min(x, y) >= 0.0
+        assert np.all(x * u + y * v >= q * (1.0 - 1e-12))
+        assert _fit_two_constants(u, v, -np.abs(q)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_fit_two_constants_optimum_on_an_axis_is_exactly_zero(axis):
+    # v > u everywhere makes y the cheaper constant for every row, so the
+    # unique optimum has x = 0; u > v gives y = 0
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 300))
+        low = rng.exponential(size=n)
+        high = low * (1.0 + rng.uniform(0.01, 2.0, size=n))
+        u, v = (low, high) if axis == "x" else (high, low)
+        q = np.abs(rng.normal(size=n))
+        x, y = _fit_two_constants(u, v, q)
+        rx, ry = two_constants_linprog(u, v, q)
+        assert (x if axis == "x" else y) == 0.0
+        assert x + y == pytest.approx(rx + ry, rel=1e-12)
 
 
 def test_far_field_decay(basis, geom, ref_run):
