@@ -19,7 +19,7 @@ evaluable at arbitrary points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -381,10 +381,11 @@ def _shifted(V, beta):
 @dataclass(frozen=True)
 class GalerkinSystem:
     """All tensors of the coefficient ODE A a' = -a.(b + d(t)) + c(a, a)
-    - (k/rho) z beta + alpha F(t), z' = beta.a, with d(t) (`d_at`) and
+    - (k/rho) z beta + F(t), z' = beta.a, with d(t) (`d_at`) and
     F = f + g beta / rho (`forcing_at`) stored per flow harmonic.
     `transport_forms` holds the carrier half of each d harmonic,
-    B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j)."""
+    B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j).  `scaled` gives
+    the system of the homotopy in the forcing."""
 
     basis: GalerkinBasis
     carrier: object
@@ -419,6 +420,15 @@ class GalerkinSystem:
         f = differentiate(self.f_harmonics, omega, order) or {0: np.zeros(self.n)}
         g = derivative(self.forces.g, order)(t)
         return synthesize(f, omega, t) + np.multiply.outer(g, self.beta) / self.params.rho
+
+    def scaled(self, factor):
+        """The system with the data f, g and the external forces scaled by
+        `factor`; the flow rate, the carrier and every tensor are shared."""
+        return replace(
+            self,
+            forces=self.forces.scaled(factor),
+            f_harmonics={k: factor * fk for k, fk in self.f_harmonics.items()},
+        )
 
 
 def assemble_system(basis, carrier, forces, params):

@@ -26,7 +26,7 @@ channel-profile equations exactly, so the terms cancel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -240,17 +240,17 @@ class ForcingData:
     def period(self):
         return self.carrier.period
 
-    def f_harmonics_at(self, points):
-        """Harmonic amplitudes k -> (npts, 2) of the body force (carrier part
-        plus the external force) at arbitrary points; a zero harmonic 0 when
-        the force vanishes."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        harmonics = _f_harmonics_at(self.carrier, self.params, self.tilde_f, pts)
-        return harmonics or {0: np.zeros(pts.shape)}
-
-    def f_at(self, points, t):
-        """Real body force at arbitrary points and time (analytic synthesis)."""
-        return synthesize(self.f_harmonics_at(points), self.carrier.omega, t)
+    def scaled(self, factor):
+        """The forcing with f, g, `tilde_f` and `tilde_g` scaled by `factor`;
+        the carrier, the support cells and the mesh are shared."""
+        tf, tg = self.tilde_f, self.tilde_g
+        return replace(
+            self,
+            f_harmonics={k: factor * fld for k, fld in self.f_harmonics.items()},
+            g=self.g.scaled(factor),
+            tilde_f=None if tf is None else replace(tf, signal=tf.signal.scaled(factor)),
+            tilde_g=None if tg is None else tg.scaled(factor),
+        )
 
     def f_l2_l2_norm(self):
         """||f||_{L^2(0,T;L^2(Omega))} from harmonic data (Parseval)."""

@@ -132,14 +132,13 @@ class EnergyReport:
 def check_energy_identity(traj, gsys):
     """Max residual of the instantaneous energy balance at half-grid points.
 
-    dE/dt + rho a.b.a + rho a.d(t).a - alpha rho a.F(t) = 0 along exact
-    solutions, where rho a.F = rho a.f + g z'; the transport tensor drops out
-    by skew symmetry.
+    dE/dt + rho a.b.a + rho a.d(t).a - rho a.F(t) = 0 along exact
+    solutions, where rho a.F = rho a.f + g z' with the data of `gsys`; the
+    transport tensor drops out by skew symmetry.
     """
     n = gsys.n
     M = traj.n_steps
     T = traj.period
-    alpha = traj.alpha
     rho = gsys.params.rho
     states2 = traj.resample_states(2 * M)[:-1]
     a2 = states2[:, :n]
@@ -157,7 +156,7 @@ def check_energy_identity(traj, gsys):
         dEdt[half]
         + rho * np.einsum("ti,ik,tk->t", a, gsys.b, a)
         + rho * quad_d
-        - alpha * rho * dot_F
+        - rho * dot_F
     )
     return float(np.abs(res).max())
 
@@ -447,7 +446,7 @@ def strong_regularity_monitor(traj, gsys):
     d_term += np.einsum("ti,tik,tk->t", a, gsys.d_at(times, 1), adot)
     S = (params.stiffness / params.rho) * zdot * zsec
     # a'.F' = a'.f' + g' z'' / rho
-    F = traj.alpha * np.einsum("ti,ti->t", adot, gsys.forcing_at(times, 1))
+    F = np.einsum("ti,ti->t", adot, gsys.forcing_at(times, 1))
     gprime = derivative(gsys.forces.g)(times)
     identity_res = float(np.abs(N + Diss + d_term + S - F - Tri).max())
 
@@ -560,7 +559,11 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
     grad_theta = theta.grad(pts[:, 0], pts[:, 1])
 
     omega = carrier.omega
-    f_at = synthesizer(forces.f_harmonics_at(pts), omega)
+    # f is stored on its support cells and vanishes off them
+    f_harm = {k: np.zeros(pts.shape, dtype=complex) for k in forces.f_harmonics or (0,)}
+    for k, fld in forces.f_harmonics.items():
+        f_harm[k][np.searchsorted(cells, forces.cell_idx)] = fld
+    f_at = synthesizer(f_harm, omega)
     fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad")) for k in carrier.harmonics}
     V_at = synthesizer({k: fld["V"] for k, fld in fields.items()}, omega)
     GV_at = synthesizer({k: fld["grad"] for k, fld in fields.items()}, omega)
@@ -587,7 +590,7 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
         gv = np.einsum("i,ipcd->pcd", a_s[it], gpsi)
         dvdt = np.einsum("i,ipc->pc", adot_s[it], psi)
         h = (
-            traj.alpha * f_t
+            f_t
             - dvdt
             - np.einsum("pd,pcd->pc", V, gv)
             - np.einsum("pd,pcd->pc", v, GV)

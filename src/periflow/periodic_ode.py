@@ -133,7 +133,6 @@ class PeriodicTrajectory:
     states: np.ndarray  # (M+1, n+1) = [a, z]; last row repeats t=0 up to the defect
     derivs: np.ndarray  # (M+1, dim), exact ODE right-hand side values
     periodicity_defect: float
-    alpha: float = 1.0
 
     @property
     def n_steps(self):
@@ -173,18 +172,17 @@ class PeriodicTrajectory:
         return np.vstack([res, res[:1]])
 
 
-def zero_trajectory(period, n_fluid, n_steps, alpha=1.0):
+def zero_trajectory(period, n_fluid, n_steps):
     states = np.zeros((n_steps + 1, n_fluid + 1))
     return PeriodicTrajectory(
         period=period,
         states=states,
         derivs=np.zeros_like(states),
         periodicity_defect=0.0,
-        alpha=alpha,
     )
 
 
-def solve_linear_periodic(system, alpha=1.0):
+def solve_linear_periodic(system):
     """Unique T-periodic solution of the linear system, or ResonantOrNonUnique."""
     M, p = monodromy(system)
     dim = system.dim
@@ -226,7 +224,6 @@ def solve_linear_periodic(system, alpha=1.0):
         states=states,
         derivs=derivs,
         periodicity_defect=defect,
-        alpha=alpha,
     )
 
 
@@ -234,8 +231,8 @@ def solve_linear_periodic(system, alpha=1.0):
 class FrozenLinearPart:
     """The iterate-independent part of `linear_system_from_galerkin`.
 
-    `system` is the linear system for a zero frozen iterate and unit forcing
-    scale (base matrices and unscaled rhs); `ainv_c` holds A^{-1} c as an
+    `system` is the linear system for a zero frozen iterate (base matrices
+    and the rhs A^{-1} F); `ainv_c` holds A^{-1} c as an
     (n, n*n) matrix, so the transport block of an iterate with quarter-step
     samples ta2 is (ta2 @ ainv_c).reshape(-1, n, n).
     """
@@ -246,9 +243,8 @@ class FrozenLinearPart:
 
 def frozen_linear_part(gsys, n_steps):
     """Everything of the linear system that does not depend on the frozen
-    iterate or the forcing scale: d and the forcing F synthesized on the
-    quarter-step grid, A^{-1}, the base matrices, the unscaled rhs and
-    A^{-1} c."""
+    iterate: d and the forcing F of `gsys` synthesized on the quarter-step
+    grid, A^{-1}, the base matrices, the rhs A^{-1} F and A^{-1} c."""
     n = gsys.n
     T = gsys.period
     times2 = np.arange(4 * n_steps + 1) * (T / (4 * n_steps))
@@ -271,15 +267,14 @@ def frozen_linear_part(gsys, n_steps):
     return FrozenLinearPart(system=base, ainv_c=ainv_c)
 
 
-def linear_system_from_galerkin(frozen, tilde_a=None, alpha=1.0):
+def linear_system_from_galerkin(frozen, tilde_a=None):
     """The (n+1)-dimensional linear periodic system for frozen tilde_a.
 
     `frozen` is the `FrozenLinearPart` of the coefficient system at the
     step count of the solve.  tilde_a: (M, n) samples of the frozen
     transport coefficients on the uniform grid (or None for zero).  The
     system adds resample(tilde_a) @ (A^{-1} c) to the base matrices and
-    scales the rhs by the homotopy parameter alpha, which scales the forcing
-    terms only.
+    shares the rhs of `frozen`.
     """
     base = frozen.system
     n = base.dim - 1
@@ -290,7 +285,7 @@ def linear_system_from_galerkin(frozen, tilde_a=None, alpha=1.0):
         # (c_ijk tilde_a_i) acting on a_j in the row-kappa equation, times A^{-1}
         mats[:, :n, :n] += (ta2 @ frozen.ainv_c).reshape(-1, n, n)
     return LinearPeriodicSystem(
-        period=base.period, mats=mats, rhs=alpha * base.rhs, n_steps=base.n_steps
+        period=base.period, mats=mats, rhs=base.rhs, n_steps=base.n_steps
     )
 
 

@@ -43,7 +43,7 @@ class FixedPointConfig:
     damping: float = DEFAULT_DAMPING  # Anderson mixing weight beta
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    alpha: float = 1.0
+    alpha: float = 1.0  # forcing scale: `fixed_point` solves gsys.scaled(alpha)
     n_steps: int = 256
 
     def __post_init__(self):
@@ -55,14 +55,13 @@ class FixedPointConfig:
             raise ValueError("tolerance and iteration cap must be positive")
 
 
-def apply_phi(frozen, tilde, alpha=1.0):
+def apply_phi(frozen, tilde):
     """One application of the solution map: freeze the transport coefficients
     of `tilde` (None for zero), solve the resulting linear periodic system.
     `frozen` is the `FrozenLinearPart` of the coefficient system at the
     step count of `tilde`."""
     ta = None if tilde is None else tilde.a[:-1]
-    lin = linear_system_from_galerkin(frozen, tilde_a=ta, alpha=alpha)
-    return solve_linear_periodic(lin, alpha=alpha)
+    return solve_linear_periodic(linear_system_from_galerkin(frozen, tilde_a=ta))
 
 
 def _iterate_distance(gsys, x, y):
@@ -81,8 +80,8 @@ def _flat(traj):
 
 
 def fixed_point(gsys, cfg=None, start=None):
-    """Anderson-accelerated damped Picard iteration; returns (trajectory,
-    report).
+    """Anderson-accelerated damped Picard iteration on the system
+    `gsys.scaled(cfg.alpha)`; returns (trajectory, report).
 
     The iterate is the pair (states, derivs), starting from `start` (a
     trajectory with `cfg.n_steps` steps) or from zero.  Each step applies the
@@ -100,8 +99,9 @@ def fixed_point(gsys, cfg=None, start=None):
     linearization); the report carries the iterate-distance history.
     """
     cfg = cfg or FixedPointConfig()
+    gsys = gsys.scaled(cfg.alpha)
     if start is None:
-        x = zero_trajectory(gsys.period, gsys.n, cfg.n_steps, alpha=cfg.alpha)
+        x = zero_trajectory(gsys.period, gsys.n, cfg.n_steps)
     elif start.n_steps != cfg.n_steps:
         raise ValueError(f"start has {start.n_steps} steps, expected {cfg.n_steps}")
     else:
@@ -111,7 +111,7 @@ def fixed_point(gsys, cfg=None, start=None):
     history = []
     us, gs = [], []  # recent iterates and map outputs, flattened
     for it in range(cfg.max_iter):
-        y = apply_phi(frozen, x, alpha=cfg.alpha)
+        y = apply_phi(frozen, x)
         dist = _iterate_distance(gsys, x, y)
         history.append(dist)
         if not (np.isfinite(y.states).all() and np.isfinite(y.derivs).all()):
@@ -148,14 +148,14 @@ def fixed_point(gsys, cfg=None, start=None):
     raise NoConvergence(history)
 
 
-def _coefficient_rhs(gsys, times, a, z, alpha):
+def _coefficient_rhs(gsys, times, a, z):
     """A a' of the coefficient ODE, c(a, a) - a.(b + d) - (k/rho) z beta
-    + alpha F, at `times` for fluid states a (m, n) and positions z (m,)."""
+    + F, at `times` for fluid states a (m, n) and positions z (m,)."""
     rhs = np.einsum("ti,ijk,tj->tk", a, gsys.c, a, optimize=True)
     rhs -= a @ gsys.b  # b symmetric
     rhs -= np.einsum("ti,tik->tk", a, gsys.d_at(times))
     rhs -= (gsys.params.stiffness / gsys.params.rho) * np.outer(z, gsys.beta)
-    rhs += alpha * gsys.forcing_at(times)
+    rhs += gsys.forcing_at(times)
     return rhs
 
 
@@ -177,7 +177,7 @@ def residual_galerkin(gsys, traj):
     adot, zdot_spec = dstates2[half, :n], dstates2[half, n]
 
     # A_ik adot_i = (A adot)_k, A symmetric
-    res_a = adot @ gsys.A.T - _coefficient_rhs(gsys, times_h, a, z, traj.alpha)
+    res_a = adot @ gsys.A.T - _coefficient_rhs(gsys, times_h, a, z)
     res_z = zdot_spec - a @ gsys.beta
     return float(max(np.abs(res_a).max(), np.abs(res_z).max()))
 
@@ -192,7 +192,7 @@ def weak1_residual(gsys, traj):
     a, z = traj.a[:-1], traj.z[:-1]
     omega = 2.0 * math.pi / T
     Aa = a @ gsys.A  # A symmetric
-    rhs = _coefficient_rhs(gsys, tgrid, a, z, traj.alpha)
+    rhs = _coefficient_rhs(gsys, tgrid, a, z)
 
     etas = [(np.ones_like(tgrid), np.zeros_like(tgrid))]
     for k in range(1, 5):
@@ -248,9 +248,9 @@ def weak2_residual(gsys, traj):
 
 
 def homotopy_sweep(gsys, alphas, cfg=None):
-    """Solve the fixed-point problem with forcing scaled by each alpha.
+    """Solve the fixed-point problem on `gsys.scaled(alpha)` for each alpha.
 
-    Each alpha after the first starts from the previous alpha's trajectory
+    Each alpha after the first starts from the previous row's trajectory
     scaled by alpha / alpha_prev (the response is nearly linear in the
     forcing scale while the data are small).  Returns a list of rows
     {alpha, sup_E, iterations, residual} plus the trajectory of the final
@@ -264,8 +264,8 @@ def homotopy_sweep(gsys, alphas, cfg=None):
     for alpha in alphas:
         alpha = float(alpha)
         if last is not None:
-            s = alpha / last.alpha
-            start = replace(last, states=s * last.states, derivs=s * last.derivs, alpha=alpha)
+            s = alpha / rows[-1]["alpha"]
+            start = replace(last, states=s * last.states, derivs=s * last.derivs)
         traj, report = fixed_point(gsys, replace(cfg, alpha=alpha), start=start)
         E = energy_E(traj, gsys.params)
         rows.append(

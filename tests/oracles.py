@@ -6,7 +6,9 @@ constraint (the library solves per-harmonic boundary-value problems), cubic
 tensor sums are brute-force triple loops, and the linear-ODE references are
 closed forms.  The basis tensors have a multi-operand einsum reference
 (the library contracts them by BLAS products), and the carrier transport
-forms a per-component loop (the library uses one einsum).  scipy is the
+forms a per-component loop (the library uses one einsum).  The body force
+at arbitrary points re-evaluates the carrier fields there (the library
+stores it on its support cells).  scipy is the
 reference for the library's numpy numerics: `CubicSpline` for its splines,
 `solve_banded` for its tridiagonal solve, the generalized `eigh` for its
 Cholesky-reduced eigenproblem and `linprog` for its two-constant fit.
@@ -18,6 +20,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh, lu_factor, lu_solve, solve_banded
 from scipy.optimize import linprog
+
+from periflow.carrier import _f_harmonics_at
+from periflow.signals import synthesize
 
 
 def spline_quadrature_weights(x2):
@@ -152,6 +157,14 @@ def carrier_transport_forms(basis, carrier):
                 B += (shifted[:, :, d] * (w * grad[:, c, d])) @ V[:, :, c].T
         forms[k] = B
     return forms
+
+
+def body_force_at(forces, pts, t):
+    """Real body force f (carrier part plus the external force) of `forces`
+    at arbitrary points and times, from the carrier's harmonic fields
+    evaluated afresh at `pts`; zero when the force vanishes."""
+    harmonics = _f_harmonics_at(forces.carrier, forces.params, forces.tilde_f, pts)
+    return synthesize(harmonics or {0: np.zeros(pts.shape)}, forces.carrier.omega, t)
 
 
 def damped_cosine_response(omega_f, times):

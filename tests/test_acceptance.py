@@ -293,7 +293,7 @@ def test_criterion_08_homotopy_boundedness(ref_run):
         [
             ("all 10 forcing scales converged", all_conv),
             (f"max sup E {sup_E:.4f} finite", math.isfinite(sup_E) and sup_E > 0.0),
-            ("final scale is the full problem", last is not None and last.alpha == 1.0),
+            ("final scale is the full problem", last is not None and rows[-1]["alpha"] == 1.0),
         ],
     )
 

@@ -259,3 +259,18 @@ def test_transport_bound_holds_for_samples(basis, ref_run, ref_cq):
             Gc = carrier.gradient_at(pts, t)
             val = float(np.einsum("p,pd,pcd,pc->", w, Vm, Gc, psi))
             assert abs(val) <= ref_cq * denom * (1.0 + 1e-9)
+
+
+def test_scaled_system_scales_the_forcing_only(ref_run):
+    gsys = ref_run["system"]
+    half = gsys.scaled(0.5)
+    times = np.linspace(0.0, gsys.period, 7)
+    for order in (0, 1):
+        assert np.array_equal(half.forcing_at(times, order), 0.5 * gsys.forcing_at(times, order))
+    for owner, scaled_owner, forcing in (
+        (gsys, half, {"forces", "f_harmonics"}),
+        (gsys.forces, half.forces, {"f_harmonics", "g", "tilde_f", "tilde_g"}),
+    ):
+        for fld in dataclasses.fields(owner):
+            if fld.name not in forcing:
+                assert getattr(scaled_owner, fld.name) is getattr(owner, fld.name), fld.name

@@ -17,6 +17,8 @@ from periflow.geometry import PhysicalParams, build_geometry, build_mesh
 from periflow.signals import constant_signal, make_signal, sine_signal, synthesize, zero_signal
 from periflow.womersley import solve_poiseuille
 
+from oracles import body_force_at
+
 FD_H = 1e-5
 
 
@@ -189,11 +191,27 @@ def test_external_force_enters_additively(params, geom, mesh, ref_carrier):
     base = carrier_forces(ref_carrier, params, mesh)
     pts = np.array([[1.5, 0.0]])
     t = 0.8
-    expect = base.f_at(pts, t) + tf.bump(pts[:, 0], pts[:, 1])[:, None] * np.array(
-        [0.0, 1.0]
-    ) * float(tf.signal(t))
-    assert np.allclose(forces.f_at(pts, t), expect, atol=1e-12)
+    bump = tf.bump(pts[:, 0], pts[:, 1])[:, None]
+    expect = body_force_at(base, pts, t) + bump * np.array([0.0, 1.0]) * float(tf.signal(t))
+    assert np.allclose(body_force_at(forces, pts, t), expect, atol=1e-12)
     assert forces.g(t) == pytest.approx(base.g(t) + tg(t), abs=1e-12)
+
+
+def test_scaled_forcing_scales_f_g_and_the_external_forces(params, mesh, ref_carrier):
+    T = ref_carrier.period
+    tf = ExternalBodyForce(
+        box=(1.2, 1.8, -0.4, 0.4), direction=(0.0, 1.0), signal=sine_signal(T, 0.5)
+    )
+    tg = sine_signal(T, 0.3)
+    forces = carrier_forces(ref_carrier, params, mesh, tilde_f=tf, tilde_g=tg)
+    half = forces.scaled(0.5)
+    assert half.f_harmonics.keys() == forces.f_harmonics.keys()
+    for k, fld in forces.f_harmonics.items():
+        assert np.array_equal(half.f_harmonics[k], 0.5 * fld)
+    for got, want in ((half.g, forces.g), (half.tilde_f.signal, tf.signal), (half.tilde_g, tg)):
+        assert np.array_equal(got.fourier_coeffs, 0.5 * want.fourier_coeffs)
+    assert (half.tilde_f.box, half.tilde_f.direction) == (tf.box, tf.direction)
+    assert half.f_l2_l2_norm() == 0.5 * forces.f_l2_l2_norm()
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +240,7 @@ def test_body_force_matches_real_space_evaluation(two_harmonic_forces, params):
             - dVdt
             + psi * np.array([1.0, 0.0])
         )
-        got = forces.f_at(pts, t)
+        got = body_force_at(forces, pts, t)
         assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
 
 
@@ -231,10 +249,11 @@ def test_force_norm_series_matches_real_space_norm(two_harmonic_forces):
     cells = forces.mesh.centers[forces.cell_idx]
     n_times = 16
     times = np.arange(n_times) * (forces.period / n_times)
-    f = forces.f_at(cells, times)
+    f = body_force_at(forces, cells, times)
     want = np.sqrt(np.einsum("p,tpi->t", forces.cell_weights, f**2))
     assert np.allclose(forces.f_norm_series(n_times), want, rtol=1e-12)
     h = 1e-5
-    df = (forces.f_at(cells, times + h) - forces.f_at(cells, times - h)) / (2.0 * h)
+    df = body_force_at(forces, cells, times + h) - body_force_at(forces, cells, times - h)
+    df /= 2.0 * h
     want_dt = np.sqrt(np.einsum("p,tpi->t", forces.cell_weights, df**2))
     assert np.allclose(forces.f_norm_series(n_times, dt_order=1), want_dt, rtol=1e-8)

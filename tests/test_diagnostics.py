@@ -28,10 +28,10 @@ from periflow.basis import assemble_system
 from periflow.carrier import ExternalBodyForce, carrier_forces
 from periflow.errors import PeriflowError
 from periflow.periodic_ode import PeriodicTrajectory, resample_periodic, zero_trajectory
-from periflow.solver import FixedPointConfig
+from periflow.solver import FixedPointConfig, fixed_point
 from periflow.signals import sine_signal, sobolev_norm_T
 
-from oracles import two_constants_linprog
+from oracles import body_force_at, two_constants_linprog
 
 
 class _StubBasis:
@@ -265,10 +265,11 @@ def test_stokes_rhs_norm(ref_run, zero_system):
     assert norms0.max() == 0.0
 
 
-def _stokes_rhs_per_time(traj, gsys, n_times):
+def _stokes_rhs_per_time(traj, gsys, n_times, scale=1.0):
     """Reference for `stokes_rhs_norm`: every field evaluated afresh at every
     time, the basis fields through `velocity_at`/`gradient_at`, the carrier
-    and forcing through their real-time evaluations."""
+    and forcing through their real-time evaluations; the data f and g of
+    `gsys` enter scaled by `scale`."""
     basis, carrier, forces, params = gsys.basis, gsys.carrier, gsys.forces, gsys.params
     theta = BodyPressureBump(carrier)
     cells = np.union1d(basis.cell_idx, forces.cell_idx)
@@ -285,10 +286,10 @@ def _stokes_rhs_per_time(traj, gsys, n_times):
         v, gv = np.tensordot(a, psi, 1), np.tensordot(a, gpsi, 1)
         V, GV = carrier.velocity_at(pts, t), carrier.gradient_at(pts, t)
         pressure = (
-            params.mass * (adot @ gsys.beta) - params.stiffness * z - float(forces.g(t))
+            params.mass * (adot @ gsys.beta) - params.stiffness * z - scale * float(forces.g(t))
         ) / (params.rho * theta.boundary_weight)
         h = (
-            traj.alpha * forces.f_at(pts, t)
+            scale * body_force_at(forces, pts, t)
             - np.tensordot(adot, psi, 1)
             - np.einsum("pd,pcd->pc", V, gv)
             - np.einsum("pd,pcd->pc", v, GV)
@@ -314,6 +315,34 @@ def test_stokes_rhs_norm_matches_per_time_evaluation(ref_run, params, mesh):
         _, norms = stokes_rhs_norm(traj, system, n_times=16)
         expect = _stokes_rhs_per_time(traj, system, 16)
         assert np.max(np.abs(norms - expect)) <= 1e-12 * np.max(expect)
+
+
+@pytest.fixture(scope="module")
+def half_scale_run(ref_run):
+    """The reference problem at forcing scale 0.5, warm-started from half the
+    full-scale trajectory, with the ledger of `gsys.scaled(0.5)`."""
+    gsys, full = ref_run["system"], ref_run["trajectory"]
+    start = dataclasses.replace(full, states=0.5 * full.states, derivs=0.5 * full.derivs)
+    cfg = FixedPointConfig(n_steps=2048, alpha=0.5)
+    traj, _ = fixed_point(gsys, cfg, start=start)
+    half = gsys.scaled(0.5)
+    return {"trajectory": traj, "system": half, "ledger": diagnostics_bundle(traj, half)}
+
+
+def test_ledger_passes_at_half_forcing_scale(half_scale_run, ref_run):
+    rows = {r["check_id"]: r for r in half_scale_run["ledger"]["rows"]}
+    assert len(rows) == 12
+    assert [cid for cid, r in rows.items() if not r["pass"]] == []
+    full = check_partial_bound(ref_run["trajectory"], ref_run["system"])
+    # the data norms are quadratic in the scale, and 0.5 scales exactly
+    assert rows["dissipation-bound"]["rhs"] == 0.25 * full["rhs"]
+
+
+def test_stokes_rhs_norm_reads_the_scaled_data(half_scale_run, ref_run):
+    traj = half_scale_run["trajectory"]
+    _, norms = stokes_rhs_norm(traj, half_scale_run["system"], n_times=16)
+    expect = _stokes_rhs_per_time(traj, ref_run["system"], 16, scale=0.5)
+    assert np.max(np.abs(norms - expect)) <= 1e-12 * np.max(expect)
 
 
 def test_resonance_probe_at_natural_period(ref_run):

@@ -244,14 +244,14 @@ def test_linear_system_split_matches_from_scratch_build(which, ref_run, zero_sys
     n_steps = 256
     tilde = np.random.default_rng(5).standard_normal((n_steps, gsys.n))
     want_mats, want_rhs = _linear_system_from_scratch(gsys, tilde, 0.6, n_steps)
-    frozen = frozen_linear_part(gsys, n_steps)
-    lin = linear_system_from_galerkin(frozen, tilde_a=tilde, alpha=0.6)
+    frozen = frozen_linear_part(gsys.scaled(0.6), n_steps)
+    lin = linear_system_from_galerkin(frozen, tilde_a=tilde)
     assert lin.n_steps == n_steps
     for got, want in ((lin.mats, want_mats), (lin.rhs, want_rhs)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a build that uses the frozen part leaves it as it was
-    fresh = frozen_linear_part(gsys, n_steps)
+    fresh = frozen_linear_part(gsys.scaled(0.6), n_steps)
     assert np.array_equal(frozen.system.mats, fresh.system.mats)
     assert np.array_equal(frozen.system.rhs, fresh.system.rhs)
 

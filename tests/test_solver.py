@@ -54,7 +54,7 @@ def test_reference_run_converged(ref_run):
 def test_converged_point_is_nearly_fixed(ref_run):
     gsys = ref_run["system"]
     traj = ref_run["trajectory"]
-    again = apply_phi(frozen_linear_part(gsys, traj.n_steps), traj, alpha=traj.alpha)
+    again = apply_phi(frozen_linear_part(gsys, traj.n_steps), traj)
     scale = 1.0 + max(traj.sup_norm(), again.sup_norm())
     assert _iterate_distance(gsys, traj, again) <= 10.0 * 1e-9 * scale
 
@@ -123,7 +123,17 @@ def test_warm_homotopy_matches_cold(ref_run):
         sup_E = float(np.max(energy_E(traj, gsys.params)))
         assert row["sup_E"] == pytest.approx(sup_E, rel=1e-9)
     assert sum(r["iterations"] for r in rows) <= cold_iterations
-    assert last.alpha == 1.0
+    assert rows[-1]["alpha"] == 1.0
+
+
+def test_config_scale_and_scaled_system_agree(ref_run):
+    # the two ways to set the forcing scale solve the same system
+    gsys = ref_run["system"]
+    cfg = FixedPointConfig(n_steps=256)
+    by_cfg, _ = fixed_point(gsys, replace(cfg, alpha=0.5))
+    by_system, _ = fixed_point(gsys.scaled(0.5), cfg)
+    assert np.array_equal(by_cfg.states, by_system.states)
+    assert np.array_equal(by_cfg.derivs, by_system.derivs)
 
 
 def test_start_must_match_step_count(ref_run):
@@ -140,7 +150,7 @@ def test_homotopy_energy_monotone(ref_run):
     sups = [r["sup_E"] for r in rows]
     assert sups[0] < sups[1] < sups[2]
     assert all(r["iterations"] >= 1 for r in rows)
-    assert last.alpha == 1.0
+    assert rows[-1]["alpha"] == 1.0
     # the full-forcing endpoint reproduces the direct solve (coarser grid)
     ref_E = 0.5 * np.max(np.sum(ref_run["trajectory"].a ** 2, axis=1))
     assert sups[-1] >= ref_E * 0.9
