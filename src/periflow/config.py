@@ -165,8 +165,11 @@ class RunConfig:
                 "'resonance_factors' must be positive and finite, got "
                 f"{list(self.resonance_factors)}"
             )
-        if self.n_modes < 1 or self.n_steps < 2 or self.max_iter < 1:
-            raise ConfigError("'n_modes', 'n_steps' and 'max_iter' must be >= 1")
+        for name, least in (("n_modes", 1), ("n_steps", 2), ("max_iter", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(
+                    f"'{name}' must be >= {least}, got {getattr(self, name)}"
+                )
         if self.profile_nodes < 3 or self.profile_nodes % 2 == 0:
             raise ConfigError("'profile_nodes' must be an odd number >= 3")
         if not (0.0 < self.cutoff_inner < self.cutoff_outer):

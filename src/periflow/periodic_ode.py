@@ -6,6 +6,14 @@ solution over one period; then x(0) = (I - M)^{-1} p with p the particular
 response from zero initial data.  Coefficients are sampled on a quarter-step
 grid (4M+1 points) so classical RK4 needs no interpolation at either the
 nominal or the halved step size.
+
+The system is linear, so every RK4 step is an affine map x -> P_j x + q_j.
+Each system builds its maps once per step size and keeps them, so the
+monodromy, the step-halving check and the trajectory sweep of one solve
+share them.  A sweep applies them by a blocked scan: the steps are cut into
+blocks of `_SCAN_BLOCK`, each block's maps are composed pairwise (Blelloch
+1990, "Prefix sums and their applications"), a short loop carries the state
+from block start to block start, and then all blocks advance together.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .errors import ResolutionError, ResonantOrNonUnique
 
 STEP_HALVING_TOL = 1e-6
 SINGULARITY_THRESHOLD = 1e-8
+_SCAN_BLOCK = 64  # steps per block of the RK4 scan, a power of two
 
 
 def resample_periodic(x, n_out):
@@ -53,7 +62,12 @@ def spectral_time_derivative(x, period, order=1):
 class LinearPeriodicSystem:
     """x' = B(t) x + r(t), T-periodic, sampled on the quarter-step grid
     (4M+1 points) so both the nominal step T/M and the halved step T/(2M)
-    evaluate coefficients without interpolation."""
+    evaluate coefficients without interpolation.
+
+    `mats` and `rhs` are not mutated after construction: the RK4 step maps
+    built from them are kept on the system (`step_maps`).  A system with
+    other coefficients is a new system with its own maps.
+    """
 
     period: float
     mats: np.ndarray  # (4M+1, dim, dim)
@@ -68,6 +82,81 @@ class LinearPeriodicSystem:
     def dim(self):
         return self.mats.shape[1]
 
+    def step_maps(self, substeps):
+        """The RK4 step maps at step T/(M*substeps), built on first use and
+        kept on the system."""
+        cache = self.__dict__.setdefault("_step_maps", {})
+        if substeps not in cache:
+            cache[substeps] = _build_step_maps(self, substeps)
+        return cache[substeps]
+
+
+@dataclass(frozen=True)
+class _StepMaps:
+    """RK4 step maps cut into blocks of `_SCAN_BLOCK` steps, with each
+    block's composed map."""
+
+    P: np.ndarray  # (blocks, _SCAN_BLOCK, dim, dim)
+    q: np.ndarray  # (blocks, _SCAN_BLOCK, dim, 1)
+    P_block: np.ndarray  # (blocks, dim, dim)
+    q_block: np.ndarray  # (blocks, dim, 1)
+
+
+def _build_step_maps(system, substeps):
+    """RK4 step maps of `system` at step T/(M*substeps), in scan blocks.
+
+    The system is linear, so step j is the affine map x -> P_j x + q_j.  All
+    maps are built at once from the strided coefficient slices, padded with
+    identity maps to whole blocks of `_SCAN_BLOCK` steps, and each block's
+    composition is formed pairwise, (P2, q2) o (P1, q1) = (P2 P1, P2 q1 + q2),
+    in log2(_SCAN_BLOCK) batched products.
+    """
+    n_out = system.n_steps * substeps
+    h = system.period / n_out
+    s = 4 // substeps  # grid indices per step
+    B0, Bm, B1 = system.mats[:-1:s], system.mats[s // 2 :: s], system.mats[s::s]
+    r0, rm, r1 = system.rhs[:-1:s], system.rhs[s // 2 :: s], system.rhs[s::s]
+    dim = system.dim
+    # RK4 stages k_i = K_i x + c_i: linear parts K_i and offsets c_i (x = 0),
+    # K2 = Bm (I + h/2 B0), K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3), formed
+    # in place
+    K2 = Bm @ B0
+    K2 *= 0.5 * h
+    K2 += Bm
+    K3 = Bm @ K2
+    K3 *= 0.5 * h
+    K3 += Bm
+    K4 = B1 @ K3
+    K4 *= h
+    K4 += B1
+    # P = I + h/6 (B0 + 2 K2 + 2 K3 + K4), accumulated in K2
+    P = K2
+    P += K3
+    P *= 2.0
+    P += B0
+    P += K4
+    P *= h / 6.0
+    P.reshape(len(P), -1)[:, :: dim + 1] += 1.0
+    del K3, K4
+    c2 = (0.5 * h) * np.einsum("tij,tj->ti", Bm, r0) + rm
+    c3 = (0.5 * h) * np.einsum("tij,tj->ti", Bm, c2) + rm
+    c4 = h * np.einsum("tij,tj->ti", B1, c3) + r1
+    q = (h / 6.0) * (r0 + 2.0 * c2 + 2.0 * c3 + c4)
+
+    n_blocks = -(-n_out // _SCAN_BLOCK)
+    pad = n_blocks * _SCAN_BLOCK - n_out
+    if pad:
+        P = np.concatenate([P, np.broadcast_to(np.eye(dim), (pad, dim, dim))])
+        q = np.concatenate([q, np.zeros((pad, dim))])
+    P = P.reshape(n_blocks, _SCAN_BLOCK, dim, dim)
+    q = q.reshape(n_blocks, _SCAN_BLOCK, dim, 1)
+    P_block, q_block = P, q
+    while P_block.shape[1] > 1:
+        first, then = P_block[:, 0::2], P_block[:, 1::2]
+        q_block = then @ q_block[:, 0::2] + q_block[:, 1::2]
+        P_block = then @ first
+    return _StepMaps(P=P, q=q, P_block=P_block[:, 0], q_block=q_block[:, 0])
+
 
 def integrate_rk4(system, x0, substeps=1):
     """Classical RK4 over [0, T] with fixed step T/(M*substeps).
@@ -75,35 +164,32 @@ def integrate_rk4(system, x0, substeps=1):
     `x0` may be a vector (dim,) or a matrix (dim, k) of stacked initial
     conditions (columns evolve independently).  substeps must be 1 or 2.
 
-    The system is linear, so step j is the affine map x -> P_j x + q_j.  All
-    step maps are built at once from the strided coefficient slices; only
-    their application runs step by step.
+    The step maps x -> P_j x + q_j come from `system.step_maps(substeps)`,
+    built on the first sweep of that step size.  They are applied by a
+    blocked scan: a loop over the blocks carries the state from block start
+    to block start by the composed block maps, then every block advances
+    from its start at once, one batched product per step within a block.
+    States past step M*substeps (the identity padding) are dropped.
     """
     if substeps not in (1, 2):
         raise ValueError("substeps must be 1 or 2")
-    n_out = system.n_steps * substeps
-    h = system.period / n_out
-    s = 4 // substeps  # grid indices per step
-    B0, Bm, B1 = system.mats[:-1:s], system.mats[s // 2 :: s], system.mats[s::s]
-    r0, rm, r1 = system.rhs[:-1:s], system.rhs[s // 2 :: s], system.rhs[s::s]
-    eye = np.eye(system.dim)
-    # RK4 stages k_i = K_i x + c_i: linear parts K_i and offsets c_i (x = 0)
-    K2 = Bm @ (eye + (0.5 * h) * B0)
-    K3 = Bm @ (eye + (0.5 * h) * K2)
-    K4 = B1 @ (eye + h * K3)
-    P = eye + (h / 6.0) * (B0 + 2.0 * K2 + 2.0 * K3 + K4)
-    c2 = (0.5 * h) * np.einsum("tij,tj->ti", Bm, r0) + rm
-    c3 = (0.5 * h) * np.einsum("tij,tj->ti", Bm, c2) + rm
-    c4 = h * np.einsum("tij,tj->ti", B1, c3) + r1
-    q = (h / 6.0) * (r0 + 2.0 * c2 + 2.0 * c3 + c4)
-
+    maps = system.step_maps(substeps)
+    n_blocks = maps.P.shape[0]
     x0 = np.asarray(x0, dtype=float)
-    out = np.empty((n_out + 1,) + x0.shape)
-    out[0] = x0
-    out[1:] = q if x0.ndim == 1 else q[:, :, None]
-    for Pj, prev, nxt in zip(P, out[:-1], out[1:]):
-        nxt += np.dot(Pj, prev)  # x_{j+1} = P_j x_j + q_j
-    return out
+    x = x0.reshape(system.dim, -1)
+    starts = np.empty((n_blocks,) + x.shape)
+    starts[0] = x
+    for b in range(1, n_blocks):
+        starts[b] = maps.P_block[b - 1] @ starts[b - 1] + maps.q_block[b - 1]
+    out = np.empty((n_blocks * _SCAN_BLOCK + 1,) + x.shape)
+    out[0] = x
+    after = out[1:].reshape((n_blocks, _SCAN_BLOCK) + x.shape)  # state after each step
+    prev = starts
+    for i in range(_SCAN_BLOCK):
+        prev = np.matmul(maps.P[:, i], prev, out=after[:, i])
+        prev += maps.q[:, i]
+    n_out = system.n_steps * substeps
+    return out[: n_out + 1].reshape((n_out + 1,) + x0.shape)
 
 
 def step_halving_error(system, x0):

@@ -171,6 +171,10 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# message fragments that the error line of an invalid config must contain
+_MESSAGE_PARTS = {"solver: {n_steps: 1}\n": ("'n_steps'", ">= 2")}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -204,6 +208,8 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
         "solver: {n_steps: 128}\n",
         "solver: {n_steps: 64}\n",
         "solver: {profile_nodes: 5}\nflowrate: {period: 0.01, harmonics: [[1, 0.0, -0.5]]}\n",
+        # a step count below the range check's own bound
+        "solver: {n_steps: 1}\n",
     ],
 )
 def test_invalid_config_is_config_error(tmp_path, capsys, text):
@@ -212,6 +218,8 @@ def test_invalid_config_is_config_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    for part in _MESSAGE_PARTS.get(text, ()):
+        assert part in err
 
 
 def test_resonance_builds_one_basis(tmp_path, monkeypatch):

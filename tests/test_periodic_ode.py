@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periflow.errors import ResonantOrNonUnique
+from periflow import periodic_ode
+from periflow.errors import ResolutionError, ResonantOrNonUnique
 from periflow.geometry import PhysicalParams
 from periflow.periodic_ode import (
     LinearPeriodicSystem,
@@ -120,6 +121,85 @@ def test_monodromy_matches_per_step_loop():
     assert np.max(np.abs(M - M_ref)) <= 1e-12 * (1.0 + np.max(np.abs(M_ref)))
     assert np.max(np.abs(p - p_ref)) <= 1e-12 * (1.0 + np.max(np.abs(p_ref)))
     assert np.max(np.abs(p_ref)) > 0.1  # the forcing reaches the response
+
+
+@pytest.mark.parametrize("n_steps", [1, 37, 100])
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_blocked_scan_matches_per_step_loop_off_block_size(n_steps, substeps, columns):
+    """Step counts below one scan block, not a multiple of it, and above it:
+    the identity padding and the loop over block starts."""
+    sys = _varying_system(n_steps=n_steps)
+    rng = np.random.default_rng(6)
+    x0 = rng.standard_normal(sys.dim if columns is None else (sys.dim, columns))
+    got = integrate_rk4(sys, x0, substeps=substeps)
+    want = _rk4_per_step(sys, x0, substeps=substeps)
+    assert got.shape == want.shape == (n_steps * substeps + 1,) + x0.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n_steps", [1, 37, 100])
+def test_monodromy_matches_per_step_loop_off_block_size(n_steps):
+    sys = _varying_system(n_steps=n_steps)
+    M, p = monodromy(sys)
+    homogeneous = LinearPeriodicSystem(
+        period=sys.period, mats=sys.mats, rhs=np.zeros_like(sys.rhs), n_steps=n_steps
+    )
+    M_ref = _rk4_per_step(homogeneous, np.eye(sys.dim))[-1]
+    p_ref = _rk4_per_step(sys, np.zeros(sys.dim))[-1]
+    assert np.max(np.abs(M - M_ref)) <= 1e-12 * (1.0 + np.max(np.abs(M_ref)))
+    assert np.max(np.abs(p - p_ref)) <= 1e-12 * (1.0 + np.max(np.abs(p_ref)))
+
+
+@pytest.fixture
+def map_builds(monkeypatch):
+    """Record the `substeps` of every RK4 step-map build."""
+    builds = []
+    build = periodic_ode._build_step_maps
+
+    def counting(system, substeps):
+        builds.append(substeps)
+        return build(system, substeps)
+
+    monkeypatch.setattr(periodic_ode, "_build_step_maps", counting)
+    return builds
+
+
+def test_linear_solve_builds_each_step_size_once(map_builds):
+    """Monodromy, the nominal half of the step-halving check and the
+    trajectory sweep share one build; the halved sweep builds its own."""
+    sys = _varying_system(n_steps=100)
+    traj = solve_linear_periodic(sys)
+    assert sorted(map_builds) == [1, 2]
+    assert np.array_equal(traj.states, integrate_rk4(sys, traj.states[0]))
+    assert sorted(map_builds) == [1, 2]
+
+
+def test_system_from_galerkin_builds_its_own_maps(map_builds, zero_system):
+    frozen = frozen_linear_part(zero_system, 64)
+    M_base, _ = monodromy(frozen.system)
+    tilde = np.random.default_rng(7).standard_normal((64, zero_system.n))
+    for ta in (None, tilde):
+        lin = linear_system_from_galerkin(frozen, tilde_a=ta)
+        M, p = monodromy(lin)
+        fresh = LinearPeriodicSystem(
+            period=lin.period, mats=lin.mats.copy(), rhs=lin.rhs.copy(), n_steps=64
+        )
+        M_fresh, p_fresh = monodromy(fresh)
+        assert np.array_equal(M, M_fresh) and np.array_equal(p, p_fresh)
+    assert map_builds == [1] * 5
+    assert np.max(np.abs(M - M_base)) > 1e-3  # the transport block reached M
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_overflowing_grid_is_unresolved_not_resonant(r):
+    """RK4 at h B = 1.6e4 overflows; the non-finite monodromy (inf, or nan
+    once inf meets inf in a product) names the step count."""
+    sys = _constant_system([[1e6]], [r], period=1.0, n_steps=64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ResolutionError, match="monodromy norm inf") as exc_info:
+            solve_linear_periodic(sys)
+    assert "increase solver.n_steps" in str(exc_info.value)
 
 
 def test_zero_rhs_constant_trajectory():
