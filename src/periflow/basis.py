@@ -261,8 +261,8 @@ class GalerkinBasis:
         cells = np.asarray(cells)
         pos = np.minimum(np.searchsorted(self.cell_idx, cells), len(self.cell_idx) - 1)
         stored = self.cell_idx[pos] == cells
-        # take() gives C-contiguous copies (values[:, pos] does not); the
-        # per-time contractions in stokes_rhs_norm are slower on strided rows
+        # take() gives C-contiguous copies (values[:, pos] does not), which
+        # the products of stokes_rhs_norm read as flat rows
         psi, gpsi = self.values.take(pos, axis=1), self.grads.take(pos, axis=1)
         if not stored.all():
             other = self.mesh.centers[cells[~stored]]

@@ -36,15 +36,14 @@ EXIT_CONFIG = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path, header, rows):
+    """Header, then every value of `rows` (an iterable of equal-length
+    numeric rows) as a float in "%.17g", one line per row."""
+    values = np.array(list(rows), dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(line * len(values) % tuple(values.ravel().tolist()))
 
 
 def _write_json(path, data):

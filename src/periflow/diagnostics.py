@@ -24,7 +24,14 @@ from .periodic_ode import (
     solve_linear_periodic,
     spectral_time_derivative,
 )
-from .signals import derivative, l2_norm_sq, norm_series, sobolev_norm_T, synthesizer
+from .signals import (
+    cos_sin_coefficients,
+    derivative,
+    l2_norm_sq,
+    norm_series,
+    real_fields,
+    sobolev_norm_T,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +518,12 @@ def far_field_decay(basis, traj, x_list):
     # one time at a time: all times at once would hold n_times copies of v
     l3 = np.empty((n_times, len(x_list)))
     for it, a in enumerate(states[:, : basis.n]):
-        v1, v2 = np.tensordot(a, psi, 1)
-        l3[it] = (beyond @ np.sqrt(v1**2 + v2**2) ** 3) ** (1.0 / 3.0)
+        v = np.tensordot(a, psi, 1)
+        v *= v
+        q = np.add(v[0], v[1], out=v[0])  # |v|^2
+        cube = np.sqrt(q, out=v[1])
+        cube *= q  # |v|^3
+        l3[it] = (beyond @ cube) ** (1.0 / 3.0)
     norms = np.sqrt((traj.period / n_times) * np.sum(l3**2, axis=0))
     return {float(X): float(v) for X, v in zip(x_list, norms)}
 
@@ -539,10 +550,44 @@ class BodyPressureBump:
         )
 
 
+_CELL_BLOCK = 2048  # cells whose Stokes forcing fields stokes_rhs_norm holds at once
+
+
+def _stokes_fields(gsys, theta, cells, f_fields):
+    """The real fields of the Stokes forcing on the mesh cells `cells`,
+    (m, len(cells), 2), in the row order of the coefficient columns of
+    `stokes_rhs_norm`: Re/Im of the f harmonics (given: `f_fields`, (2, Kf,
+    len(cells), 2)), psi_i, d_1 psi_i, Re/Im of (V_k.grad) psi_i +
+    (psi_i.grad) V_k per carrier harmonic k, Re/Im of d_1 V_k, and
+    grad theta."""
+    carrier = gsys.carrier
+    pts = gsys.basis.mesh.centers[cells]
+    psi, gpsi = gsys.basis.fields_at_cells(cells)  # (n, b, 2), (n, b, 2, 2)
+    fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad")) for k in carrier.harmonics}
+    V = real_fields({k: fld["V"] for k, fld in fields.items()})  # (2, K, b, 2)
+    GV = real_fields({k: fld["grad"] for k, fld in fields.items()})  # (2, K, b, 2, 2)
+    # grad[..., c, d] = d_d u_c, so d_1 u = grad[..., 0]; the transport
+    # fields (r, k, i, p, c) are sums over d of broadcast products
+    Vi, GVi = V[:, :, None, :, :, None], GV[:, :, None]
+    transport = Vi[..., 0, :] * gpsi[..., 0] + Vi[..., 1, :] * gpsi[..., 1]
+    transport += psi[..., 0, None] * GVi[..., 0] + psi[..., 1, None] * GVi[..., 1]
+    parts = (f_fields, psi, gpsi[..., 0], transport, GV[..., 0], theta.grad(pts[:, 0], pts[:, 1]))
+    return np.concatenate([x.reshape(-1, *pts.shape) for x in parts])
+
+
 def stokes_rhs_norm(traj, gsys, n_times=64):
     """sup-in-time L^2 norm of the forcing of the instantaneous Stokes
     problem satisfied by v(t), with the pressure-like correction built from
-    the body bump theta (must have nonzero boundary weight)."""
+    the body bump theta (must have nonzero boundary weight).
+
+    The forcing h = f - v' - (V.grad) v - (v.grad) V + z'(d_1 v + d_1 V)
+    + p grad theta is C(t) @ F: fixed real fields F (`_stokes_fields`) with
+    time coefficients C built from the states and the harmonic phases.  So
+    ||h(t)||^2 = ((C @ F)^2) @ w, accumulated over blocks of `_CELL_BLOCK`
+    cells of the union of the basis and forcing supports: the fields of all
+    cells at once raise the peak memory of a solve.  The sum is a
+    reordering of the per-time evaluation, so nothing cancels.
+    """
     basis = gsys.basis
     carrier = gsys.carrier
     forces = gsys.forces
@@ -551,58 +596,53 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
     if abs(theta.boundary_weight) < 1e-14:
         raise PeriflowError("theta has zero boundary weight; cannot normalize")
 
-    mesh = basis.mesh
-    cells = np.union1d(basis.cell_idx, forces.cell_idx)
-    pts = mesh.centers[cells]
-    w = mesh.weights[cells]
-    psi, gpsi = basis.fields_at_cells(cells)  # (n, np, 2), (n, np, 2, 2)
-    grad_theta = theta.grad(pts[:, 0], pts[:, 1])
-
-    omega = carrier.omega
-    # f is stored on its support cells and vanishes off them
-    f_harm = {k: np.zeros(pts.shape, dtype=complex) for k in forces.f_harmonics or (0,)}
-    for k, fld in forces.f_harmonics.items():
-        f_harm[k][np.searchsorted(cells, forces.cell_idx)] = fld
-    f_at = synthesizer(f_harm, omega)
-    fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad")) for k in carrier.harmonics}
-    V_at = synthesizer({k: fld["V"] for k, fld in fields.items()}, omega)
-    GV_at = synthesizer({k: fld["grad"] for k, fld in fields.items()}, omega)
-
     states = traj.resample_states(n_times)[:-1]
     derivs = resample_periodic(traj.derivs[:-1], n_times)
     n = basis.n
-    a_s = states[:, :n]
-    z_s = states[:, n]
-    adot_s = derivs[:, :n]
-    zdot_s = a_s @ gsys.beta
-    zsec_s = adot_s @ gsys.beta
+    a = states[:, :n]
+    z = states[:, n]
+    adot = derivs[:, :n]
+    zdot = a @ gsys.beta
+    zsec = adot @ gsys.beta
     times = np.arange(n_times) * (traj.period / n_times)
-    g_t = forces.g(times)
+    pressure = (params.mass * zsec - params.stiffness * z - forces.g(times)) / (
+        params.rho * theta.boundary_weight
+    )
 
-    # one time at a time: all times at once would hold n_times copies of the
-    # (npts, 2, 2) gradient field
-    norms = np.zeros(n_times)
-    for it, t in enumerate(times):
-        V = V_at(t)
-        GV = GV_at(t)
-        f_t = f_at(t)
-        v = np.einsum("i,ipc->pc", a_s[it], psi)
-        gv = np.einsum("i,ipcd->pcd", a_s[it], gpsi)
-        dvdt = np.einsum("i,ipc->pc", adot_s[it], psi)
-        h = (
-            f_t
-            - dvdt
-            - np.einsum("pd,pcd->pc", V, gv)
-            - np.einsum("pd,pcd->pc", v, GV)
-            + zdot_s[it] * (gv[:, :, 0] + GV[:, :, 0])
-            + (
-                (params.mass * zsec_s[it] - params.stiffness * z_s[it] - g_t[it])
-                / (params.rho * theta.boundary_weight)
-            )
-            * grad_theta
-        )
-        norms[it] = math.sqrt(float(np.dot(w, np.sum(h**2, axis=1))))
-    return times, norms
+    omega = carrier.omega
+    f_phase = cos_sin_coefficients(list(forces.f_harmonics), omega, times)  # (t, 2, Kf)
+    V_phase = cos_sin_coefficients(carrier.harmonics, omega, times)  # (t, 2, K)
+    # one column per row of _stokes_fields
+    C = np.concatenate(
+        [
+            f_phase.reshape(n_times, -1),
+            -adot,
+            zdot[:, None] * a,
+            -(V_phase[..., None] * a[:, None, None, :]).reshape(n_times, -1),
+            zdot[:, None] * V_phase.reshape(n_times, -1),
+            pressure[:, None],
+        ],
+        axis=1,
+    )
+
+    # f is stored on its support cells and vanishes off them
+    f_support = np.zeros((2, 0) + forces.cell_idx.shape + (2,))
+    if forces.f_harmonics:
+        f_support = real_fields(forces.f_harmonics)  # (2, Kf, nf, 2)
+    mesh = basis.mesh
+    cells = np.union1d(basis.cell_idx, forces.cell_idx)
+    f_pos = np.searchsorted(cells, forces.cell_idx)
+    sq = np.zeros(n_times)
+    for start in range(0, len(cells), _CELL_BLOCK):
+        block = cells[start : start + _CELL_BLOCK]
+        here = np.flatnonzero((f_pos >= start) & (f_pos < start + len(block)))
+        f_fields = np.zeros(f_support.shape[:2] + block.shape + (2,))
+        f_fields[:, :, f_pos[here] - start] = f_support[:, :, here]
+        F = _stokes_fields(gsys, theta, block, f_fields)
+        h = C @ F.reshape(len(F), -1)
+        h *= h
+        sq += h @ np.repeat(mesh.weights[block], 2)
+    return times, np.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ the convention c_{-k} = conj(c_k), so
     s(t) = c_0 + 2 * sum_{k>=1} Re(c_k * exp(2*pi*i*k*t/T)).
 
 The convention lives in this module only: `synthesize` evaluates such a
-series (`synthesizer` stacks it once for evaluation at many times),
-`differentiate` takes its time derivative harmonic by harmonic, and
-`product` forms the series of a bilinear product of two of them (the only
-place a negative harmonic is ever formed).  Values c_k may be arrays, so the
-same helpers serve harmonic fields.  Signals are immutable; all operations
-return new instances.
+series, `cos_sin_coefficients` and `real_fields` split it into time
+coefficients and real fields, `differentiate` takes its time derivative
+harmonic by harmonic, and `product` forms the series of a bilinear product
+of two of them (the only place a negative harmonic is ever formed).
+Values c_k may be arrays, so the same helpers serve harmonic fields.
+Signals are immutable; all operations return new instances.
 """
 
 from __future__ import annotations
@@ -34,20 +34,6 @@ def harmonic_weights(ks):
     return np.where(np.asarray(ks) == 0, 1.0, 2.0)
 
 
-def synthesizer(harmonics, omega):
-    """`times` -> synthesize(harmonics, omega, times), stacking the harmonics
-    once for evaluation at many times."""
-    ks = np.fromiter(harmonics, dtype=float, count=len(harmonics))
-    values = np.stack([np.asarray(v, dtype=complex) for v in harmonics.values()])
-    weights = harmonic_weights(ks)
-
-    def series(times):
-        phases = weights * np.exp(1j * omega * np.multiply.outer(times, ks))
-        return np.tensordot(phases, values, axes=1).real
-
-    return series
-
-
 def synthesize(harmonics, omega, times):
     """Real series c_0 + 2 sum_{k>=1} Re(c_k exp(i omega k t)) at `times`.
 
@@ -55,7 +41,31 @@ def synthesize(harmonics, omega, times):
     all values share one shape.  `times` is a scalar or an array.  Returns a
     real array of shape times.shape + value.shape.
     """
-    return synthesizer(harmonics, omega)(times)
+    ks = np.fromiter(harmonics, dtype=float, count=len(harmonics))
+    values = np.stack([np.asarray(v, dtype=complex) for v in harmonics.values()])
+    phases = harmonic_weights(ks) * np.exp(1j * omega * np.multiply.outer(times, ks))
+    return np.tensordot(phases, values, axes=1).real
+
+
+def cos_sin_coefficients(ks, omega, times):
+    """Time coefficients of the series in its real fields: (len(times), 2,
+    len(ks)) with [:, 0] = w_k cos(k omega t) and [:, 1] = -w_k sin(k omega t),
+    w the `harmonic_weights`, so that
+
+        synthesize(h, omega, times) == tensordot(
+            cos_sin_coefficients(list(h), omega, times), real_fields(h), 2).
+    """
+    ks = np.asarray(ks, dtype=float)
+    phases = omega * np.multiply.outer(times, ks)
+    weights = harmonic_weights(ks)
+    return np.stack([weights * np.cos(phases), -weights * np.sin(phases)], axis=1)
+
+
+def real_fields(harmonics):
+    """(2, K) + value.shape real array: Re c_k then Im c_k, in the order of
+    `harmonics`, the fields that `cos_sin_coefficients` weights."""
+    values = np.stack([np.asarray(v, dtype=complex) for v in harmonics.values()])
+    return np.stack([values.real, values.imag])
 
 
 def differentiate(harmonics, omega, order=1):

@@ -20,6 +20,7 @@ from periflow.cli import (
     EXIT_GATE,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    _write_csv,
     main,
 )
 
@@ -56,6 +57,36 @@ def test_poiseuille_outputs(tmp_path):
     last = [float(v) for v in lines[-1].split(",")]
     assert first[0] == -1.0 and last[0] == 1.0
     assert all(abs(v) <= 1e-10 for v in first[1:] + last[1:])
+
+
+def _write_csv_per_value(path, header, rows):
+    """The former CSV writer: one f"{float(x):.17g}" per value."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(x):.17g}" for x in row) + "\n")
+
+
+def test_csv_writer_bytes_match_per_value_format(tmp_path):
+    specials = [
+        (math.nan, math.inf, -math.inf),
+        (-0.0, 0.0, 1e-300),
+        (3, -7, 2**52),
+        (0.1, -1.0 / 3.0, 6.02214076e23),
+    ]
+    x = np.linspace(-1.0, 1.0, 7)
+    cols = [x, np.sin(x), np.zeros(7)]
+    cases = [
+        (["a", "b", "c"], lambda: specials),
+        (["x", "s", "z"], lambda: zip(*cols)),
+        (["t", "u", "v"], lambda: np.column_stack(cols)),
+        (["e", "f", "g"], lambda: []),
+    ]
+    for header, rows in cases:
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        _write_csv(str(got), header, rows())
+        _write_csv_per_value(str(want), header, rows())
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_solve_outputs_and_determinism(tmp_path):

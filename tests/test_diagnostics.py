@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from periflow import diagnostics
 from periflow.diagnostics import (
     BodyPressureBump,
     _fit_two_constants,
@@ -315,6 +316,27 @@ def test_stokes_rhs_norm_matches_per_time_evaluation(ref_run, params, mesh):
         _, norms = stokes_rhs_norm(traj, system, n_times=16)
         expect = _stokes_rhs_per_time(traj, system, 16)
         assert np.max(np.abs(norms - expect)) <= 1e-12 * np.max(expect)
+
+
+def test_stokes_rhs_norm_across_cell_blocks(ref_run, params, mesh, monkeypatch):
+    traj, gsys = ref_run["trajectory"], ref_run["system"]
+    carrier, T = gsys.carrier, gsys.period
+    tilde_f = ExternalBodyForce(
+        box=(3.5, 4.5, -0.4, 0.4), direction=(0.0, 1.0), signal=sine_signal(T, 0.5)
+    )
+    forces = carrier_forces(carrier, params, mesh, tilde_f=tilde_f)
+    outside = assemble_system(gsys.basis, carrier, forces, params)
+    for system in (gsys, outside):
+        n_cells = np.union1d(system.basis.cell_idx, system.forces.cell_idx).size
+        n_forcing = system.forces.cell_idx.size
+        expect = _stokes_rhs_per_time(traj, system, 16)
+        # a last block shorter than the others, and blocks that split the
+        # forcing support
+        for block in (n_cells // 3 + 1, n_forcing // 4 + 1):
+            assert n_cells % block != 0
+            monkeypatch.setattr(diagnostics, "_CELL_BLOCK", block)
+            _, norms = stokes_rhs_norm(traj, system, n_times=16)
+            assert np.max(np.abs(norms - expect)) <= 1e-12 * np.max(expect)
 
 
 @pytest.fixture(scope="module")

@@ -11,12 +11,14 @@ from periflow.signals import (
     GRID_SIZE,
     antiderivative,
     constant_signal,
+    cos_sin_coefficients,
     derivative,
     differentiate,
     l2_norm_sq,
     make_signal,
     norm_series,
     product,
+    real_fields,
     signal_from_json_dict,
     sine_signal,
     sobolev_norm_T,
@@ -199,6 +201,21 @@ def test_synthesize_matches_harmonic_loop(harmonics, times):
     assert got.shape == np.shape(times) + value_shape
     want = np.array([_loop_synthesis(harmonics, omega, t) for t in np.ravel(times)])
     assert np.allclose(got, want.reshape(got.shape), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("harmonics", [{0: 0.3, 1: 0.2 - 0.1j, 3: -0.5j}, _MATRICES])
+def test_real_fields_and_coefficients_resynthesize(harmonics):
+    omega = 2.0 * math.pi / 1.7
+    times = np.linspace(0.0, 2.0, 9)
+    coeffs = cos_sin_coefficients(list(harmonics), omega, times)
+    fields = real_fields(harmonics)
+    assert coeffs.shape == (9, 2, len(harmonics))
+    assert fields.shape == (2, len(harmonics)) + np.shape(harmonics[0])
+    got = np.tensordot(coeffs, fields, 2)
+    want = synthesize(harmonics, omega, times)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    # no harmonics: no columns
+    assert cos_sin_coefficients([], omega, times).shape == (9, 2, 0)
 
 
 _SCALARS = {0: 0.4, 1: 0.2 - 0.3j, 3: -0.5j}
