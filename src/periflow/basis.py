@@ -25,7 +25,8 @@ import numpy as np
 
 from ._bumps import EdgeBump, WindowBump
 from .errors import BasisError
-from .signals import derivative, differentiate, sobolev_norm_T, synthesize
+from .geometry import coordinate_split
+from .signals import derivative, differentiate, real_fields, sobolev_norm_T, synthesize
 
 
 class _Poly1:
@@ -136,15 +137,14 @@ class StreamMode:
     label: str
 
     def fields(self, points, need=("V",)):
-        """Real mode fields: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i.
+        """Real mode fields: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i."""
+        return self.fields_on(coordinate_split(points), need)
 
-        Each 1D factor is evaluated once per distinct coordinate and scattered
-        back to the points: the cells of the tensor-grid quadrature mesh share
-        a few hundred x1 and x2 values.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x1, at1 = np.unique(pts[:, 0], return_inverse=True)
-        x2, at2 = np.unique(pts[:, 1], return_inverse=True)
+    def fields_on(self, split, need):
+        """`fields` at the points that `geometry.coordinate_split` gave
+        `split`: each 1D factor is evaluated once per distinct coordinate and
+        scattered back to the points."""
+        (x1, at1), (x2, at2) = split
         fmax = 2 if "grad" in need else 1
         f = [self.fx(x1, d)[at1] for d in range(fmax + 1)]
         g = [self.gy(x2, d)[at2] for d in range(fmax + 1)]
@@ -152,7 +152,7 @@ class StreamMode:
         if "V" in need:
             out["V"] = np.stack([f[0] * g[1], -f[1] * g[0]], axis=-1)
         if "grad" in need:
-            gr = np.empty(pts.shape[:1] + (2, 2))
+            gr = np.empty(at1.shape + (2, 2))
             gr[:, 0, 0], gr[:, 0, 1] = f[1] * g[1], f[0] * g[2]
             gr[:, 1, 0], gr[:, 1, 1] = -f[2] * g[0], -f[1] * g[1]
             out["grad"] = gr
@@ -160,8 +160,10 @@ class StreamMode:
 
 
 def _raw_fields(modes, points, need):
-    """Stacked raw mode fields at points, one array per entry of `need`."""
-    fields = [m.fields(points, need) for m in modes]
+    """Stacked raw mode fields at points, one array per entry of `need`; the
+    points are split into distinct coordinates once for all modes."""
+    split = coordinate_split(points)
+    fields = [m.fields_on(split, need) for m in modes]
     return [np.stack([fld[key] for fld in fields]) for key in need]
 
 
@@ -373,6 +375,29 @@ def _transport_tensor(w, S, G, V):
     return Q.reshape(n, n, n)
 
 
+def _carrier_transport(w, Vc, Gc, V, G, beta):
+    """The two carrier-transport forms of every flow harmonic, complex (K, n, n):
+
+        d1[k, i, j] = sum_p w_p ((V_k . grad) psi_i) . psi_j,
+        B[k, i, j] = sum_p w_p ((psi_i - beta_i e1) . grad V_k) . psi_j,
+
+    from the Re/Im carrier fields Vc (2, K, nc, 2) and Gc (2, K, nc, 2, 2)
+    and the basis fields V, G (grad[i, p, c, d] = d_d psi_{i,c}).  Each is
+    one real broadcast product, summed over d, of shape (2 K n, nc, 2),
+    times V by one matrix product over (p, c).
+    """
+    n, nc = V.shape[:2]
+    wVc = w[:, None] * Vc
+    wGc = w[:, None, None] * Gc
+    X = wVc[:, :, None, :, None, 0] * G[..., 0]
+    X += wVc[:, :, None, :, None, 1] * G[..., 1]
+    Y = (V[:, :, 0] - beta[:, None])[:, :, None] * wGc[:, :, None, :, :, 0]
+    Y += V[:, :, None, 1] * wGc[:, :, None, :, :, 1]
+    Vt = V.reshape(n, 2 * nc).T
+    d1, B = ((Z.reshape(-1, 2 * nc) @ Vt).reshape(2, -1, n, n) for Z in (X, Y))
+    return d1[0] + 1j * d1[1], B[0] + 1j * B[1]
+
+
 def _shifted(V, beta):
     """psi_i - beta_i e1 on the basis support cells, (n, nc, 2)."""
     return V - beta[:, None, None] * np.array([1.0, 0.0])[None, None, :]
@@ -434,7 +459,9 @@ class GalerkinSystem:
 def assemble_system(basis, carrier, forces, params):
     """Quadrature assembly of the per-period tensors of the coefficient ODE
     system; the basis-only tensors (strain Gram, cubic transport) come from
-    `build_basis`.
+    `build_basis`.  The carrier fields are evaluated once per harmonic on
+    the basis support cells, and the carrier-transport forms and the
+    projected forcing are matrix products over the cells.
 
     The cubic transport tensor and the carrier-transport block are assembled
     in explicitly skew-symmetrized form: the continuum integrals are skew
@@ -456,26 +483,30 @@ def assemble_system(basis, carrier, forces, params):
     # b = (2 mu / rho) (D(psi_i), D(psi_k)); D = sym grad
     b = (2.0 * params.mu / rho) * basis.strain_gram
     b = 0.5 * (b + b.T)
-    Vm = _shifted(V, beta)
 
     # carrier transport d(t), per flow harmonic
     pts = mesh.centers[basis.cell_idx]
-    d_harm, forms = {}, {}
-    for k in carrier.harmonics:
-        fld = carrier.harmonic_fields(pts, k, ("V", "grad"))
-        Vc, Gc = fld["V"], fld["grad"]
-        d1 = np.einsum("p,pd,ipcd,kpc->ik", w, Vc, G, V, optimize=True)
-        d1 = 0.5 * (d1 - d1.T)
-        forms[k] = np.einsum("p,ipd,pcd,kpc->ik", w, Vm, Gc, V, optimize=True)
-        d_harm[k] = d1 + forms[k]
+    ks = carrier.harmonics
+    fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad")) for k in ks}
+    d1, B = _carrier_transport(
+        w,
+        real_fields({k: fld["V"] for k, fld in fields.items()}),
+        real_fields({k: fld["grad"] for k, fld in fields.items()}),
+        V,
+        G,
+        beta,
+    )
+    forms = dict(zip(ks, B))
+    d_harm = {k: 0.5 * (d - d.T) + forms[k] for k, d in zip(ks, d1)}
 
     # projected forcing (f, psi_kappa) per harmonic, on the f support cells
-    fw = forces.cell_weights
-    psi_f, _ = basis.fields_at_cells(forces.cell_idx)  # (n, nf, 2)
-    f_harm = {
-        k: np.einsum("p,pc,ipc->i", fw, fld, psi_f)
-        for k, fld in forces.f_harmonics.items()
-    }
+    f_harm = {}
+    if forces.f_harmonics:
+        psi_f, _ = basis.fields_at_cells(forces.cell_idx)  # (n, nf, 2)
+        F = real_fields(forces.f_harmonics)  # (2, Kf, nf, 2)
+        F = _weighted_gram(forces.cell_weights, F.reshape(-1, *F.shape[2:]), psi_f)
+        F = F.reshape(2, -1, n)
+        f_harm = dict(zip(forces.f_harmonics, F[0] + 1j * F[1]))
 
     return GalerkinSystem(
         basis=basis,

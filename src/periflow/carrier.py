@@ -33,6 +33,7 @@ import numpy as np
 from ._bumps import EdgeBump
 from ._spline import cubic_spline
 from .errors import GeometryError
+from .geometry import coordinate_split
 from .signals import PeriodicSignal, derivative, differentiate, harmonic_weights
 from .signals import l2_norm_sq, norm_series, product, sobolev_norm_T, synthesize
 from .womersley import PoiseuilleFlow
@@ -90,16 +91,18 @@ class FluxCarrier:
         "lap" -> (npts, 2).  Time derivatives are `signals.differentiate`
         of these harmonics.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x1, x2 = pts[:, 0], pts[:, 1]
+        (x1, at1), (x2, at2) = coordinate_split(points)
         pr = self.profiles[k]
-        chi, chi1, chi2 = pr.chi(x2), pr.chi1(x2), pr.chi2(x2)
-        S = pr.S(x2)
-        c = self.center_values[k]
-        cs = c - S
+        grad, lap = "grad" in need, "lap" in need
+        bmax = 3 if lap else 2 if grad else 1
+        # profile splines and bumps per distinct coordinate, scattered back
+        chi = pr.chi(x2)[at2]
+        chi1 = pr.chi1(x2)[at2] if grad or lap else None
+        chi2 = pr.chi2(x2)[at2] if lap else None
+        cs = (self.center_values[k] - pr.S(x2))[at2]
 
-        b1 = [self.bump_x(x1, d) for d in range(4)]
-        b2 = [self.bump_y(x2, d) for d in range(4)]
+        b1 = [self.bump_x(x1, d)[at1] for d in range(bmax + 1)]
+        b2 = [self.bump_y(x2, d)[at2] for d in range(bmax + 1)]
         one_m_theta = 1.0 - b1[0] * b2[0]
 
         out = {}
@@ -107,14 +110,14 @@ class FluxCarrier:
             v1 = chi * one_m_theta + cs * b1[0] * b2[1]
             v2 = -cs * b1[1] * b2[0]
             out["V"] = np.stack([v1, v2], axis=-1)
-        if "grad" in need:
-            g = np.empty(pts.shape[:1] + (2, 2), dtype=complex)
+        if grad:
+            g = np.empty(at1.shape + (2, 2), dtype=complex)
             g[:, 0, 0] = -chi * b1[1] * b2[0] + cs * b1[1] * b2[1]
             g[:, 0, 1] = chi1 * one_m_theta - 2.0 * chi * b1[0] * b2[1] + cs * b1[0] * b2[2]
             g[:, 1, 0] = -cs * b1[2] * b2[0]
             g[:, 1, 1] = chi * b1[1] * b2[0] - cs * b1[1] * b2[1]
             out["grad"] = g
-        if "lap" in need:
+        if lap:
             l1 = (
                 -chi * b1[2] * b2[0]
                 + cs * b1[2] * b2[1]

@@ -144,6 +144,16 @@ class QuadratureMesh:
         return np.tensordot(self.boundary_weights, values, axes=(0, 0))
 
 
+def coordinate_split(points):
+    """((x1, at1), (x2, at2)): the sorted distinct x1 and x2 of (npts, 2)
+    points, and for each point the index of its coordinate among them, so
+    that x1[at1] == points[:, 0].  The cells of a tensor-grid mesh share a
+    few hundred coordinates, so a separable field is evaluated per distinct
+    coordinate and scattered back."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return tuple(np.unique(pts[:, j], return_inverse=True) for j in range(2))
+
+
 def _side_quadrature(p0, p1, normal, h):
     """Midpoint nodes along the segment p0->p1 with spacing <= h."""
     length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])

@@ -12,7 +12,7 @@ import pytest
 from periflow.basis import assemble_system, build_basis, estimate_cq
 from periflow.carrier import CutoffParams, build_flux_carrier, carrier_forces
 from periflow.geometry import PhysicalParams, build_geometry, build_mesh
-from periflow.signals import sine_signal, sobolev_norm_T
+from periflow.signals import make_signal, sine_signal, sobolev_norm_T
 from periflow.solver import FixedPointConfig, fixed_point
 from periflow.womersley import solve_poiseuille
 
@@ -130,6 +130,24 @@ def half_run(params, geom, mesh, basis):
 def offres_run(params, geom, mesh, basis):
     phi = sine_signal(1.3 * params.natural_period, 1.0)
     return _pipeline(phi, params, geom, mesh, basis, n_steps=1024)
+
+
+# --- flow rate with harmonics 1 and 2 --------------------------------------
+
+
+@pytest.fixture(scope="session")
+def two_harmonic_forces(params, geom, mesh):
+    """Flow rate with harmonics 1 and 2, so -(V . grad) V has cross terms."""
+    phi = make_signal(PERIOD, {1: -0.5j, 2: 0.2 + 0.1j})
+    flow = solve_poiseuille(phi, params, n_nodes=PROFILE_NODES)
+    carrier = build_flux_carrier(flow, geom, CUTOFF)
+    return carrier_forces(carrier, params, mesh)
+
+
+@pytest.fixture(scope="session")
+def two_harmonic_system(two_harmonic_forces, params, basis):
+    forces = two_harmonic_forces
+    return assemble_system(basis, forces.carrier, forces, params)
 
 
 # --- zero-flow-rate system: every forcing tensor identically zero ----------

@@ -6,7 +6,8 @@ constraint (the library solves per-harmonic boundary-value problems), cubic
 tensor sums are brute-force triple loops, and the linear-ODE references are
 closed forms.  The basis tensors have a multi-operand einsum reference
 (the library contracts them by BLAS products), and the carrier transport
-forms a per-component loop (the library uses one einsum).  The body force
+forms and their carrier-advected partner per-component loops (the library
+uses one broadcast product and one matrix product per form).  The body force
 at arbitrary points re-evaluates the carrier fields there (the library
 stores it on its support cells).  scipy is the
 reference for the library's numpy numerics: `CubicSpline` for its splines,
@@ -156,6 +157,24 @@ def carrier_transport_forms(basis, carrier):
             for d in range(2):
                 B += (shifted[:, :, d] * (w * grad[:, c, d])) @ V[:, :, c].T
         forms[k] = B
+    return forms
+
+
+def carrier_advected_forms(basis, carrier):
+    """Per flow harmonic k, the carrier-advected half of d_k: the skew part
+    of D_k[i, j] = sum_p w_p ((V_k . grad) psi_i) . psi_j over the basis
+    support cells, with the carrier velocity evaluated afresh and the sum
+    over the components (c, d) of grad psi_i an explicit loop."""
+    w, V, G = basis.cell_weights, basis.values, basis.grads  # G: d_d psi_c
+    pts = basis.mesh.centers[basis.cell_idx]
+    forms = {}
+    for k in carrier.harmonics:
+        vel = carrier.harmonic_fields(pts, k, ("V",))["V"]
+        D = np.zeros((basis.n, basis.n), dtype=complex)
+        for c in range(2):
+            for d in range(2):
+                D += (G[:, :, c, d] * (w * vel[:, d])) @ V[:, :, c].T
+        forms[k] = 0.5 * (D - D.T)
     return forms
 
 

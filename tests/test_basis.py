@@ -13,6 +13,7 @@ from periflow.signals import sine_signal, sobolev_norm_T, synthesize
 
 from oracles import (
     basis_tensors_einsum,
+    carrier_advected_forms,
     carrier_transport_forms,
     cubic_sum_bruteforce,
     generalized_eigenvalues,
@@ -191,6 +192,21 @@ def test_transport_forms_match_oracle(ref_run):
         # what d_k adds to B_k is the skew-symmetrized half
         rest = gsys.d_harmonics[k] - got
         assert np.max(np.abs(rest + rest.T)) <= 1e-13 * np.max(np.abs(rest))
+
+
+def test_transport_halves_match_oracles_on_two_harmonics(two_harmonic_system):
+    # the reference flow rate has harmonic 1 only; this one has 1 and 2, so
+    # a mix-up between the harmonics stacked in one product shows
+    gsys = two_harmonic_system
+    forms = carrier_transport_forms(gsys.basis, gsys.carrier)
+    advected = carrier_advected_forms(gsys.basis, gsys.carrier)
+    assert set(gsys.d_harmonics) == set(gsys.transport_forms) == set(forms) == set(advected)
+    assert len(forms) >= 2
+    for k, B in forms.items():
+        got = gsys.transport_forms[k]
+        assert np.max(np.abs(got - B)) <= 1e-13 * np.max(np.abs(B)), k
+        d1 = gsys.d_harmonics[k] - got
+        assert np.max(np.abs(d1 - advected[k])) <= 1e-13 * np.max(np.abs(advected[k])), k
 
 
 def test_too_many_modes_rejected(geom, mesh):

@@ -14,7 +14,7 @@ from periflow.carrier import (
 )
 from periflow.errors import GeometryError
 from periflow.geometry import PhysicalParams, build_geometry, build_mesh
-from periflow.signals import constant_signal, make_signal, sine_signal, synthesize, zero_signal
+from periflow.signals import constant_signal, sine_signal, synthesize, zero_signal
 from periflow.womersley import solve_poiseuille
 
 from oracles import body_force_at
@@ -214,13 +214,26 @@ def test_scaled_forcing_scales_f_g_and_the_external_forces(params, mesh, ref_car
     assert half.f_l2_l2_norm() == 0.5 * forces.f_l2_l2_norm()
 
 
-@pytest.fixture(scope="module")
-def two_harmonic_forces(params, geom, mesh):
-    """Flow rate with harmonics 1 and 2, so -(V . grad) V has cross terms."""
-    phi = make_signal(2.0 * math.pi, {1: -0.5j, 2: 0.2 + 0.1j})
-    flow = solve_poiseuille(phi, params, n_nodes=257)
-    carrier = build_flux_carrier(flow, geom, CutoffParams(inner=0.15, outer=0.6))
-    return carrier_forces(carrier, params, mesh)
+def test_harmonic_fields_at_unsorted_repeated_points(two_harmonic_forces, mesh, geom):
+    carrier = two_harmonic_forces.carrier
+    rng = np.random.default_rng(5)
+    pts = np.concatenate(
+        [
+            mesh.centers[rng.choice(mesh.n_cells, 30)],
+            np.column_stack([rng.uniform(-geom.X0 - 1, geom.X0 + 1, 10), rng.uniform(-1, 1, 10)]),
+        ]
+    )
+    pts = pts[rng.permutation(np.concatenate([np.arange(40), np.arange(0, 40, 4)]))]
+    assert len(carrier.harmonics) >= 2
+    for k in carrier.harmonics:
+        for need in (("V",), ("grad",), ("lap",), ("V", "grad", "lap")):
+            together = carrier.harmonic_fields(pts, k, need)
+            assert set(together) == set(need)
+            for key, fld in together.items():
+                one_by_one = np.concatenate(
+                    [carrier.harmonic_fields(p, k, (key,))[key] for p in pts]
+                )
+                assert np.array_equal(fld, one_by_one), (k, need, key)
 
 
 def test_body_force_matches_real_space_evaluation(two_harmonic_forces, params):
