@@ -23,81 +23,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._bumps import EdgeBump, WindowBump
+from ._bumps import Affine, Cosine, EdgeBump, Product, WindowBump, curl_fields
 from .errors import BasisError
 from .geometry import coordinate_split
 from .signals import derivative, differentiate, real_fields, sobolev_norm_T, synthesize
-
-
-class _Poly1:
-    """The affine factor x - c (unit slope)."""
-
-    knots = ()
-    support = None
-
-    def __init__(self, c):
-        self.c = float(c)
-
-    def __call__(self, x, order=0):
-        x = np.asarray(x, dtype=float)
-        if order == 0:
-            return x - self.c
-        if order == 1:
-            return np.ones_like(x)
-        return np.zeros_like(x)
-
-
-class _Cosine:
-    """cos(j*pi*(x - lo)/(hi - lo)); identically 1 for j = 0."""
-
-    knots = ()
-    support = None
-
-    def __init__(self, j, lo, hi):
-        self.j = int(j)
-        self.lo = float(lo)
-        self.k = self.j * math.pi / (hi - lo)
-
-    def __call__(self, x, order=0):
-        x = np.asarray(x, dtype=float)
-        if self.j == 0:
-            return np.ones_like(x) if order == 0 else np.zeros_like(x)
-        u = self.k * (x - self.lo)
-        ph = [np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), np.sin]
-        return self.k**order * ph[order % 4](u)
-
-
-class _Product1D:
-    """Product of 1D factors with derivatives via the Leibniz rule."""
-
-    def __init__(self, *factors):
-        self.factors = factors
-
-    def __call__(self, x, order=0):
-        vals = self.factors[0](x, order) if len(self.factors) == 1 else None
-        if vals is not None:
-            return vals
-        f, g = self.factors[0], _Product1D(*self.factors[1:])
-        out = 0.0
-        for j in range(order + 1):
-            out = out + math.comb(order, j) * f(x, j) * g(x, order - j)
-        return out
-
-    @property
-    def support(self):
-        lo, hi = -np.inf, np.inf
-        for f in self.factors:
-            s = getattr(f, "support", None)
-            if s is not None:
-                lo, hi = max(lo, s[0]), min(hi, s[1])
-        return None if lo == -np.inf else (lo, hi)
-
-    @property
-    def knots(self):
-        out = []
-        for f in self.factors:
-            out.extend(getattr(f, "knots", ()))
-        return tuple(sorted(set(out)))
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
@@ -123,7 +52,7 @@ def _inner_1d(f, g, df, dg):
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         x = 0.5 * (b - a) * _GAUSS_X + 0.5 * (a + b)
-        total += 0.5 * (b - a) * float(np.dot(_GAUSS_W, f(x, df) * g(x, dg)))
+        total += 0.5 * (b - a) * float(np.dot(_GAUSS_W, f.jet(x, df)[df] * g.jet(x, dg)[dg]))
     return total
 
 
@@ -131,8 +60,8 @@ def _inner_1d(f, g, df, dg):
 class StreamMode:
     """One raw basis mode: stream function s = F(x1) G(x2), velocity curl s."""
 
-    fx: object  # F and derivatives up to order 3
-    gy: object  # G and derivatives up to order 3
+    fx: object  # the 1D factor F, with `jet` up to order 2
+    gy: object  # the 1D factor G, with `jet` up to order 2
     beta: float  # e1 . psi on the body boundary
     label: str
 
@@ -145,18 +74,8 @@ class StreamMode:
         `split`: each 1D factor is evaluated once per distinct coordinate and
         scattered back to the points."""
         (x1, at1), (x2, at2) = split
-        fmax = 2 if "grad" in need else 1
-        f = [self.fx(x1, d)[at1] for d in range(fmax + 1)]
-        g = [self.gy(x2, d)[at2] for d in range(fmax + 1)]
-        out = {}
-        if "V" in need:
-            out["V"] = np.stack([f[0] * g[1], -f[1] * g[0]], axis=-1)
-        if "grad" in need:
-            gr = np.empty(at1.shape + (2, 2))
-            gr[:, 0, 0], gr[:, 0, 1] = f[1] * g[1], f[0] * g[2]
-            gr[:, 1, 0], gr[:, 1, 1] = -f[2] * g[0], -f[1] * g[1]
-            out["grad"] = gr
-        return out
+        m = 2 if "grad" in need else 1
+        return curl_fields([(self.fx.jet(x1, m)[:, at1], self.gy.jet(x2, m)[:, at2])], need)
 
 
 def _raw_fields(modes, points, need):
@@ -171,14 +90,14 @@ def _gamma_mode(geom, r_in, r_out_x, r_out_y, label):
     bx0, bx1, by0, by1 = geom.body
     yc = geom.body_center[1]
     fx = EdgeBump(bx0, bx1, r_in, r_out_x)
-    gy = _Product1D(_Poly1(yc), EdgeBump(by0, by1, r_in, r_out_y))
+    gy = Product(Affine(yc), EdgeBump(by0, by1, r_in, r_out_y))
     return StreamMode(fx=fx, gy=gy, beta=1.0, label=label)
 
 
 def _interior_mode(box, j1, j2, label):
     x0, x1, y0, y1 = box
-    fx = _Product1D(WindowBump(x0, x1), _Cosine(j1, x0, x1))
-    gy = _Product1D(WindowBump(y0, y1), _Cosine(j2, y0, y1))
+    fx = Product(WindowBump(x0, x1), Cosine(j1, x0, x1))
+    gy = Product(WindowBump(y0, y1), Cosine(j2, y0, y1))
     return StreamMode(fx=fx, gy=gy, beta=0.0, label=label)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._bumps import EdgeBump
+from ._bumps import EdgeBump, WindowBump
 from ._spline import cubic_spline
 from .errors import GeometryError
 from .geometry import coordinate_split
@@ -101,8 +101,8 @@ class FluxCarrier:
         chi2 = pr.chi2(x2)[at2] if lap else None
         cs = (self.center_values[k] - pr.S(x2))[at2]
 
-        b1 = [self.bump_x(x1, d)[at1] for d in range(bmax + 1)]
-        b2 = [self.bump_y(x2, d)[at2] for d in range(bmax + 1)]
+        b1 = self.bump_x.jet(x1, bmax)[:, at1]
+        b2 = self.bump_y.jet(x2, bmax)[:, at2]
         one_m_theta = 1.0 - b1[0] * b2[0]
 
         out = {}
@@ -200,11 +200,9 @@ class ExternalBodyForce:
     signal: PeriodicSignal
 
     def bump(self, x1, x2):
-        from ._bumps import WindowBump
-
         wx = WindowBump(self.box[0], self.box[1])
         wy = WindowBump(self.box[2], self.box[3])
-        return wx(x1) * wy(x2)
+        return wx.jet(x1, 0)[0] * wy.jet(x2, 0)[0]
 
     def harmonic_fields(self, points):
         """dict k -> (npts, 2) complex amplitude fields."""

@@ -220,9 +220,9 @@ def test_far_field_decay(basis, geom, ref_run):
 
 def test_far_field_decay_sees_a_field_beyond_the_support(basis, geom):
     # the first raw mode's x-factor identically 1: the field reaches every x1
-    from periflow.basis import _Cosine
+    from periflow._bumps import Cosine
 
-    leaky_mode = dataclasses.replace(basis.modes[0], fx=_Cosine(0, 0.0, 1.0))
+    leaky_mode = dataclasses.replace(basis.modes[0], fx=Cosine(0, 0.0, 1.0))
     leaky = dataclasses.replace(basis, modes=[leaky_mode] + list(basis.modes[1:]))
     traj0 = zero_trajectory(2.0 * math.pi, basis.n, 64)
     traj = dataclasses.replace(traj0, states=traj0.states + 1.0, derivs=traj0.derivs + 1.0)
