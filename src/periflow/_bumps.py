@@ -53,18 +53,23 @@ def leibniz(a, b):
     return out
 
 
-def curl_fields(terms, need):
+def curl_fields(terms, at, need):
     """Fields of V = curl s = (d_2 s, -d_1 s) for s = sum F(x1) G(x2).
 
-    `terms` lists one pair (f, g) per separable term, the jets of F and G at
-    the points (orders 0..1 for "V", 0..2 for "grad", 0..3 for "lap").
-    `need` may contain "V" (npts, 2), "grad" (npts, 2, 2) with
-    grad[:, i, j] = d_j V_i, and "lap" (npts, 2)."""
+    `terms` lists one pair (f, g) per separable term: the jets of F at the
+    distinct x1 and of G at the distinct x2 of the points (orders 0..1 for
+    "V", 0..2 for "grad", 0..3 for "lap"), and `at` = (at1, at2) places each
+    point among them (`geometry.coordinate_split`).  `need` may contain "V"
+    (npts, 2), "grad" (npts, 2, 2) with grad[:, i, j] = d_j V_i, and "lap"
+    (npts, 2).  Each row is scattered to the points only where a product
+    reads it, so no table of every order at every point is held."""
+    at1, at2 = at
 
     def d(i, j):  # d_1^i d_2^j s
-        out = terms[0][0][i] * terms[0][1][j]
-        for f, g in terms[1:]:
-            out = out + f[i] * g[j]
+        (f, g), *rest = terms
+        out = f[i, at1] * g[j, at2]
+        for f, g in rest:
+            out = out + f[i, at1] * g[j, at2]
         return out
 
     out = {}

@@ -75,7 +75,7 @@ class StreamMode:
         scattered back to the points."""
         (x1, at1), (x2, at2) = split
         m = 2 if "grad" in need else 1
-        return curl_fields([(self.fx.jet(x1, m)[:, at1], self.gy.jet(x2, m)[:, at2])], need)
+        return curl_fields([(self.fx.jet(x1, m), self.gy.jet(x2, m))], (at1, at2), need)
 
 
 def _raw_fields(modes, points, need):
@@ -405,8 +405,7 @@ def assemble_system(basis, carrier, forces, params):
 
     # carrier transport d(t), per flow harmonic
     pts = mesh.centers[basis.cell_idx]
-    ks = carrier.harmonics
-    fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad")) for k in ks}
+    fields = carrier.harmonic_fields(pts, ("V", "grad"))
     d1, B = _carrier_transport(
         w,
         real_fields({k: fld["V"] for k, fld in fields.items()}),
@@ -415,8 +414,8 @@ def assemble_system(basis, carrier, forces, params):
         G,
         beta,
     )
-    forms = dict(zip(ks, B))
-    d_harm = {k: 0.5 * (d - d.T) + forms[k] for k, d in zip(ks, d1)}
+    forms = dict(zip(fields, B))
+    d_harm = {k: 0.5 * (d - d.T) + forms[k] for k, d in zip(fields, d1)}
 
     # projected forcing (f, psi_kappa) per harmonic, on the f support cells
     f_harm = {}

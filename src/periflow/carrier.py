@@ -6,7 +6,13 @@ The carrier velocity is the curl of the stream function
 
 where S(x2, t) is the x2-antiderivative of the profile chi, theta is a C^3
 plateau cutoff equal to 1 near the body and 0 at distance >= `outer`, and
-c(t) = S at the body's vertical center.  By construction
+c(t) = S at the body's vertical center.  The cutoff is the product
+theta1(x1) theta2(x2) of two 1D plateau bumps, so each harmonic k of Psi
+is a sum of two separable terms,
+
+    Psi_k = 1 * S_k(x2) + theta1(x1) * [(c_k - S_k) theta2](x2),
+
+whose curl `_bumps.curl_fields` differentiates.  By construction
 
   * div V = 0 identically,
   * V = 0 on the body boundary (Psi is constant there),
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._bumps import EdgeBump, WindowBump
+from ._bumps import EdgeBump, WindowBump, curl_fields, leibniz
 from ._spline import cubic_spline
 from .errors import GeometryError
 from .geometry import coordinate_split
@@ -52,13 +58,21 @@ class CutoffParams:
 
 
 class _HarmonicProfile:
-    """Spatial ingredients of one profile harmonic, spline-evaluated."""
+    """The stream-function profile S_k of one harmonic, the x2-antiderivative
+    of chi_k, spline-evaluated with its derivatives chi_k, chi_k', chi_k''."""
 
     def __init__(self, flow, k):
-        self.chi = cubic_spline(flow.x2, flow.chi[k])
-        self.chi1 = cubic_spline(flow.x2, flow.chi_first_derivative(k))
-        self.chi2 = cubic_spline(flow.x2, flow.chi_second_derivative(k))
-        self.S = self.chi.antiderivative()
+        chi = cubic_spline(flow.x2, flow.chi[k])
+        self.splines = (
+            chi.antiderivative(),
+            chi,
+            cubic_spline(flow.x2, flow.chi_first_derivative(k)),
+            cubic_spline(flow.x2, flow.chi_second_derivative(k)),
+        )
+
+    def jet(self, x, m):
+        """[S, chi, chi', chi''][: m + 1] at x, complex (m+1,) + x.shape."""
+        return np.stack([sp(x) for sp in self.splines[: m + 1]])
 
 
 @dataclass(frozen=True)
@@ -83,69 +97,37 @@ class FluxCarrier:
     def harmonics(self):
         return sorted(self.profiles)
 
-    def harmonic_fields(self, points, k, need=("V",)):
-        """Complex fields of harmonic k >= 0 at (npts, 2) points.
+    def harmonic_fields(self, points, need=("V",)):
+        """Complex fields of every harmonic k at (npts, 2) points, {k: fields}.
 
-        `need` may contain "V", "grad", "lap".  Returns a dict:
+        `need` may contain "V", "grad", "lap"; the fields of k are a dict
         "V" -> (npts, 2); "grad" -> (npts, 2, 2) with grad[:, i, j] = d_j V_i;
-        "lap" -> (npts, 2).  Time derivatives are `signals.differentiate`
-        of these harmonics.
+        "lap" -> (npts, 2).  The points are split into distinct coordinates
+        and the bumps evaluated once for all harmonics.  Time derivatives
+        are `signals.differentiate` of these harmonics.
         """
         (x1, at1), (x2, at2) = coordinate_split(points)
-        pr = self.profiles[k]
-        grad, lap = "grad" in need, "lap" in need
-        bmax = 3 if lap else 2 if grad else 1
-        # profile splines and bumps per distinct coordinate, scattered back
-        chi = pr.chi(x2)[at2]
-        chi1 = pr.chi1(x2)[at2] if grad or lap else None
-        chi2 = pr.chi2(x2)[at2] if lap else None
-        cs = (self.center_values[k] - pr.S(x2))[at2]
-
-        b1 = self.bump_x.jet(x1, bmax)[:, at1]
-        b2 = self.bump_y.jet(x2, bmax)[:, at2]
-        one_m_theta = 1.0 - b1[0] * b2[0]
-
+        m = 3 if "lap" in need else 2 if "grad" in need else 1
+        one = np.zeros((m + 1,) + x1.shape)
+        one[0] = 1.0
+        theta1, theta2 = self.bump_x.jet(x1, m), self.bump_y.jet(x2, m)
         out = {}
-        if "V" in need:
-            v1 = chi * one_m_theta + cs * b1[0] * b2[1]
-            v2 = -cs * b1[1] * b2[0]
-            out["V"] = np.stack([v1, v2], axis=-1)
-        if grad:
-            g = np.empty(at1.shape + (2, 2), dtype=complex)
-            g[:, 0, 0] = -chi * b1[1] * b2[0] + cs * b1[1] * b2[1]
-            g[:, 0, 1] = chi1 * one_m_theta - 2.0 * chi * b1[0] * b2[1] + cs * b1[0] * b2[2]
-            g[:, 1, 0] = -cs * b1[2] * b2[0]
-            g[:, 1, 1] = chi * b1[1] * b2[0] - cs * b1[1] * b2[1]
-            out["grad"] = g
-        if lap:
-            l1 = (
-                -chi * b1[2] * b2[0]
-                + cs * b1[2] * b2[1]
-                + chi2 * one_m_theta
-                - 3.0 * chi1 * b1[0] * b2[1]
-                - 3.0 * chi * b1[0] * b2[2]
-                + cs * b1[0] * b2[3]
-            )
-            l2 = (
-                -cs * b1[3] * b2[0]
-                + chi1 * b1[1] * b2[0]
-                + 2.0 * chi * b1[1] * b2[1]
-                - cs * b1[1] * b2[2]
-            )
-            out["lap"] = np.stack([l1, l2], axis=-1)
+        for k in self.harmonics:
+            S = self.profiles[k].jet(x2, m)
+            c_minus_S = np.concatenate([self.center_values[k] - S[:1], -S[1:]])
+            terms = [(one, S), (theta1, leibniz(c_minus_S, theta2))]
+            out[k] = curl_fields(terms, (at1, at2), need)
         return out
 
     def velocity_at(self, points, t):
         """Real carrier velocity at time t, shape (npts, 2)."""
-        fields = {k: self.harmonic_fields(points, k)["V"] for k in self.harmonics}
-        return synthesize(fields, self.omega, t)
+        fields = self.harmonic_fields(points)
+        return synthesize({k: fld["V"] for k, fld in fields.items()}, self.omega, t)
 
     def gradient_at(self, points, t):
         """Real carrier velocity gradient at time t, shape (npts, 2, 2)."""
-        fields = {
-            k: self.harmonic_fields(points, k, ("grad",))["grad"] for k in self.harmonics
-        }
-        return synthesize(fields, self.omega, t)
+        fields = self.harmonic_fields(points, ("grad",))
+        return synthesize({k: fld["grad"] for k, fld in fields.items()}, self.omega, t)
 
     def section_flux(self, x1, t):
         """Flux of V through the fluid part of the vertical section x1=const
@@ -179,7 +161,7 @@ def build_flux_carrier(flow, geometry, cutoff=None):
     bump_y = EdgeBump(by0, by1, cutoff.inner, cutoff.outer)
     yc = geometry.body_center[1]
     profiles = {k: _HarmonicProfile(flow, k) for k in flow.harmonics}
-    centers = {k: complex(pr.S(yc)) for k, pr in profiles.items()}
+    centers = {k: complex(pr.jet(yc, 0)[0]) for k, pr in profiles.items()}
     return FluxCarrier(
         flow=flow,
         geometry=geometry,
@@ -283,7 +265,7 @@ class ForcingData:
 def _f_harmonics_at(carrier, params, tilde_f, pts):
     """Harmonic amplitudes of the body force at points: the carrier-induced
     nu Lap V - (V . grad) V - dV/dt + psi e1, plus the external force."""
-    fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad", "lap")) for k in carrier.harmonics}
+    fields = carrier.harmonic_fields(pts, ("V", "grad", "lap"))
     V = {k: fld["V"] for k, fld in fields.items()}
     dVdt = differentiate(V, carrier.omega)
     psi = carrier.flow.pressure_coeffs

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bumps import Affine, Product
 from .errors import PeriflowError, ResonantOrNonUnique
 from .periodic_ode import (
     oscillator_system,
@@ -229,7 +230,7 @@ def _gradV_norm_series(gsys, times):
     basis = gsys.basis
     carrier = gsys.carrier
     pts = basis.mesh.centers[basis.cell_idx]
-    harm = {k: carrier.harmonic_fields(pts, k, ("grad",))["grad"] for k in carrier.harmonics}
+    harm = {k: fld["grad"] for k, fld in carrier.harmonic_fields(pts, ("grad",)).items()}
     return norm_series(harm, basis.cell_weights, carrier.omega, times)
 
 
@@ -534,17 +535,17 @@ class BodyPressureBump:
     equals the body area exactly."""
 
     def __init__(self, carrier):
-        self.bx = carrier.bump_x
-        self.by = carrier.bump_y
+        self.fx = Product(Affine(0.0), carrier.bump_x)
+        self.gy = carrier.bump_y
         geom = carrier.geometry
         self.boundary_weight = geom.body_width * geom.body_height
 
     def __call__(self, x1, x2):
-        return x1 * self.bx.jet(x1, 0)[0] * self.by.jet(x2, 0)[0]
+        return self.fx.jet(x1, 0)[0] * self.gy.jet(x2, 0)[0]
 
     def grad(self, x1, x2):
-        bx, by = self.bx.jet(x1, 1), self.by.jet(x2, 1)
-        return np.stack([bx[0] * by[0] + x1 * bx[1] * by[0], x1 * bx[0] * by[1]], axis=-1)
+        f, g = self.fx.jet(x1, 1), self.gy.jet(x2, 1)
+        return np.stack([f[1] * g[0], f[0] * g[1]], axis=-1)
 
 
 _CELL_BLOCK = 2048  # cells whose Stokes forcing fields stokes_rhs_norm holds at once
@@ -560,7 +561,7 @@ def _stokes_fields(gsys, theta, cells, f_fields):
     carrier = gsys.carrier
     pts = gsys.basis.mesh.centers[cells]
     psi, gpsi = gsys.basis.fields_at_cells(cells)  # (n, b, 2), (n, b, 2, 2)
-    fields = {k: carrier.harmonic_fields(pts, k, ("V", "grad")) for k in carrier.harmonics}
+    fields = carrier.harmonic_fields(pts, ("V", "grad"))
     V = real_fields({k: fld["V"] for k, fld in fields.items()})  # (2, K, b, 2)
     GV = real_fields({k: fld["grad"] for k, fld in fields.items()})  # (2, K, b, 2, 2)
     # grad[..., c, d] = d_d u_c, so d_1 u = grad[..., 0]; the transport

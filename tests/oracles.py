@@ -150,8 +150,8 @@ def carrier_transport_forms(basis, carrier):
     shifted = V - basis.beta[:, None, None] * np.array([1.0, 0.0])
     pts = basis.mesh.centers[basis.cell_idx]
     forms = {}
-    for k in carrier.harmonics:
-        grad = carrier.harmonic_fields(pts, k, ("grad",))["grad"]  # d_d V_c
+    for k, fields in carrier.harmonic_fields(pts, ("grad",)).items():
+        grad = fields["grad"]  # d_d V_c
         B = np.zeros((basis.n, basis.n), dtype=complex)
         for c in range(2):
             for d in range(2):
@@ -168,8 +168,8 @@ def carrier_advected_forms(basis, carrier):
     w, V, G = basis.cell_weights, basis.values, basis.grads  # G: d_d psi_c
     pts = basis.mesh.centers[basis.cell_idx]
     forms = {}
-    for k in carrier.harmonics:
-        vel = carrier.harmonic_fields(pts, k, ("V",))["V"]
+    for k, fields in carrier.harmonic_fields(pts, ("V",)).items():
+        vel = fields["V"]
         D = np.zeros((basis.n, basis.n), dtype=complex)
         for c in range(2):
             for d in range(2):

@@ -151,6 +151,16 @@ def test_stream_mode_fields_at_unsorted_repeated_points(basis, mesh, geom):
             assert np.array_equal(fld, one_by_one), (mode.label, key)
 
 
+def test_mode_gradients_are_centred_differences_of_velocities(basis):
+    pts = basis.mesh.centers[basis.cell_idx][::3]
+    h = 1e-4
+    for mode in basis.modes:
+        fld = mode.fields(pts, ("V", "grad"))
+        d = [(mode.fields(pts + s)["V"] - mode.fields(pts - s)["V"]) / (2.0 * h) for s in h * np.eye(2)]
+        grad = np.stack(d, axis=-1)  # [:, i, j] = d_j V_i
+        assert np.max(np.abs(grad - fld["grad"])) <= 1e-5 * (1.0 + np.max(np.abs(fld["V"]))), mode.label
+
+
 def test_zero_flowrate_assembly(zero_system):
     gsys = zero_system
     for dk in gsys.d_harmonics.values():

@@ -225,22 +225,41 @@ def test_harmonic_fields_at_unsorted_repeated_points(two_harmonic_forces, mesh, 
     )
     pts = pts[rng.permutation(np.concatenate([np.arange(40), np.arange(0, 40, 4)]))]
     assert len(carrier.harmonics) >= 2
-    for k in carrier.harmonics:
-        for need in (("V",), ("grad",), ("lap",), ("V", "grad", "lap")):
-            together = carrier.harmonic_fields(pts, k, need)
-            assert set(together) == set(need)
-            for key, fld in together.items():
-                one_by_one = np.concatenate(
-                    [carrier.harmonic_fields(p, k, (key,))[key] for p in pts]
-                )
+    for need in (("V",), ("grad",), ("lap",), ("V", "grad", "lap")):
+        together = carrier.harmonic_fields(pts, need)
+        assert list(together) == carrier.harmonics
+        singles = [carrier.harmonic_fields(p, need) for p in pts]
+        for k, fields in together.items():
+            assert set(fields) == set(need)
+            for key, fld in fields.items():
+                one_by_one = np.concatenate([single[k][key] for single in singles])
                 assert np.array_equal(fld, one_by_one), (k, need, key)
+
+
+def test_grad_and_lap_are_centred_differences_of_V(two_harmonic_forces):
+    # only "V" enters the differences, so the product rules behind "grad"
+    # and "lap" are checked independently
+    forces = two_harmonic_forces
+    carrier = forces.carrier
+    pts = forces.mesh.centers[forces.cell_idx][::3]
+    h = 1e-4
+    fields = carrier.harmonic_fields(pts, ("V", "grad", "lap"))
+    shifted = [carrier.harmonic_fields(pts + s) for s in h * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])]
+    assert len(fields) >= 2
+    for k, fld in fields.items():
+        right, left, up, down = (v[k]["V"] for v in shifted)
+        scale = 1.0 + np.max(np.abs(fld["V"]))
+        grad = np.stack([right - left, up - down], axis=-1) / (2.0 * h)  # [:, i, j] = d_j V_i
+        lap = (right + left + up + down - 4.0 * fld["V"]) / h**2
+        assert np.max(np.abs(grad - fld["grad"])) <= 1e-5 * scale, k
+        assert np.max(np.abs(lap - fld["lap"])) <= 1e-3 * scale, k
 
 
 def test_body_force_matches_real_space_evaluation(two_harmonic_forces, params):
     forces = two_harmonic_forces
     carrier = forces.carrier
     pts = forces.mesh.centers[forces.cell_idx][::7]
-    lap = {k: carrier.harmonic_fields(pts, k, ("lap",))["lap"] for k in carrier.harmonics}
+    lap = {k: fld["lap"] for k, fld in carrier.harmonic_fields(pts, ("lap",)).items()}
     h = 1e-5
     for t in (0.0, 1.3, 4.1):
         V = carrier.velocity_at(pts, t)
