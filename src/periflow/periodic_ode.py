@@ -7,13 +7,14 @@ response from zero initial data.  Coefficients are sampled on a quarter-step
 grid (4M+1 points) so classical RK4 needs no interpolation at either the
 nominal or the halved step size.
 
-The system is linear, so every RK4 step is an affine map x -> P_j x + q_j.
-Each system builds its maps once per step size and keeps them, so the
-monodromy, the step-halving check and the trajectory sweep of one solve
-share them.  A sweep applies them by a blocked scan: the steps are cut into
-blocks of `_SCAN_BLOCK`, each block's maps are composed pairwise (Blelloch
-1990, "Prefix sums and their applications"), a short loop carries the state
-from block start to block start, and then all blocks advance together.
+The system is linear, so every RK4 step is an affine map x -> P_j x + q_j,
+kept as one (dim, dim+1) array [P_j | q_j].  Each system builds its maps
+once per step size and keeps them, so the monodromy, the step-halving check
+and the trajectory sweep of one solve share them.  A sweep applies them by a
+prefix scan over the whole period (Blelloch 1990, "Prefix sums and their
+applications"): an up-sweep composes neighbours pairwise, level by level,
+and a down-sweep carries the state from the top of the tree down, one
+batched product per level, ceil(log2 M) levels in all.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import ResolutionError, ResonantOrNonUnique
 
 STEP_HALVING_TOL = 1e-6
 SINGULARITY_THRESHOLD = 1e-8
-_SCAN_BLOCK = 64  # steps per block of the RK4 scan, a power of two
 
 
 def resample_periodic(x, n_out):
@@ -93,69 +93,73 @@ class LinearPeriodicSystem:
 
 @dataclass(frozen=True)
 class _StepMaps:
-    """RK4 step maps cut into blocks of `_SCAN_BLOCK` steps, with each
-    block's composed map."""
+    """RK4 step maps [P | q] as a composition tree: level 0 holds the steps,
+    node i of level l+1 composes nodes 2i and 2i+1 of level l (an odd count
+    carries its last node up), so node i of level l starts at step i 2^l.
+    Kept: the left children (even nodes with a right neighbour), one
+    contiguous array per level, and the root."""
 
-    P: np.ndarray  # (blocks, _SCAN_BLOCK, dim, dim)
-    q: np.ndarray  # (blocks, _SCAN_BLOCK, dim, 1)
-    P_block: np.ndarray  # (blocks, dim, dim)
-    q_block: np.ndarray  # (blocks, dim, 1)
+    lefts: tuple  # lefts[l]: (nodes of level l // 2, dim, dim+1)
+    root: np.ndarray  # (dim, dim+1), the map over the whole period
+
+
+def _rk4_maps(B, r, h):
+    """[P | q] of the RK4 steps with coefficient samples B = (B0, Bm, B1)
+    and r = (r0, rm, r1).  Every stage is affine in x, so it is one
+    (dim, dim+1) array acting on [x; 1], formed by one product; P is
+    accumulated in the first, so at most three such arrays are alive.
+    """
+    (B0, Bm, B1), (r0, rm, r1) = B, r
+    dim = B0.shape[-1]
+    eye = np.eye(dim, dim + 1)
+
+    def ahead(Bt, rt, state, c):  # x + c k for the slope k = Bt state + rt
+        k = Bt @ state
+        k[..., dim] += rt
+        k *= c
+        k += eye
+        return k
+
+    U = np.empty((len(B0), dim, dim + 1))
+    np.multiply(B0, 0.5 * h, out=U[..., :dim])
+    np.multiply(r0, 0.5 * h, out=U[..., dim])
+    U += eye  # x + h/2 k1
+    V = ahead(Bm, rm, U, 0.5 * h)  # x + h/2 k2
+    W = ahead(Bm, rm, V, h)  # x + h k3
+    U += V
+    U += V
+    del V
+    U += W  # 4 I + h/2 (k1 + 2 k2 + 2 k3)
+    U -= 4.0 * eye
+    U /= 3.0
+    U += ahead(B1, r1, W, h / 6.0)  # I + h/6 (k1 + 2 k2 + 2 k3 + k4)
+    return U
 
 
 def _build_step_maps(system, substeps):
-    """RK4 step maps of `system` at step T/(M*substeps), in scan blocks.
-
-    The system is linear, so step j is the affine map x -> P_j x + q_j.  All
-    maps are built at once from the strided coefficient slices, padded with
-    identity maps to whole blocks of `_SCAN_BLOCK` steps, and each block's
-    composition is formed pairwise, (P2, q2) o (P1, q1) = (P2 P1, P2 q1 + q2),
-    in log2(_SCAN_BLOCK) batched products.
+    """RK4 step maps of `system` at step T/(M*substeps) as a `_StepMaps`:
+    step j is the affine map x -> P_j x + q_j.  The even and the odd steps
+    are built apart, so level 0 keeps its left children without a copy, and
+    each level above composes neighbours, (P2, q2) o (P1, q1) =
+    P2 [P1 | q1] + [0 | q2], in one batched product.
     """
-    n_out = system.n_steps * substeps
-    h = system.period / n_out
     s = 4 // substeps  # grid indices per step
-    B0, Bm, B1 = system.mats[:-1:s], system.mats[s // 2 :: s], system.mats[s::s]
-    r0, rm, r1 = system.rhs[:-1:s], system.rhs[s // 2 :: s], system.rhs[s::s]
-    dim = system.dim
-    # RK4 stages k_i = K_i x + c_i: linear parts K_i and offsets c_i (x = 0),
-    # K2 = Bm (I + h/2 B0), K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3), formed
-    # in place
-    K2 = Bm @ B0
-    K2 *= 0.5 * h
-    K2 += Bm
-    K3 = Bm @ K2
-    K3 *= 0.5 * h
-    K3 += Bm
-    K4 = B1 @ K3
-    K4 *= h
-    K4 += B1
-    # P = I + h/6 (B0 + 2 K2 + 2 K3 + K4), accumulated in K2
-    P = K2
-    P += K3
-    P *= 2.0
-    P += B0
-    P += K4
-    P *= h / 6.0
-    P.reshape(len(P), -1)[:, :: dim + 1] += 1.0
-    del K3, K4
-    c2 = (0.5 * h) * np.einsum("tij,tj->ti", Bm, r0) + rm
-    c3 = (0.5 * h) * np.einsum("tij,tj->ti", Bm, c2) + rm
-    c4 = h * np.einsum("tij,tj->ti", B1, c3) + r1
-    q = (h / 6.0) * (r0 + 2.0 * c2 + 2.0 * c3 + c4)
-
-    n_blocks = -(-n_out // _SCAN_BLOCK)
-    pad = n_blocks * _SCAN_BLOCK - n_out
-    if pad:
-        P = np.concatenate([P, np.broadcast_to(np.eye(dim), (pad, dim, dim))])
-        q = np.concatenate([q, np.zeros((pad, dim))])
-    P = P.reshape(n_blocks, _SCAN_BLOCK, dim, dim)
-    q = q.reshape(n_blocks, _SCAN_BLOCK, dim, 1)
-    P_block, q_block = P, q
-    while P_block.shape[1] > 1:
-        first, then = P_block[:, 0::2], P_block[:, 1::2]
-        q_block = then @ q_block[:, 0::2] + q_block[:, 1::2]
-        P_block = then @ first
-    return _StepMaps(P=P, q=q, P_block=P_block[:, 0], q_block=q_block[:, 0])
+    B = (system.mats[:-1:s], system.mats[s // 2 :: s], system.mats[s::s])
+    r = (system.rhs[:-1:s], system.rhs[s // 2 :: s], system.rhs[s::s])
+    h = system.period / (system.n_steps * substeps)
+    evens, odds = (
+        _rk4_maps([b[first::2] for b in B], [c[first::2] for c in r], h) for first in (0, 1)
+    )
+    lefts = []
+    while len(odds):
+        n = len(odds)
+        lefts.append(evens[:n])
+        up = np.empty_like(evens)
+        np.matmul(odds[..., :-1], evens[:n], out=up[:n])
+        up[:n, :, -1] += odds[..., -1]
+        up[n:] = evens[n:]  # an odd count carries its last node up
+        evens, odds = up[0::2].copy(), up[1::2]
+    return _StepMaps(lefts=tuple(lefts), root=evens[0])
 
 
 def integrate_rk4(system, x0, substeps=1):
@@ -163,33 +167,29 @@ def integrate_rk4(system, x0, substeps=1):
 
     `x0` may be a vector (dim,) or a matrix (dim, k) of stacked initial
     conditions (columns evolve independently).  substeps must be 1 or 2.
-
-    The step maps x -> P_j x + q_j come from `system.step_maps(substeps)`,
-    built on the first sweep of that step size.  They are applied by a
-    blocked scan: a loop over the blocks carries the state from block start
-    to block start by the composed block maps, then every block advances
-    from its start at once, one batched product per step within a block.
-    States past step M*substeps (the identity padding) are dropped.
+    The step maps come from `system.step_maps(substeps)`, built on the first
+    sweep of that step size.  The root carries x0 to t = T; then, from the
+    top level down, each level's left children carry the states at their
+    starts to the starts of their right neighbours, one batched product on
+    strided views of the output per level.
     """
     if substeps not in (1, 2):
         raise ValueError("substeps must be 1 or 2")
     maps = system.step_maps(substeps)
-    n_blocks = maps.P.shape[0]
     x0 = np.asarray(x0, dtype=float)
     x = x0.reshape(system.dim, -1)
-    starts = np.empty((n_blocks,) + x.shape)
-    starts[0] = x
-    for b in range(1, n_blocks):
-        starts[b] = maps.P_block[b - 1] @ starts[b - 1] + maps.q_block[b - 1]
-    out = np.empty((n_blocks * _SCAN_BLOCK + 1,) + x.shape)
-    out[0] = x
-    after = out[1:].reshape((n_blocks, _SCAN_BLOCK) + x.shape)  # state after each step
-    prev = starts
-    for i in range(_SCAN_BLOCK):
-        prev = np.matmul(maps.P[:, i], prev, out=after[:, i])
-        prev += maps.q[:, i]
     n_out = system.n_steps * substeps
-    return out[: n_out + 1].reshape((n_out + 1,) + x0.shape)
+    out = np.empty((n_out + 1,) + x.shape)
+    out[0] = x
+    np.matmul(maps.root[:, :-1], x, out=out[n_out])
+    out[n_out] += maps.root[:, -1:]
+    for level in reversed(range(len(maps.lefts))):
+        left = maps.lefts[level]
+        stride = 2 << level
+        ends = out[stride // 2 :: stride][: len(left)]
+        np.matmul(left[..., :-1], out[::stride][: len(left)], out=ends)
+        ends += left[..., -1:]
+    return out.reshape((n_out + 1,) + x0.shape)
 
 
 def step_halving_error(system, x0):

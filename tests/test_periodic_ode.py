@@ -123,12 +123,12 @@ def test_monodromy_matches_per_step_loop():
     assert np.max(np.abs(p_ref)) > 0.1  # the forcing reaches the response
 
 
-@pytest.mark.parametrize("n_steps", [1, 37, 100])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 37, 100, 129, 1000])
 @pytest.mark.parametrize("substeps", [1, 2])
 @pytest.mark.parametrize("columns", [None, 3])
 def test_blocked_scan_matches_per_step_loop_off_block_size(n_steps, substeps, columns):
-    """Step counts below one scan block, not a multiple of it, and above it:
-    the identity padding and the loop over block starts."""
+    """Step counts that are not powers of two: levels of the scan tree with
+    an odd count, whose last node is carried up unchanged."""
     sys = _varying_system(n_steps=n_steps)
     rng = np.random.default_rng(6)
     x0 = rng.standard_normal(sys.dim if columns is None else (sys.dim, columns))
@@ -136,6 +136,43 @@ def test_blocked_scan_matches_per_step_loop_off_block_size(n_steps, substeps, co
     want = _rk4_per_step(sys, x0, substeps=substeps)
     assert got.shape == want.shape == (n_steps * substeps + 1,) + x0.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def _growing_system(n_steps=300):
+    """A rotating mode that grows by e^3 over the period, beside a decaying
+    and a neutral one, with time-varying coupling and forcing."""
+    rate = np.diag([1.5, 1.5, -4.0, 0.0])
+    rate[0, 1], rate[1, 0] = 3.0, -3.0
+    coupling = np.random.default_rng(8).standard_normal((4, 4))
+
+    def mat_fn(t):
+        return rate + np.sin(math.pi * t)[:, None, None] * coupling
+
+    def rhs_fn(t):
+        return np.cos(math.pi * t)[:, None] * np.array([1.0, -0.5, 2.0, 0.3])
+
+    return _time_system(2.0, n_steps, mat_fn, rhs_fn)
+
+
+@pytest.mark.parametrize("which", ["undamped-oscillator", "growing"])
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_scan_of_non_contracting_maps_matches_per_step_loop(which, substeps, columns):
+    """The scan composes up to half the period before it applies a map; on
+    maps that do not contract (a neutral rotation, a growing mode) it still
+    agrees with stepping one step at a time."""
+    if which == "undamped-oscillator":
+        params = PhysicalParams()
+        sys = oscillator_system(params, sine_signal(1.3 * params.natural_period, 0.5))
+    else:
+        sys = _growing_system()
+    rng = np.random.default_rng(9)
+    x0 = rng.standard_normal(sys.dim if columns is None else (sys.dim, columns))
+    got = integrate_rk4(sys, x0, substeps=substeps)
+    want = _rk4_per_step(sys, x0, substeps=substeps)
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+    if which == "growing":
+        assert np.max(np.abs(want[-1])) > 10.0 * np.max(np.abs(x0))  # it does grow
 
 
 @pytest.mark.parametrize("n_steps", [1, 37, 100])
