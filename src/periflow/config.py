@@ -32,12 +32,23 @@ def _require(mapping, key, path, typ=None):
 def _number(val, path):
     """float(val), or ConfigError naming the field unless it is a finite number."""
     try:
+        if isinstance(val, bool):  # float(True) would read as 1.0
+            raise TypeError
         out = float(val)
     except (TypeError, ValueError):
         raise ConfigError(f"'{path}' must be a number, got {val!r}") from None
     if not math.isfinite(out):
         raise ConfigError(f"'{path}' must be finite, got {val!r}")
     return out
+
+
+def _integer(val, path):
+    """int(val), or ConfigError naming the field unless it is an integer
+    (an integral float such as 2048.0 counts; a bool does not)."""
+    out = _number(val, path)
+    if not out.is_integer():
+        raise ConfigError(f"'{path}' must be an integer, got {val!r}")
+    return int(out)
 
 
 def _check_keys(mapping, allowed, path):
@@ -72,7 +83,9 @@ class SignalSpec:
             period = _require(data, "period", path, (int, float))
         else:
             period = data.get("period", period)
-        if not (isinstance(period, (int, float)) and 0 < period < math.inf):
+        if isinstance(period, bool) or not (
+            isinstance(period, (int, float)) and 0 < period < math.inf
+        ):
             raise ConfigError(f"'{path}.period' must be a positive finite number")
         rows = _require(data, "harmonics", path, list)
         harm = []
@@ -82,10 +95,8 @@ class SignalSpec:
                     f"'{path}.harmonics[{i}]' must be [k, re, im], got {row!r}"
                 )
             k, re, im = row
-            if not isinstance(k, int):
-                raise ConfigError(f"'{path}.harmonics[{i}]' index must be an integer")
             loc = f"{path}.harmonics[{i}]"
-            harm.append((int(k), _number(re, loc), _number(im, loc)))
+            harm.append((_integer(k, f"{loc}[0]"), _number(re, loc), _number(im, loc)))
         spec = SignalSpec(float(period), tuple(harm))
         try:
             spec.build()  # make_signal's rules for the harmonics of a real signal
@@ -329,16 +340,16 @@ def parse_config(data):
         "solver",
     )
     for src, dst, cast in (
-        ("n_modes", "n_modes", int),
-        ("n_steps", "n_steps", int),
-        ("mesh_h", "mesh_h", float),
-        ("profile_nodes", "profile_nodes", int),
-        ("damping", "damping", float),
-        ("tol", "fixed_point_tol", float),
-        ("max_iter", "max_iter", int),
+        ("n_modes", "n_modes", _integer),
+        ("n_steps", "n_steps", _integer),
+        ("mesh_h", "mesh_h", _number),
+        ("profile_nodes", "profile_nodes", _integer),
+        ("damping", "damping", _number),
+        ("tol", "fixed_point_tol", _number),
+        ("max_iter", "max_iter", _integer),
     ):
         if src in sol:
-            kwargs[dst] = cast(_number(sol[src], f"solver.{src}"))
+            kwargs[dst] = cast(sol[src], f"solver.{src}")
     for key in ("alphas", "resonance_factors"):
         if key in sol:
             if not isinstance(sol[key], list):
@@ -351,9 +362,9 @@ def parse_config(data):
         kwargs["output_dir"] = str(out["dir"])
 
     if "seed" in data:
-        if not isinstance(data["seed"], int) or data["seed"] < 0:
+        kwargs["seed"] = _integer(data["seed"], "seed")
+        if kwargs["seed"] < 0:
             raise ConfigError("'seed' must be a non-negative integer")
-        kwargs["seed"] = data["seed"]
     if "warn_only" in data:
         if not isinstance(data["warn_only"], bool):
             raise ConfigError("'warn_only' must be a boolean")

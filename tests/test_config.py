@@ -97,12 +97,35 @@ def test_parse_full_document():
         ({"forces": {"tilde_g": {"harmonics": [[0, 1.0, 0.3]]}}}, "tilde_g.harmonics"),
         ({"solver": {"alphas": []}}, "alphas"),
         ({"solver": {"resonance_factors": []}}, "resonance_factors"),
+        ({"solver": {"n_steps": 2.5}}, "solver.n_steps"),
+        ({"solver": {"n_steps": True}}, "solver.n_steps"),
+        ({"solver": {"n_modes": 6.5}}, "solver.n_modes"),
+        ({"solver": {"profile_nodes": False}}, "solver.profile_nodes"),
+        ({"solver": {"max_iter": 20.5}}, "solver.max_iter"),
+        ({"solver": {"damping": True}}, "solver.damping"),
+        ({"flowrate": {"period": 1, "harmonics": [[True, 0.0, 0.0]]}}, "harmonics[0][0]"),
+        ({"flowrate": {"period": True, "harmonics": []}}, "flowrate.period"),
+        ({"seed": True}, "seed"),
+        ({"seed": 1.5}, "seed"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError) as exc_info:
         parse_config(doc)
     assert fragment in str(exc_info.value)
+
+
+def test_integral_floats_read_as_integers():
+    cfg = parse_config(
+        {
+            "flowrate": {"period": 1.0, "harmonics": [[1.0, 0.1, -0.2]]},
+            "solver": {"n_steps": 2048.0, "n_modes": 6.0, "max_iter": 20.0},
+            "seed": 3.0,
+        }
+    )
+    assert cfg.flowrate.harmonics == ((1, 0.1, -0.2),)
+    assert (cfg.n_steps, cfg.n_modes, cfg.max_iter, cfg.seed) == (2048, 6, 20, 3)
+    assert all(type(v) is int for v in (cfg.n_steps, cfg.n_modes, cfg.max_iter, cfg.seed))
 
 
 def test_dataclass_validation():
