@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bumps import Affine, Product
-from .errors import PeriflowError, ResonantOrNonUnique
+from .errors import PeriflowError, ResolutionError, ResonantOrNonUnique
 from .periodic_ode import (
     oscillator_system,
     resample_periodic,
@@ -652,7 +652,9 @@ def resonance_probe(gsys, fp_cfg):
 
     Returns both outcomes: the coupled problem should converge with bounded
     energy at any period (fluid dissipation damps the oscillator), while the
-    bare oscillator is singular exactly at its natural period.
+    bare oscillator is singular exactly at its natural period.  A coupled
+    solve that fails is reported, except a ResolutionError: a grid too coarse
+    for the system says nothing about resonance, so it propagates.
     """
     from .solver import fixed_point
 
@@ -667,6 +669,8 @@ def resonance_probe(gsys, fp_cfg):
             "sup_E": float(E.max()),
             "residual": rep["residual"],
         }
+    except ResolutionError:
+        raise
     except PeriflowError as exc:
         report["coupled"] = {"converged": False, "error": f"{type(exc).__name__}: {exc}"}
 

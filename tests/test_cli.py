@@ -185,6 +185,18 @@ def test_resonance_outputs(tmp_path):
     assert by_factor[1.3][2] == 1.0 and by_factor[1.3][4] == 0.0
 
 
+def test_resonance_on_an_unresolved_grid_is_config_error(tmp_path, capsys):
+    """The coupled solve's ResolutionError ends the sweep with exit 3, as in
+    `solve`, instead of a non-converged row."""
+    cfg = _write(tmp_path, CHEAP_SOLVE.format(period=2.0 * math.pi).replace("2048", "3"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "resonance"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "increase solver.n_steps" in err
+    assert not (out / "resonance.csv").exists()
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["--config", str(tmp_path / "absent.yaml"), "solve"]) == EXIT_CONFIG
 
@@ -203,7 +215,17 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
 
 
 # message fragments that the error line of an invalid config must contain
-_MESSAGE_PARTS = {"solver: {n_steps: 1}\n": ("'n_steps'", ">= 2")}
+_MESSAGE_PARTS = {
+    "solver: {n_steps: 1}\n": ("'n_steps'", ">= 2"),
+    "solver: {n_steps: 2.5}\n": ("'solver.n_steps'", "integer"),
+    "solver: {n_steps: true}\n": ("'solver.n_steps'", "number"),
+    "solver: {n_modes: 4.5}\n": ("'solver.n_modes'", "integer"),
+    "solver: {profile_nodes: 9.5}\n": ("'solver.profile_nodes'", "integer"),
+    "solver: {max_iter: true}\n": ("'solver.max_iter'", "number"),
+    "flowrate: {period: 6.0, harmonics: [[true, 0.0, -0.5]]}\n": (
+        "'flowrate.harmonics[0][0]'",
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -241,6 +263,13 @@ _MESSAGE_PARTS = {"solver: {n_steps: 1}\n": ("'n_steps'", ">= 2")}
         "solver: {profile_nodes: 5}\nflowrate: {period: 0.01, harmonics: [[1, 0.0, -0.5]]}\n",
         # a step count below the range check's own bound
         "solver: {n_steps: 1}\n",
+        # integer fields given a fraction or a boolean
+        "solver: {n_steps: 2.5}\n",
+        "solver: {n_steps: true}\n",
+        "solver: {n_modes: 4.5}\n",
+        "solver: {profile_nodes: 9.5}\n",
+        "solver: {max_iter: true}\n",
+        "flowrate: {period: 6.0, harmonics: [[true, 0.0, -0.5]]}\n",
     ],
 )
 def test_invalid_config_is_config_error(tmp_path, capsys, text):
