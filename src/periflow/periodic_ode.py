@@ -107,30 +107,30 @@ def _rk4_maps(B, r, h):
     """[P | q] of the RK4 steps with coefficient samples B = (B0, Bm, B1)
     and r = (r0, rm, r1).  Every stage is affine in x, so it is one
     (dim, dim+1) array acting on [x; 1], formed by one product; P is
-    accumulated in the first, so at most three such arrays are alive.
+    accumulated in the first stage's array, so at most three are alive.
     """
     (B0, Bm, B1), (r0, rm, r1) = B, r
     dim = B0.shape[-1]
-    eye = np.eye(dim, dim + 1)
+    diag = slice(None, None, dim + 2)  # the diagonal of P in a flattened [P | q]
 
     def ahead(Bt, rt, state, c):  # x + c k for the slope k = Bt state + rt
         k = Bt @ state
         k[..., dim] += rt
         k *= c
-        k += eye
+        k.reshape(-1, dim * (dim + 1))[:, diag] += 1.0
         return k
 
     U = np.empty((len(B0), dim, dim + 1))
     np.multiply(B0, 0.5 * h, out=U[..., :dim])
     np.multiply(r0, 0.5 * h, out=U[..., dim])
-    U += eye  # x + h/2 k1
+    U.reshape(-1, dim * (dim + 1))[:, diag] += 1.0  # x + h/2 k1
     V = ahead(Bm, rm, U, 0.5 * h)  # x + h/2 k2
     W = ahead(Bm, rm, V, h)  # x + h k3
     U += V
     U += V
     del V
     U += W  # 4 I + h/2 (k1 + 2 k2 + 2 k3)
-    U -= 4.0 * eye
+    U.reshape(-1, dim * (dim + 1))[:, diag] -= 4.0
     U /= 3.0
     U += ahead(B1, r1, W, h / 6.0)  # I + h/6 (k1 + 2 k2 + 2 k3 + k4)
     return U
