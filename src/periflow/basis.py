@@ -476,14 +476,13 @@ def grad_identity_gap(basis):
     return float(np.max(np.abs(gaps) / norms))
 
 
-def estimate_cq(gsys, n_samples=200, seed=0):
+def estimate_cq(gsys):
     """Empirical transport-bound constant.
 
     Maximizes |((psi - beta e1) . grad V, psi)| / (||phi||_{W^{1,2}_T}
-    ||grad psi||^2) over the basis elements and random unit-norm coefficient
-    combinations, across a grid of 64 times.  The forms are the system's
-    `transport_forms`, synthesized in time.  Returns (value,
-    phi_is_zero_flag).
+    ||grad psi||^2) over the basis coefficient vectors, across a grid of 64
+    times.  The forms are the system's `transport_forms`, synthesized in
+    time.  Returns (value, phi_is_zero_flag).
     """
     basis, carrier = gsys.basis, gsys.carrier
     phi_norm = sobolev_norm_T(carrier.flow.flowrate, 1)
@@ -491,19 +490,15 @@ def estimate_cq(gsys, n_samples=200, seed=0):
         return 0.0, True
 
     gg = basis.grad_gram
-    rng = np.random.default_rng(seed)
-    extra = rng.normal(size=(n_samples, basis.n))
     times = np.arange(64) * (carrier.period / 64)
 
-    # deterministic candidates: exact maximizers of the quadratic-form ratio
-    # at each grid time (generalized symmetric eigenproblem against the
-    # gradient Gram matrix gg = L L^T, reduced to L^-1 B L^-T); random
-    # samples then only confirm the maximum
+    # at each grid time the maximizers of the quadratic-form ratio are the
+    # extreme eigenvectors of the generalized symmetric eigenproblem against
+    # the gradient Gram matrix gg = L L^T, reduced to L^-1 B L^-T
     Linv = np.linalg.inv(np.linalg.cholesky(gg))
     Bt = synthesize(gsys.transport_forms, carrier.omega, times)  # (n_times, n, n)
     _, vecs = np.linalg.eigh(Linv @ (0.5 * (Bt + Bt.transpose(0, 2, 1))) @ Linv.T)
-    extreme = (Linv.T @ vecs[:, :, [0, -1]]).transpose(0, 2, 1).reshape(-1, basis.n)
-    S = np.vstack([np.eye(basis.n), extra / np.linalg.norm(extra, axis=1, keepdims=True), extreme])
+    S = (Linv.T @ vecs[:, :, [0, -1]]).transpose(0, 2, 1).reshape(-1, basis.n)
     denom = phi_norm * np.einsum("si,ij,sj->s", S, gg, S)
     forms = np.einsum("si,tij,sj->ts", S, Bt, S)
     best = float(np.max(np.abs(forms) / denom))

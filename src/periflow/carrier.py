@@ -49,8 +49,8 @@ from .womersley import PoiseuilleFlow
 class CutoffParams:
     """Plateau cutoff radii (sup-distance to the body rectangle)."""
 
-    inner: float = 0.2
-    outer: float = 0.9
+    inner: float
+    outer: float
 
     def __post_init__(self):
         if not (0.0 < self.inner < self.outer):
@@ -143,10 +143,9 @@ class FluxCarrier:
         return total
 
 
-def build_flux_carrier(flow, geometry, cutoff=None):
+def build_flux_carrier(flow, geometry, cutoff):
     """Construct the carrier; errors if the cutoff support leaves the near
     zone or touches the channel walls."""
-    cutoff = cutoff or CutoffParams()
     bx0, bx1, by0, by1 = geometry.body
     if by1 + cutoff.outer >= 1.0 or by0 - cutoff.outer <= -1.0:
         raise GeometryError(

@@ -11,8 +11,8 @@ Subcommands:
               and residual per scale
 
 Exit codes: 0 success, 2 diagnostic gate failure, 3 configuration error,
-4 solver non-convergence.  Outputs are deterministic for a fixed config and
-seed and every file records the configuration hash.
+4 solver non-convergence.  Outputs are deterministic for a fixed config, and
+every file records the configuration hash.
 """
 
 from __future__ import annotations

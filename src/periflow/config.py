@@ -1,8 +1,10 @@
 """Run configuration: validated dataclass, YAML loading, reference presets.
 
-The configuration is a nested key-value document (YAML).  Unknown keys and
-malformed values raise ConfigError naming the offending field path, so batch
-runs fail fast with actionable messages.
+The configuration is a nested key-value document (YAML).  One table,
+`_SCHEMA`, maps each key to the RunConfig field it sets and the reader that
+converts its value; `RunConfig.__post_init__` then checks the bounds.
+Unknown keys and malformed values raise ConfigError naming the offending
+field path, so batch runs fail fast with actionable messages.
 """
 
 from __future__ import annotations
@@ -10,23 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ConfigError
 
 DEFAULT_PERIOD = 2.0 * math.pi
-
-
-def _require(mapping, key, path, typ=None):
-    if key not in mapping:
-        raise ConfigError(f"missing required field '{path}.{key}'")
-    val = mapping[key]
-    if typ is not None and not isinstance(val, typ):
-        raise ConfigError(
-            f"field '{path}.{key}' has type {type(val).__name__}, expected "
-            f"{typ.__name__ if isinstance(typ, type) else typ}"
-        )
-    return val
 
 
 def _number(val, path):
@@ -51,15 +41,45 @@ def _integer(val, path):
     return int(out)
 
 
-def _check_keys(mapping, allowed, path):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"'{path}' must be a mapping, got {mapping!r}")
-    extra = set(mapping) - set(allowed)
-    if extra:
-        raise ConfigError(
-            f"unknown field(s) {sorted(extra)} in '{path}' "
-            f"(allowed: {sorted(allowed)})"
-        )
+def _numbers(length):
+    """Reader of a list of numbers as a tuple: `length` of them, any number
+    if `length` is None."""
+
+    def read(val, path):
+        if not isinstance(val, list) or (length is not None and len(val) != length):
+            what = "numbers" if length is None else f"{length} numbers"
+            raise ConfigError(f"'{path}' must be a list of {what}, got {val!r}")
+        return tuple(_number(v, path) for v in val)
+
+    return read
+
+
+def _instance(typ, what):
+    """Reader that passes a value of type `typ` through and rejects any other."""
+
+    def read(val, path):
+        if not isinstance(val, typ):
+            raise ConfigError(f"'{path}' must be {what}, got {val!r}")
+        return val
+
+    return read
+
+
+_boolean = _instance(bool, "a boolean")
+_string = _instance(str, "a string")
+
+
+def _harmonics(rows, path):
+    """((k, re, im), ...) from a list of [k, re, im] rows, k an integer."""
+    if not isinstance(rows, list):
+        raise ConfigError(f"'{path}' must be a list of [k, re, im] rows, got {rows!r}")
+    out = []
+    for i, row in enumerate(rows):
+        loc = f"{path}[{i}]"
+        if not (isinstance(row, list) and len(row) == 3):
+            raise ConfigError(f"'{loc}' must be [k, re, im], got {row!r}")
+        out.append((_integer(row[0], f"{loc}[0]"), _number(row[1], loc), _number(row[2], loc)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -74,36 +94,6 @@ class SignalSpec:
 
         return make_signal(self.period, [list(h) for h in self.harmonics])
 
-    @staticmethod
-    def parse(data, path, period=None):
-        if not isinstance(data, dict):
-            raise ConfigError(f"'{path}' must be a mapping")
-        _check_keys(data, {"period", "harmonics"}, path)
-        if period is None:
-            period = _require(data, "period", path, (int, float))
-        else:
-            period = data.get("period", period)
-        if isinstance(period, bool) or not (
-            isinstance(period, (int, float)) and 0 < period < math.inf
-        ):
-            raise ConfigError(f"'{path}.period' must be a positive finite number")
-        rows = _require(data, "harmonics", path, list)
-        harm = []
-        for i, row in enumerate(rows):
-            if not (isinstance(row, (list, tuple)) and len(row) == 3):
-                raise ConfigError(
-                    f"'{path}.harmonics[{i}]' must be [k, re, im], got {row!r}"
-                )
-            k, re, im = row
-            loc = f"{path}.harmonics[{i}]"
-            harm.append((_integer(k, f"{loc}[0]"), _number(re, loc), _number(im, loc)))
-        spec = SignalSpec(float(period), tuple(harm))
-        try:
-            spec.build()  # make_signal's rules for the harmonics of a real signal
-        except ValueError as exc:
-            raise ConfigError(f"'{path}.harmonics': {exc}") from None
-        return spec
-
 
 @dataclass(frozen=True)
 class ExternalForceSpec:
@@ -111,27 +101,16 @@ class ExternalForceSpec:
     direction: tuple  # (d1, d2)
     signal: SignalSpec
 
-    @staticmethod
-    def parse(data, path, period):
-        _check_keys(data, {"box", "direction", "harmonics", "period"}, path)
-        box = _require(data, "box", path, list)
-        if len(box) != 4:
-            raise ConfigError(f"'{path}.box' must be [x0, x1, y0, y1]")
-        direction = _require(data, "direction", path, list)
-        if len(direction) != 2:
-            raise ConfigError(f"'{path}.direction' must be [d1, d2]")
-        sig_data = {k: v for k, v in data.items() if k in ("period", "harmonics")}
-        sig = SignalSpec.parse(sig_data, path, period=period)
-        return ExternalForceSpec(
-            tuple(_number(v, f"{path}.box") for v in box),
-            tuple(_number(v, f"{path}.direction") for v in direction),
-            sig,
-        )
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one end-to-end solve."""
+    """Everything needed to reproduce one end-to-end solve.
+
+    `__post_init__` holds every bound on the fields, so a config built here,
+    read from YAML or changed by `dataclasses.replace` meets the same rules.
+    The external forces take the flow rate's period: the period of the
+    `tilde_f` and `tilde_g` signals given here is replaced by it.
+    """
 
     half_length: float = 6.0
     body: tuple = (-0.5, 0.5, -0.3, 0.3)
@@ -161,6 +140,27 @@ class RunConfig:
             from .geometry import PhysicalParams
 
             object.__setattr__(self, "params", PhysicalParams())
+        period = self.flowrate.period
+        if not 0 < period < math.inf:
+            raise ConfigError(f"'flowrate.period' must be positive and finite, got {period!r}")
+        signals = [("flowrate", self.flowrate)]
+        if self.tilde_f is not None:
+            tf = replace(self.tilde_f, signal=SignalSpec(period, self.tilde_f.signal.harmonics))
+            object.__setattr__(self, "tilde_f", tf)
+            signals.append(("forces.tilde_f", tf.signal))
+            x0, x1, y0, y1 = tf.box
+            if not (x0 < x1 and y0 < y1):
+                raise ConfigError(
+                    f"'forces.tilde_f.box' needs x0 < x1 and y0 < y1, got {list(tf.box)}"
+                )
+        if self.tilde_g is not None:
+            object.__setattr__(self, "tilde_g", SignalSpec(period, self.tilde_g.harmonics))
+            signals.append(("forces.tilde_g", self.tilde_g))
+        for path, spec in signals:
+            try:
+                spec.build()  # make_signal's rules for the harmonics of a real signal
+            except ValueError as exc:
+                raise ConfigError(f"'{path}.harmonics': {exc}") from None
         for name in ("fixed_point_tol", "mesh_h", "damping", "half_length"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"'{name}' must be positive and finite")
@@ -176,18 +176,20 @@ class RunConfig:
                 "'resonance_factors' must be positive and finite, got "
                 f"{list(self.resonance_factors)}"
             )
-        for name, least in (("n_modes", 1), ("n_steps", 2), ("max_iter", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(
-                    f"'{name}' must be >= {least}, got {getattr(self, name)}"
-                )
-        if self.profile_nodes < 3 or self.profile_nodes % 2 == 0:
+        for name, least in (
+            ("n_modes", 1), ("n_steps", 2), ("max_iter", 1), ("profile_nodes", 3), ("seed", 0)
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"'{name}' must be an integer >= {least}, got {value!r}")
+        if self.profile_nodes % 2 == 0:
             raise ConfigError("'profile_nodes' must be an odd number >= 3")
         if not (0.0 < self.cutoff_inner < self.cutoff_outer):
             raise ConfigError(
                 "'cutoff' needs 0 < inner < outer, got inner "
                 f"{self.cutoff_inner} and outer {self.cutoff_outer}"
             )
+        _boolean(self.warn_only, "warn_only")
 
     # --- builders used by the solve pipeline -----------------------------
     def build_geometry(self):
@@ -227,150 +229,110 @@ class RunConfig:
         return tf, tg
 
     def with_period(self, period):
-        """Clone with the flow-rate (and external-force) period replaced."""
-        fr = SignalSpec(float(period), self.flowrate.harmonics)
-        tf = self.tilde_f
-        if tf is not None:
-            tf = ExternalForceSpec(
-                tf.box, tf.direction, SignalSpec(float(period), tf.signal.harmonics)
-            )
-        tg = self.tilde_g
-        if tg is not None:
-            tg = SignalSpec(float(period), tg.harmonics)
-        import dataclasses
-
-        return dataclasses.replace(self, flowrate=fr, tilde_f=tf, tilde_g=tg)
+        """Clone with the flow-rate period, and so the external forces' period,
+        replaced."""
+        return replace(self, flowrate=SignalSpec(float(period), self.flowrate.harmonics))
 
     # --- identity ---------------------------------------------------------
     def to_json_dict(self):
-        d = asdict(self)
-        d["params"] = {
-            "rho": self.params.rho,
-            "mu": self.params.mu,
-            "mass": self.params.mass,
-            "stiffness": self.params.stiffness,
-        }
-        return d
+        return asdict(self)
 
     def config_hash(self):
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_TOP_KEYS = {
-    "geometry",
-    "params",
-    "flowrate",
-    "cutoff",
-    "forces",
-    "solver",
-    "output",
-    "seed",
-    "warn_only",
+def _read(table, data, path, required):
+    """The keyword arguments that `table` reads from the mapping `data` found
+    at `path`.  Each entry of `table` maps a key of `data` either to a nested
+    table, a section whose keys are read alike, or to (name, reader), where
+    reader(value, key path) returns the value of `name` or raises
+    ConfigError.  A key that `data` lacks is left out, or an error if
+    `required`."""
+    where = path or "<root>"
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{where}' must be a mapping, got {data!r}")
+    extra = set(data) - set(table)
+    if extra:
+        raise ConfigError(
+            f"unknown field(s) {sorted(extra, key=str)} in '{where}' "
+            f"(allowed: {sorted(table)})"
+        )
+    out = {}
+    for key, entry in table.items():
+        loc = f"{path}.{key}" if path else key
+        if key not in data:
+            if required:
+                raise ConfigError(f"missing required field '{loc}'")
+        elif isinstance(entry, dict):
+            out.update(_read(entry, data[key], loc, required=False))
+        else:
+            name, reader = entry
+            out[name] = reader(data[key], loc)
+    return out
+
+
+_PARAMS = {key: (key, _number) for key in ("rho", "mu", "mass", "stiffness")}
+_HARMONICS = {"harmonics": ("harmonics", _harmonics)}
+_SIGNAL = {"period": ("period", _number), **_HARMONICS}
+_FORCE = {"box": ("box", _numbers(4)), "direction": ("direction", _numbers(2)), **_HARMONICS}
+
+
+def _params(data, path):
+    from .geometry import PhysicalParams
+
+    try:
+        return PhysicalParams(**_read(_PARAMS, data, path, required=False))
+    except ValueError as exc:
+        raise ConfigError(f"invalid '{path}': {exc}") from exc
+
+
+def _flowrate(data, path):
+    return SignalSpec(**_read(_SIGNAL, data, path, required=True))
+
+
+# The external forces carry no period of their own (None here): RunConfig
+# gives them the flow rate's.  A null force is no force.
+def _fluid_force(data, path):
+    if data is None:
+        return None
+    read = _read(_FORCE, data, path, required=True)
+    return ExternalForceSpec(read["box"], read["direction"], SignalSpec(None, read["harmonics"]))
+
+
+def _mass_force(data, path):
+    if data is None:
+        return None
+    return SignalSpec(None, **_read(_HARMONICS, data, path, required=True))
+
+
+# YAML key -> (RunConfig field, reader), or a section: a table of its own keys
+_SCHEMA = {
+    "geometry": {"half_length": ("half_length", _number), "body": ("body", _numbers(4))},
+    "params": ("params", _params),
+    "flowrate": ("flowrate", _flowrate),
+    "cutoff": {"inner": ("cutoff_inner", _number), "outer": ("cutoff_outer", _number)},
+    "forces": {"tilde_f": ("tilde_f", _fluid_force), "tilde_g": ("tilde_g", _mass_force)},
+    "solver": {
+        "n_modes": ("n_modes", _integer),
+        "n_steps": ("n_steps", _integer),
+        "mesh_h": ("mesh_h", _number),
+        "profile_nodes": ("profile_nodes", _integer),
+        "damping": ("damping", _number),
+        "tol": ("fixed_point_tol", _number),
+        "max_iter": ("max_iter", _integer),
+        "alphas": ("alphas", _numbers(None)),
+        "resonance_factors": ("resonance_factors", _numbers(None)),
+    },
+    "output": {"dir": ("output_dir", _string)},
+    "seed": ("seed", _integer),
+    "warn_only": ("warn_only", _boolean),
 }
-_PARAM_KEYS = ("rho", "mu", "mass", "stiffness")
 
 
 def parse_config(data):
     """Build a RunConfig from a parsed YAML/JSON mapping."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be a mapping")
-    _check_keys(data, _TOP_KEYS, "<root>")
-    kwargs = {}
-
-    geo = data.get("geometry", {})
-    _check_keys(geo, {"half_length", "body"}, "geometry")
-    if "half_length" in geo:
-        kwargs["half_length"] = _number(geo["half_length"], "geometry.half_length")
-    if "body" in geo:
-        body = geo["body"]
-        if not (isinstance(body, list) and len(body) == 4):
-            raise ConfigError("'geometry.body' must be [x0, x1, y0, y1]")
-        kwargs["body"] = tuple(_number(v, "geometry.body") for v in body)
-
-    par = data.get("params", {})
-    _check_keys(par, _PARAM_KEYS, "params")
-    from .geometry import PhysicalParams
-
-    try:
-        kwargs["params"] = PhysicalParams(
-            **{key: _number(par.get(key, 1.0), f"params.{key}") for key in _PARAM_KEYS}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'params': {exc}") from exc
-
-    if "flowrate" in data:
-        kwargs["flowrate"] = SignalSpec.parse(data["flowrate"], "flowrate")
-    period = kwargs.get(
-        "flowrate", RunConfig.__dataclass_fields__["flowrate"].default_factory()
-    ).period
-
-    cut = data.get("cutoff", {})
-    _check_keys(cut, {"inner", "outer"}, "cutoff")
-    if "inner" in cut:
-        kwargs["cutoff_inner"] = _number(cut["inner"], "cutoff.inner")
-    if "outer" in cut:
-        kwargs["cutoff_outer"] = _number(cut["outer"], "cutoff.outer")
-
-    forces = data.get("forces", {})
-    _check_keys(forces, {"tilde_f", "tilde_g"}, "forces")
-    if forces.get("tilde_f") is not None:
-        kwargs["tilde_f"] = ExternalForceSpec.parse(
-            forces["tilde_f"], "forces.tilde_f", period
-        )
-    if forces.get("tilde_g") is not None:
-        kwargs["tilde_g"] = SignalSpec.parse(
-            forces["tilde_g"], "forces.tilde_g", period=period
-        )
-
-    sol = data.get("solver", {})
-    _check_keys(
-        sol,
-        {
-            "n_modes",
-            "n_steps",
-            "mesh_h",
-            "profile_nodes",
-            "damping",
-            "tol",
-            "max_iter",
-            "alphas",
-            "resonance_factors",
-        },
-        "solver",
-    )
-    for src, dst, cast in (
-        ("n_modes", "n_modes", _integer),
-        ("n_steps", "n_steps", _integer),
-        ("mesh_h", "mesh_h", _number),
-        ("profile_nodes", "profile_nodes", _integer),
-        ("damping", "damping", _number),
-        ("tol", "fixed_point_tol", _number),
-        ("max_iter", "max_iter", _integer),
-    ):
-        if src in sol:
-            kwargs[dst] = cast(sol[src], f"solver.{src}")
-    for key in ("alphas", "resonance_factors"):
-        if key in sol:
-            if not isinstance(sol[key], list):
-                raise ConfigError(f"'solver.{key}' must be a list")
-            kwargs[key] = tuple(_number(a, f"solver.{key}") for a in sol[key])
-
-    out = data.get("output", {})
-    _check_keys(out, {"dir"}, "output")
-    if "dir" in out:
-        kwargs["output_dir"] = str(out["dir"])
-
-    if "seed" in data:
-        kwargs["seed"] = _integer(data["seed"], "seed")
-        if kwargs["seed"] < 0:
-            raise ConfigError("'seed' must be a non-negative integer")
-    if "warn_only" in data:
-        if not isinstance(data["warn_only"], bool):
-            raise ConfigError("'warn_only' must be a boolean")
-        kwargs["warn_only"] = data["warn_only"]
-
-    return RunConfig(**kwargs)
+    return RunConfig(**_read(_SCHEMA, data, "", required=False))
 
 
 def load_config(path):
@@ -384,7 +346,7 @@ def load_config(path):
         raise ConfigError(f"configuration file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parse_config(data or {})
+    return parse_config({} if data is None else data)  # an empty file is {}
 
 
 def reference_config(**overrides):

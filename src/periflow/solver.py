@@ -79,7 +79,7 @@ def _flat(traj):
     return np.concatenate([traj.states.ravel(), traj.derivs.ravel()])
 
 
-def fixed_point(gsys, cfg=None, start=None):
+def fixed_point(gsys, cfg, start=None):
     """Anderson-accelerated damped Picard iteration on the system
     `gsys.scaled(cfg.alpha)`; returns (trajectory, report).
 
@@ -98,7 +98,6 @@ def fixed_point(gsys, cfg=None, start=None):
     trajectory is the last map output (so it exactly solves its own
     linearization); the report carries the iterate-distance history.
     """
-    cfg = cfg or FixedPointConfig()
     gsys = gsys.scaled(cfg.alpha)
     if start is None:
         x = zero_trajectory(gsys.period, gsys.n, cfg.n_steps)
@@ -247,7 +246,7 @@ def weak2_residual(gsys, traj):
     return worst
 
 
-def homotopy_sweep(gsys, alphas, cfg=None):
+def homotopy_sweep(gsys, alphas, cfg):
     """Solve the fixed-point problem on `gsys.scaled(alpha)` for each alpha.
 
     Each alpha after the first starts from the previous row's trajectory
@@ -258,7 +257,6 @@ def homotopy_sweep(gsys, alphas, cfg=None):
     """
     from .diagnostics import energy_E
 
-    cfg = cfg or FixedPointConfig()
     rows = []
     last = start = None
     for alpha in alphas:
@@ -350,7 +348,7 @@ def galerkin_solve(config):
 
     gsys = assemble_from_config(config)["system"]
 
-    cq, cq_zero_flag = estimate_cq(gsys, seed=config.seed)
+    cq, cq_zero_flag = estimate_cq(gsys)
     small = smallness_report(
         gsys.carrier.flow.flowrate, gsys.params, cq, forces=gsys.forces
     )

@@ -90,7 +90,7 @@ def ref_run(phi_ref, params, geom, mesh, basis):
 
 @pytest.fixture(scope="session")
 def ref_cq(ref_run):
-    cq, zero_flag = estimate_cq(ref_run["system"], seed=0)
+    cq, zero_flag = estimate_cq(ref_run["system"])
     assert not zero_flag
     return cq
 

@@ -373,8 +373,8 @@ def test_criterion_11_scaling(ref_run, half_run, params):
     quad_ok = abs(ratio - 0.25) <= 0.025
 
     # every smallness margin widens when the amplitude halves
-    cq, _ = estimate_cq(ref_run["system"], seed=0)
-    cq_h, _ = estimate_cq(half_run["system"], seed=0)
+    cq, _ = estimate_cq(ref_run["system"])
+    cq_h, _ = estimate_cq(half_run["system"])
     rep_full = smallness_report(ref_run["phi"], params, cq, forces=ref_run["forces"])
     rep_half = smallness_report(half_run["phi"], params, cq_h, forces=half_run["forces"])
     margins_ok = all(

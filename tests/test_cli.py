@@ -225,6 +225,9 @@ _MESSAGE_PARTS = {
     "flowrate: {period: 6.0, harmonics: [[true, 0.0, -0.5]]}\n": (
         "'flowrate.harmonics[0][0]'",
     ),
+    "forces:\n  tilde_f: {box: [1.5, 1.2, -0.4, 0.4], direction: [0.0, 1.0],"
+    " harmonics: [[1, 0.1, 0.0]]}\n": ("'forces.tilde_f.box'",),
+    "output: {dir: null}\n": ("'output.dir'",),
 }
 
 
@@ -270,6 +273,11 @@ _MESSAGE_PARTS = {
         "solver: {profile_nodes: 9.5}\n",
         "solver: {max_iter: true}\n",
         "flowrate: {period: 6.0, harmonics: [[true, 0.0, -0.5]]}\n",
+        # an external force box with x0 > x1
+        "forces:\n  tilde_f: {box: [1.5, 1.2, -0.4, 0.4], direction: [0.0, 1.0],"
+        " harmonics: [[1, 0.1, 0.0]]}\n",
+        # an output directory that is not a string
+        "output: {dir: null}\n",
     ],
 )
 def test_invalid_config_is_config_error(tmp_path, capsys, text):
@@ -340,6 +348,23 @@ def test_non_finite_iterate_exit_code(tmp_path, capsys, nan_map_after):
     err = capsys.readouterr().err
     assert err.startswith("solver did not converge: ") and err.count("\n") == 1
     assert "non-finite" in err and "Traceback" not in err
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "--seed", "-1", "solve"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "'seed'" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_external_force_period_key_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "forces:\n  tilde_g: {period: 2.0, harmonics: [[0, 0.2, 0.0]]}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "'period'" in err and "forces.tilde_g" in err
 
 
 def test_seed_override_recorded(tmp_path):

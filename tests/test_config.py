@@ -1,10 +1,15 @@
 """Configuration parsing, validation messages, and hashing."""
 
 import math
+import os
+import re
+from dataclasses import replace
 
 import pytest
+import yaml
 
 from periflow.config import (
+    _SCHEMA,
     RunConfig,
     SignalSpec,
     load_config,
@@ -15,6 +20,7 @@ from periflow.errors import ConfigError
 
 NAN = float("nan")
 FORCE_BOX = {"box": [1.0, 2.0, -0.4, 0.4], "direction": [0.0, 1.0]}
+FORCE_F = {**FORCE_BOX, "harmonics": [[1, 0.1, 0.0]]}
 
 
 def test_defaults_build():
@@ -107,6 +113,13 @@ def test_parse_full_document():
         ({"flowrate": {"period": True, "harmonics": []}}, "flowrate.period"),
         ({"seed": True}, "seed"),
         ({"seed": 1.5}, "seed"),
+        ({"forces": {"tilde_f": {**FORCE_F, "box": [1.5, 1.2, -0.4, 0.4]}}}, "forces.tilde_f.box"),
+        ({"forces": {"tilde_f": {**FORCE_F, "box": [1.0, 2.0, 0.4, 0.4]}}}, "forces.tilde_f.box"),
+        ({"output": {"dir": None}}, "output.dir"),
+        ({1: 2, "bogus": 3}, "bogus"),
+        ({"output": {"dir": 3}}, "output.dir"),
+        ({"forces": {"tilde_g": {"period": 2.0, "harmonics": [[0, 0.2, 0.0]]}}}, "'period'"),
+        ({"forces": {"tilde_f": {**FORCE_F, "period": 2.0}}}, "'period'"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):
@@ -137,6 +150,21 @@ def test_dataclass_validation():
         RunConfig(n_modes=0)
 
 
+def test_replace_meets_the_same_bounds():
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        replace(RunConfig(), seed=-1)
+    with pytest.raises(ConfigError, match="warn_only"):
+        replace(RunConfig(), warn_only="yes")
+    with pytest.raises(ConfigError, match="damping"):
+        replace(RunConfig(), damping=0.0)
+    with pytest.raises(ConfigError, match="profile_nodes"):
+        replace(RunConfig(), profile_nodes=9.5)
+    with pytest.raises(ConfigError, match="n_steps"):
+        replace(RunConfig(), n_steps=True)
+
+
 def test_external_force_inherits_flowrate_period():
     cfg = parse_config(
         {
@@ -156,6 +184,11 @@ def test_external_force_inherits_flowrate_period():
     tf, tg = cfg.build_external_forces()
     assert tf.signal.period == 2.0
     assert tg(0.0) == pytest.approx(0.2)
+
+
+def test_external_forces_take_the_flowrate_period_when_built_directly():
+    cfg = RunConfig(tilde_g=SignalSpec(3.0, ((0, 0.2, 0.0),)))
+    assert cfg.tilde_g == SignalSpec(cfg.flowrate.period, ((0, 0.2, 0.0),))
 
 
 def test_with_period_rescales_all_signals():
@@ -197,6 +230,21 @@ def test_load_config_missing_file():
         load_config("/nonexistent/run.yaml")
 
 
+@pytest.mark.parametrize("text", ["", "# nothing set\n"])
+def test_load_config_empty_file_gives_defaults(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    assert load_config(str(path)) == RunConfig()
+
+
+@pytest.mark.parametrize("text", ["[]\n", "0\n", "false\n"])
+def test_load_config_non_mapping_document(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="must be a mapping"):
+        load_config(str(path))
+
+
 def test_load_config_bad_yaml(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("geometry: [unclosed\n")
@@ -210,3 +258,47 @@ def test_signal_spec_build_matches_closed_form():
     for t in (0.0, 0.4, 1.7):
         expect = 0.3 + math.sin(2.0 * t)
         assert sig(t) == pytest.approx(expect, abs=1e-12)
+
+
+# every key path a configuration may set
+ACCEPTED = {
+    "geometry.half_length", "geometry.body",
+    "params.rho", "params.mu", "params.mass", "params.stiffness",
+    "flowrate.period", "flowrate.harmonics",
+    "cutoff.inner", "cutoff.outer",
+    "forces.tilde_f.box", "forces.tilde_f.direction", "forces.tilde_f.harmonics",
+    "forces.tilde_g.harmonics",
+    "solver.n_modes", "solver.n_steps", "solver.mesh_h", "solver.profile_nodes",
+    "solver.damping", "solver.tol", "solver.max_iter", "solver.alphas",
+    "solver.resonance_factors",
+    "output.dir", "seed", "warn_only",
+}
+
+
+def _paths(doc, prefix=""):
+    """Dotted paths of the non-mapping values of a nested mapping."""
+    out = set()
+    for key, val in doc.items():
+        if isinstance(val, dict):
+            out |= _paths(val, f"{prefix}{key}.")
+        else:
+            out.add(prefix + key)
+    return out
+
+
+def test_readme_example_lists_every_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = re.search(r"```yaml\n(.*?)```", fh.read(), re.S).group(1)
+    doc = yaml.safe_load(block)
+    assert _paths(doc) == ACCEPTED
+    cfg = parse_config(doc)
+    assert cfg.tilde_f.signal.period == cfg.tilde_g.period == cfg.flowrate.period
+    # apart from the forces, the example is the reference setup
+    assert replace(cfg, tilde_f=None, tilde_g=None) == RunConfig()
+    # the sections of the table accept exactly their keys in ACCEPTED
+    for section, keys in _SCHEMA.items():
+        if isinstance(keys, dict) and section != "forces":
+            assert {f"{section}.{k}" for k in keys} == {
+                p for p in ACCEPTED if p.startswith(section + ".")
+            }
