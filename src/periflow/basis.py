@@ -65,13 +65,10 @@ class StreamMode:
     beta: float  # e1 . psi on the body boundary
     label: str
 
-    def fields(self, points, need=("V",)):
-        """Real mode fields: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i."""
-        return self.fields_on(coordinate_split(points), need)
-
     def fields_on(self, split, need):
-        """`fields` at the points that `geometry.coordinate_split` gave
-        `split`: each 1D factor is evaluated once per distinct coordinate and
+        """Real mode fields at the points that `geometry.coordinate_split`
+        gave `split`: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i.
+        Each 1D factor is evaluated once per distinct coordinate and
         scattered back to the points."""
         (x1, at1), (x2, at2) = split
         m = 2 if "grad" in need else 1
@@ -482,12 +479,12 @@ def estimate_cq(gsys):
     Maximizes |((psi - beta e1) . grad V, psi)| / (||phi||_{W^{1,2}_T}
     ||grad psi||^2) over the basis coefficient vectors, across a grid of 64
     times.  The forms are the system's `transport_forms`, synthesized in
-    time.  Returns (value, phi_is_zero_flag).
+    time.  A zero flow rate gives 0.
     """
     basis, carrier = gsys.basis, gsys.carrier
     phi_norm = sobolev_norm_T(carrier.flow.flowrate, 1)
     if phi_norm == 0.0:
-        return 0.0, True
+        return 0.0
 
     gg = basis.grad_gram
     times = np.arange(64) * (carrier.period / 64)
@@ -501,5 +498,4 @@ def estimate_cq(gsys):
     S = (Linv.T @ vecs[:, :, [0, -1]]).transpose(0, 2, 1).reshape(-1, basis.n)
     denom = phi_norm * np.einsum("si,ij,sj->s", S, gg, S)
     forms = np.einsum("si,tij,sj->ts", S, Bt, S)
-    best = float(np.max(np.abs(forms) / denom))
-    return best, False
+    return float(np.max(np.abs(forms) / denom))

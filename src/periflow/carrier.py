@@ -209,7 +209,6 @@ class ExternalBodyForce:
 @dataclass(frozen=True)
 class ForcingData:
     carrier: FluxCarrier
-    params: object
     cell_idx: np.ndarray  # mesh cells where f may be nonzero
     cell_weights: np.ndarray
     f_harmonics: dict  # k >= 0 -> (ncells_sub, 2) complex
@@ -315,7 +314,6 @@ def carrier_forces(carrier, params, mesh, tilde_f=None, tilde_g=None):
 
     return ForcingData(
         carrier=carrier,
-        params=params,
         cell_idx=idx,
         cell_weights=mesh.weights[idx],
         f_harmonics=f_harm,

@@ -143,6 +143,9 @@ class RunConfig:
         period = self.flowrate.period
         if not 0 < period < math.inf:
             raise ConfigError(f"'flowrate.period' must be positive and finite, got {period!r}")
+        for name in ("fixed_point_tol", "mesh_h", "damping", "half_length"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"'{name}' must be positive and finite")
         signals = [("flowrate", self.flowrate)]
         if self.tilde_f is not None:
             tf = replace(self.tilde_f, signal=SignalSpec(period, self.tilde_f.signal.harmonics))
@@ -153,6 +156,17 @@ class RunConfig:
                 raise ConfigError(
                     f"'forces.tilde_f.box' needs x0 < x1 and y0 < y1, got {list(tf.box)}"
                 )
+            L = self.half_length
+            bx0, bx1, by0, by1 = self.body
+            in_channel = max(x0, -L) < min(x1, L) and max(y0, -1.0) < min(y1, 1.0)
+            in_body = bx0 <= x0 and x1 <= bx1 and by0 <= y0 and y1 <= by1
+            if not in_channel or in_body:
+                raise ConfigError(
+                    f"'forces.tilde_f.box' {list(tf.box)} must overlap the fluid: "
+                    f"the channel [{-L}, {L}] x [-1, 1] outside the body {list(self.body)}"
+                )
+            if not any(tf.direction):
+                raise ConfigError("'forces.tilde_f.direction' must not be (0, 0)")
         if self.tilde_g is not None:
             object.__setattr__(self, "tilde_g", SignalSpec(period, self.tilde_g.harmonics))
             signals.append(("forces.tilde_g", self.tilde_g))
@@ -161,9 +175,6 @@ class RunConfig:
                 spec.build()  # make_signal's rules for the harmonics of a real signal
             except ValueError as exc:
                 raise ConfigError(f"'{path}.harmonics': {exc}") from None
-        for name in ("fixed_point_tol", "mesh_h", "damping", "half_length"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"'{name}' must be positive and finite")
         if self.damping > 1:
             raise ConfigError(f"'damping' must lie in (0, 1], got {self.damping}")
         for name in ("alphas", "resonance_factors"):

@@ -68,10 +68,6 @@ class ChannelGeometry:
         return self.body_width * self.body_height
 
     @property
-    def body_perimeter(self):
-        return 2.0 * (self.body_width + self.body_height)
-
-    @property
     def body_center(self):
         bx0, bx1, by0, by1 = self.body
         return (0.5 * (bx0 + bx1), 0.5 * (by0 + by1))
@@ -79,10 +75,6 @@ class ChannelGeometry:
     @property
     def fluid_area(self):
         return 4.0 * self.half_length - self.body_area
-
-    def contains_body(self, x1, x2):
-        bx0, bx1, by0, by1 = self.body
-        return (x1 >= bx0) & (x1 <= bx1) & (x2 >= by0) & (x2 <= by1)
 
     def dist_inf_to_body(self, x1, x2):
         bx0, bx1, by0, by1 = self.body
@@ -123,25 +115,12 @@ class QuadratureMesh:
     h: float
     centers: np.ndarray  # (ncells, 2), fluid-area centroids for cut cells
     weights: np.ndarray  # (ncells,)
-    boundary_nodes: np.ndarray  # (nb, 2) on the body boundary
-    boundary_normals: np.ndarray  # (nb, 2), outward from body into fluid
-    boundary_weights: np.ndarray  # (nb,)
-    geometry: ChannelGeometry
-
-    @property
-    def n_cells(self):
-        return len(self.weights)
 
     def cells_within(self, x1_abs_max):
         return np.nonzero(np.abs(self.centers[:, 0]) < x1_abs_max)[0]
 
     def area(self):
         return float(self.weights.sum())
-
-    def boundary_integral(self, values):
-        """Integral over the body boundary of per-node values (scalar/vector)."""
-        values = np.asarray(values)
-        return np.tensordot(self.boundary_weights, values, axes=(0, 0))
 
 
 def coordinate_split(points):
@@ -154,23 +133,11 @@ def coordinate_split(points):
     return tuple(np.unique(pts[:, j], return_inverse=True) for j in range(2))
 
 
-def _side_quadrature(p0, p1, normal, h):
-    """Midpoint nodes along the segment p0->p1 with spacing <= h."""
-    length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-    nseg = max(1, int(math.ceil(length / h)))
-    s = (np.arange(nseg) + 0.5) / nseg
-    nodes = np.outer(1.0 - s, p0) + np.outer(s, p1)
-    normals = np.tile(normal, (nseg, 1)).astype(float)
-    weights = np.full(nseg, length / nseg)
-    return nodes, normals, weights
-
-
 def build_mesh(geom, h):
     """Uniform cell-centered quadrature with body cut cells clipped exactly.
 
     Cells fully inside the body are dropped; partially covered cells keep the
-    fluid part of their area with the centroid of that part.  Body-boundary
-    quadrature uses midpoint nodes on each side with axis-aligned normals.
+    fluid part of their area with the centroid of that part.
     """
     h = float(h)
     if h <= 0:
@@ -215,28 +182,7 @@ def build_mesh(geom, h):
     centers = np.column_stack([cx[keep], cy[keep]])
     weights = a_fluid[keep]
 
-    sides = [
-        ((bx0, by0), (bx1, by0), (0.0, -1.0)),
-        ((bx1, by0), (bx1, by1), (1.0, 0.0)),
-        ((bx1, by1), (bx0, by1), (0.0, 1.0)),
-        ((bx0, by1), (bx0, by0), (-1.0, 0.0)),
-    ]
-    nodes, normals, bweights = [], [], []
-    for p0, p1, nrm in sides:
-        nd, nm, w = _side_quadrature(p0, p1, nrm, h)
-        nodes.append(nd)
-        normals.append(nm)
-        bweights.append(w)
-
-    mesh = QuadratureMesh(
-        h=h,
-        centers=centers,
-        weights=weights,
-        boundary_nodes=np.vstack(nodes),
-        boundary_normals=np.vstack(normals),
-        boundary_weights=np.concatenate(bweights),
-        geometry=geom,
-    )
+    mesh = QuadratureMesh(h=h, centers=centers, weights=weights)
     area_err = abs(mesh.area() - geom.fluid_area) / geom.fluid_area
     if area_err > 1e-10:
         raise MeshError(f"mesh area inconsistent with geometry (relative error {area_err:.2e})")

@@ -353,23 +353,22 @@ def frozen_linear_part(gsys, n_steps):
     return FrozenLinearPart(system=base, ainv_c=ainv_c)
 
 
-def linear_system_from_galerkin(frozen, tilde_a=None):
+def linear_system_from_galerkin(frozen, tilde_a):
     """The (n+1)-dimensional linear periodic system for frozen tilde_a.
 
     `frozen` is the `FrozenLinearPart` of the coefficient system at the
     step count of the solve.  tilde_a: (M, n) samples of the frozen
-    transport coefficients on the uniform grid (or None for zero).  The
-    system adds resample(tilde_a) @ (A^{-1} c) to the base matrices and
-    shares the rhs of `frozen`.
+    transport coefficients on the uniform grid.  The system adds
+    resample(tilde_a) @ (A^{-1} c) to the base matrices and shares the rhs
+    of `frozen`.
     """
     base = frozen.system
     n = base.dim - 1
     mats = base.mats.copy()
-    if tilde_a is not None:
-        ta2 = resample_periodic(tilde_a, 4 * base.n_steps)
-        ta2 = np.vstack([ta2, ta2[:1]])
-        # (c_ijk tilde_a_i) acting on a_j in the row-kappa equation, times A^{-1}
-        mats[:, :n, :n] += (ta2 @ frozen.ainv_c).reshape(-1, n, n)
+    ta2 = resample_periodic(tilde_a, 4 * base.n_steps)
+    ta2 = np.vstack([ta2, ta2[:1]])
+    # (c_ijk tilde_a_i) acting on a_j in the row-kappa equation, times A^{-1}
+    mats[:, :n, :n] += (ta2 @ frozen.ainv_c).reshape(-1, n, n)
     return LinearPeriodicSystem(
         period=base.period, mats=mats, rhs=base.rhs, n_steps=base.n_steps
     )

@@ -146,9 +146,6 @@ class PeriodicSignal:
     def max_abs(self):
         return float(np.max(np.abs(self.grid_samples)))
 
-    def is_zero(self, tol=0.0):
-        return bool(np.all(np.abs(self.fourier_coeffs) <= tol))
-
     def to_json_dict(self):
         return {
             "T": self.period,
@@ -224,10 +221,6 @@ def sine_signal(period, amplitude=1.0, harmonic=1):
 
 def constant_signal(period, value):
     return make_signal(period, {0: value})
-
-
-def signal_from_json_dict(data):
-    return make_signal(data["T"], data["harmonics"])
 
 
 def derivative(signal, order=1):

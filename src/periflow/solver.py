@@ -57,11 +57,10 @@ class FixedPointConfig:
 
 def apply_phi(frozen, tilde):
     """One application of the solution map: freeze the transport coefficients
-    of `tilde` (None for zero), solve the resulting linear periodic system.
+    of the trajectory `tilde`, solve the resulting linear periodic system.
     `frozen` is the `FrozenLinearPart` of the coefficient system at the
     step count of `tilde`."""
-    ta = None if tilde is None else tilde.a[:-1]
-    return solve_linear_periodic(linear_system_from_galerkin(frozen, tilde_a=ta))
+    return solve_linear_periodic(linear_system_from_galerkin(frozen, tilde.a[:-1]))
 
 
 def _iterate_distance(gsys, x, y):
@@ -124,7 +123,6 @@ def fixed_point(gsys, cfg, start=None):
                 "residual": resid,
                 "periodicity_defect": y.periodicity_defect,
                 "converged": True,
-                "alpha": cfg.alpha,
             }
             return y, report
         if len(history) > 1 and dist > history[-2]:
@@ -289,7 +287,6 @@ def stage(name, fn):
 @dataclass(frozen=True)
 class SolveResult:
     trajectory: PeriodicTrajectory
-    system: object
     report: dict
     diagnostics: dict | None = None
     warnings: tuple = ()
@@ -348,10 +345,8 @@ def galerkin_solve(config):
 
     gsys = assemble_from_config(config)["system"]
 
-    cq, cq_zero_flag = estimate_cq(gsys)
-    small = smallness_report(
-        gsys.carrier.flow.flowrate, gsys.params, cq, forces=gsys.forces
-    )
+    cq = estimate_cq(gsys)
+    small = smallness_report(gsys.carrier.flow.flowrate, gsys.params, cq, gsys.forces)
     if not small["weak"]["ok"]:
         msg = (
             "flow-rate smallness condition violated "
@@ -366,13 +361,9 @@ def galerkin_solve(config):
     traj, report = stage("fixed-point", lambda: fixed_point(gsys, cfg))
     report["smallness"] = small
     report["c_q"] = cq
-    report["c_q_zero_flowrate"] = cq_zero_flag
-    diag = stage(
-        "diagnostics", lambda: diagnostics_bundle(traj, gsys, config.seed)
-    )
+    diag = stage("diagnostics", lambda: diagnostics_bundle(traj, gsys))
     return SolveResult(
         trajectory=traj,
-        system=gsys,
         report=report,
         diagnostics=diag,
         warnings=tuple(warnings),

@@ -126,11 +126,6 @@ def solve_poiseuille(flowrate, params, n_nodes=DEFAULT_PROFILE_NODES):
     )
 
 
-def pressure_factor(flow, t):
-    """psi(t) = (1/|Pi|)(dphi/dt - nu * integral of chi'') = P(t)."""
-    return flow.pressure_factor_signal(t)
-
-
 @dataclass(frozen=True)
 class ChiNormRow:
     order: int  # 1, 2 or 3: row of the estimate family
@@ -138,11 +133,12 @@ class ChiNormRow:
     ck_w12: float  # ||chi||_{C^{m-1}((0,T);W^{1,2})}
     wk1_l2: float  # ||chi||_{W^{m,2}(0,T;L^2)}
     phi_norm: float  # ||phi||_{W^{m,2}_T}
-    ratios: tuple  # the three empirical constants (lhs / phi_norm)
 
 
 def chi_norm_report(flow, grid_size=256):
-    """Empirical constants for the nine profile-vs-flow-rate norm bounds."""
+    """Both sides of the nine profile-vs-flow-rate norm bounds: per order m,
+    three norms of the profile and the flow-rate norm, each norm over the
+    flow-rate norm being an empirical constant."""
     T = flow.period
     omega = flow.omega
     rows = []
@@ -165,17 +161,13 @@ def chi_norm_report(flow, grid_size=256):
         du = synthesize(differentiate(dchi, omega, m - 1), omega, times)
         w12_sq = cubic_spline(flow.x2, u**2 + du**2, axis=1).integrate(-1.0, 1.0)
         sup = float(np.max(w12_sq))
-        phi_norm = sobolev_norm_T(flow.flowrate, m)
-        lhs = (math.sqrt(wk_w22_sq), math.sqrt(sup), math.sqrt(wk1_l2_sq))
-        ratios = tuple((v / phi_norm if phi_norm > 0 else 0.0) for v in lhs)
         rows.append(
             ChiNormRow(
                 order=m,
-                wk_w22=lhs[0],
-                ck_w12=lhs[1],
-                wk1_l2=lhs[2],
-                phi_norm=phi_norm,
-                ratios=ratios,
+                wk_w22=math.sqrt(wk_w22_sq),
+                ck_w12=math.sqrt(sup),
+                wk1_l2=math.sqrt(wk1_l2_sq),
+                phi_norm=sobolev_norm_T(flow.flowrate, m),
             )
         )
     return rows

@@ -178,12 +178,32 @@ def carrier_advected_forms(basis, carrier):
     return forms
 
 
-def body_force_at(forces, pts, t):
-    """Real body force f (carrier part plus the external force) of `forces`
-    at arbitrary points and times, from the carrier's harmonic fields
+def body_force_at(forces, params, pts, t):
+    """Real body force f (carrier part plus the external force) of `forces`,
+    with the physical parameters `params`, at arbitrary points and times,
+    from the carrier's harmonic fields
     evaluated afresh at `pts`; zero when the force vanishes."""
-    harmonics = _f_harmonics_at(forces.carrier, forces.params, forces.tilde_f, pts)
+    harmonics = _f_harmonics_at(forces.carrier, params, forces.tilde_f, pts)
     return synthesize(harmonics or {0: np.zeros(pts.shape)}, forces.carrier.omega, t)
+
+
+def body_boundary_quadrature(body, h):
+    """Midpoint rule on the four sides of the body rectangle (bx0, bx1, by0,
+    by1), at most h apart: nodes (nb, 2), outward unit normals (nb, 2) and
+    weights (nb,).  The sides run counter-clockwise, so the outward normal
+    of a side along the unit vector (e1, e2) is (e2, -e1)."""
+    bx0, bx1, by0, by1 = body
+    corners = np.array([(bx0, by0), (bx1, by0), (bx1, by1), (bx0, by1)], dtype=float)
+    nodes, normals, weights = [], [], []
+    for p, q in zip(corners, np.roll(corners, -1, axis=0)):
+        length = float(np.hypot(*(q - p)))
+        m = math.ceil(length / h)
+        s = (np.arange(m) + 0.5) / m
+        nodes.append(p + np.outer(s, q - p))
+        e1, e2 = (q - p) / length
+        normals.append(np.tile([e2, -e1], (m, 1)))
+        weights.append(np.full(m, length / m))
+    return np.vstack(nodes), np.vstack(normals), np.concatenate(weights)
 
 
 def damped_cosine_response(omega_f, times):

@@ -17,7 +17,7 @@ from periflow.geometry import PhysicalParams, build_geometry, build_mesh
 from periflow.signals import constant_signal, sine_signal, synthesize, zero_signal
 from periflow.womersley import solve_poiseuille
 
-from oracles import body_force_at
+from oracles import body_boundary_quadrature, body_force_at
 
 FD_H = 1e-5
 
@@ -51,9 +51,10 @@ def test_divergence_free(ref_carrier, geom):
         assert np.max(np.abs(div)) <= 1e-8 / FD_H
 
 
-def test_vanishes_on_body_boundary(ref_carrier, mesh):
+def test_vanishes_on_body_boundary(ref_carrier, geom, mesh):
+    nodes, _, _ = body_boundary_quadrature(geom.body, mesh.h)
     for t in (0.0, 0.7, 3.3):
-        v = ref_carrier.velocity_at(mesh.boundary_nodes, t)
+        v = ref_carrier.velocity_at(nodes, t)
         assert np.max(np.abs(v)) <= 1e-10
 
 
@@ -94,7 +95,7 @@ def test_zero_flowrate_gives_zero_carrier_and_forces(params, geom, mesh):
     assert np.max(np.abs(carrier.velocity_at(pts, 0.4))) == 0.0
     forces = carrier_forces(carrier, params, mesh)
     assert forces.f_l2_l2_norm() == 0.0
-    assert forces.g.is_zero(tol=1e-15)
+    assert np.max(np.abs(forces.g.fourier_coeffs)) <= 1e-15
 
 
 def test_forcing_supported_near_body(params, geom, mesh, ref_carrier):
@@ -192,8 +193,8 @@ def test_external_force_enters_additively(params, geom, mesh, ref_carrier):
     pts = np.array([[1.5, 0.0]])
     t = 0.8
     bump = tf.bump(pts[:, 0], pts[:, 1])[:, None]
-    expect = body_force_at(base, pts, t) + bump * np.array([0.0, 1.0]) * float(tf.signal(t))
-    assert np.allclose(body_force_at(forces, pts, t), expect, atol=1e-12)
+    expect = body_force_at(base, params, pts, t) + bump * np.array([0.0, 1.0]) * float(tf.signal(t))
+    assert np.allclose(body_force_at(forces, params, pts, t), expect, atol=1e-12)
     assert forces.g(t) == pytest.approx(base.g(t) + tg(t), abs=1e-12)
 
 
@@ -219,7 +220,7 @@ def test_harmonic_fields_at_unsorted_repeated_points(two_harmonic_forces, mesh, 
     rng = np.random.default_rng(5)
     pts = np.concatenate(
         [
-            mesh.centers[rng.choice(mesh.n_cells, 30)],
+            mesh.centers[rng.choice(len(mesh.weights), 30)],
             np.column_stack([rng.uniform(-geom.X0 - 1, geom.X0 + 1, 10), rng.uniform(-1, 1, 10)]),
         ]
     )
@@ -272,20 +273,21 @@ def test_body_force_matches_real_space_evaluation(two_harmonic_forces, params):
             - dVdt
             + psi * np.array([1.0, 0.0])
         )
-        got = body_force_at(forces, pts, t)
+        got = body_force_at(forces, params, pts, t)
         assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(want)))
 
 
-def test_force_norm_series_matches_real_space_norm(two_harmonic_forces):
+def test_force_norm_series_matches_real_space_norm(two_harmonic_forces, params):
     forces = two_harmonic_forces
     cells = forces.mesh.centers[forces.cell_idx]
     n_times = 16
     times = np.arange(n_times) * (forces.period / n_times)
-    f = body_force_at(forces, cells, times)
+    f = body_force_at(forces, params, cells, times)
     want = np.sqrt(np.einsum("p,tpi->t", forces.cell_weights, f**2))
     assert np.allclose(forces.f_norm_series(n_times), want, rtol=1e-12)
     h = 1e-5
-    df = body_force_at(forces, cells, times + h) - body_force_at(forces, cells, times - h)
+    df = body_force_at(forces, params, cells, times + h)
+    df -= body_force_at(forces, params, cells, times - h)
     df /= 2.0 * h
     want_dt = np.sqrt(np.einsum("p,tpi->t", forces.cell_weights, df**2))
     assert np.allclose(forces.f_norm_series(n_times, dt_order=1), want_dt, rtol=1e-8)

@@ -214,6 +214,17 @@ def test_inverted_cutoff_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# an external force box past the channel's end, one inside the body, and a
+# force along no direction: each would run as if there were no force
+NO_FLUID_BOXES = tuple(
+    "forces:\n  tilde_f: {box: %s, direction: [0.0, 1.0], harmonics: [[1, 0.1, 0.0]]}\n" % box
+    for box in ("[20, 21, -0.4, 0.4]", "[-0.2, 0.2, -0.1, 0.1]")
+)
+NO_DIRECTION = (
+    "forces:\n  tilde_f: {box: [1.0, 2.0, -0.4, 0.4], direction: [0, 0],"
+    " harmonics: [[1, 0.1, 0.0]]}\n"
+)
+
 # message fragments that the error line of an invalid config must contain
 _MESSAGE_PARTS = {
     "solver: {n_steps: 1}\n": ("'n_steps'", ">= 2"),
@@ -228,6 +239,8 @@ _MESSAGE_PARTS = {
     "forces:\n  tilde_f: {box: [1.5, 1.2, -0.4, 0.4], direction: [0.0, 1.0],"
     " harmonics: [[1, 0.1, 0.0]]}\n": ("'forces.tilde_f.box'",),
     "output: {dir: null}\n": ("'output.dir'",),
+    **{text: ("'forces.tilde_f.box'",) for text in NO_FLUID_BOXES},
+    NO_DIRECTION: ("'forces.tilde_f.direction'",),
 }
 
 
@@ -278,6 +291,9 @@ _MESSAGE_PARTS = {
         " harmonics: [[1, 0.1, 0.0]]}\n",
         # an output directory that is not a string
         "output: {dir: null}\n",
+        # an external force that acts on no fluid
+        *NO_FLUID_BOXES,
+        NO_DIRECTION,
     ],
 )
 def test_invalid_config_is_config_error(tmp_path, capsys, text):

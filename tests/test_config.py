@@ -120,6 +120,11 @@ def test_parse_full_document():
         ({"output": {"dir": 3}}, "output.dir"),
         ({"forces": {"tilde_g": {"period": 2.0, "harmonics": [[0, 0.2, 0.0]]}}}, "'period'"),
         ({"forces": {"tilde_f": {**FORCE_F, "period": 2.0}}}, "'period'"),
+        # a force that acts on no fluid: past the channel's end, inside the
+        # body, or along no direction
+        ({"forces": {"tilde_f": {**FORCE_F, "box": [20, 21, -0.4, 0.4]}}}, "forces.tilde_f.box"),
+        ({"forces": {"tilde_f": {**FORCE_F, "box": [-0.2, 0.2, -0.1, 0.1]}}}, "forces.tilde_f.box"),
+        ({"forces": {"tilde_f": {**FORCE_F, "direction": [0, 0]}}}, "forces.tilde_f.direction"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):

@@ -216,7 +216,7 @@ def test_system_from_galerkin_builds_its_own_maps(map_builds, zero_system):
     frozen = frozen_linear_part(zero_system, 64)
     M_base, _ = monodromy(frozen.system)
     tilde = np.random.default_rng(7).standard_normal((64, zero_system.n))
-    for ta in (None, tilde):
+    for ta in (np.zeros_like(tilde), tilde):
         lin = linear_system_from_galerkin(frozen, tilde_a=ta)
         M, p = monodromy(lin)
         fresh = LinearPeriodicSystem(
@@ -296,6 +296,25 @@ def test_periodic_solve_closed_form():
     traj = solve_linear_periodic(sys)
     exact = damped_cosine_response(omega_f, traj.times)
     assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-8
+
+
+def test_step_halving_gate_fires_on_a_coarse_grid():
+    # x' = -x + cos 5t over T = 2 pi: at 16 steps the nominal and the halved
+    # step disagree by 4.8e-4 at t = T, past the gate; at 256 steps the
+    # solve passes it and matches the closed form
+    def system(n_steps):
+        return _time_system(
+            2.0 * math.pi,
+            n_steps,
+            lambda t: np.full((len(t), 1, 1), -1.0),
+            lambda t: np.cos(5.0 * t)[:, None],
+        )
+
+    with pytest.raises(ResolutionError, match="step-halving disagreement 4.757e-04"):
+        solve_linear_periodic(system(16))
+    traj = solve_linear_periodic(system(256))
+    exact = damped_cosine_response(5.0, traj.times)
+    assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-6
 
 
 def test_oscillator_resonant_at_natural_period():
