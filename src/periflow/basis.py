@@ -25,7 +25,7 @@ import numpy as np
 
 from ._bumps import Affine, Cosine, EdgeBump, Product, WindowBump, curl_fields
 from .errors import BasisError
-from .geometry import coordinate_split
+from .geometry import cell_rows, coordinate_split
 from .signals import derivative, differentiate, real_fields, sobolev_norm_T, synthesize
 
 
@@ -136,10 +136,14 @@ def _candidate_modes(geom, n):
 class GalerkinBasis:
     """Orthonormal basis fields, evaluated once on the support cells.
 
-    `values` and `grads` hold psi and grad psi on the mesh cells `cell_idx`;
-    `fields_at_cells` reads them back for any cell set and evaluates only
-    the cells outside `cell_idx`.  The basis-only tensors are contracted
-    over the cells by BLAS products in `build_basis`.
+    `values` and `grads` hold psi and grad psi on the mesh cells `cell_idx`,
+    the cells with |x1| < X0 + 1.  Every mode is exactly zero on the other
+    cells: the interior boxes end at |x1| = X0 + 0.95 and the body-coupled
+    ramps earlier.  So `fields_at_cells` reads the fields of any cell set
+    back as stored rows and exact zeros, and evaluates nothing;
+    `diagnostics.far_field_decay` checks those zeros on every run.  The
+    basis-only tensors are contracted over the cells by BLAS products in
+    `build_basis`.
     """
 
     geometry: object
@@ -173,19 +177,9 @@ class GalerkinBasis:
 
     def fields_at_cells(self, cells):
         """(psi, grad psi) at the centers of the mesh cells `cells`:
-        (n, m, 2) and (n, m, 2, 2).  Cells in `cell_idx` take their rows of
-        `values`/`grads`; only the others go through `velocity_at` and
-        `gradient_at`."""
-        cells = np.asarray(cells)
-        pos = np.minimum(np.searchsorted(self.cell_idx, cells), len(self.cell_idx) - 1)
-        stored = self.cell_idx[pos] == cells
-        # take() gives C-contiguous copies (values[:, pos] does not), which
-        # the products of stokes_rhs_norm read as flat rows
-        psi, gpsi = self.values.take(pos, axis=1), self.grads.take(pos, axis=1)
-        if not stored.all():
-            other = self.mesh.centers[cells[~stored]]
-            psi[:, ~stored], gpsi[:, ~stored] = self.velocity_at(other), self.gradient_at(other)
-        return psi, gpsi
+        (n, m, 2) and (n, m, 2, 2), the rows of `values`/`grads`, and exact
+        zeros off `cell_idx`, where every mode vanishes."""
+        return cell_rows(self.cell_idx, cells, self.values, self.grads)
 
     def l2_inner(self, i, k):
         return float(
@@ -297,7 +291,7 @@ def _carrier_transport(w, Vc, Gc, V, G, beta):
         d1[k, i, j] = sum_p w_p ((V_k . grad) psi_i) . psi_j,
         B[k, i, j] = sum_p w_p ((psi_i - beta_i e1) . grad V_k) . psi_j,
 
-    from the Re/Im carrier fields Vc (2, K, nc, 2) and Gc (2, K, nc, 2, 2)
+    from the Re/Im carrier fields Vc (2K, nc, 2) and Gc (2K, nc, 2, 2)
     and the basis fields V, G (grad[i, p, c, d] = d_d psi_{i,c}).  Each is
     one real broadcast product, summed over d, of shape (2 K n, nc, 2),
     times V by one matrix product over (p, c).
@@ -305,10 +299,10 @@ def _carrier_transport(w, Vc, Gc, V, G, beta):
     n, nc = V.shape[:2]
     wVc = w[:, None] * Vc
     wGc = w[:, None, None] * Gc
-    X = wVc[:, :, None, :, None, 0] * G[..., 0]
-    X += wVc[:, :, None, :, None, 1] * G[..., 1]
-    Y = (V[:, :, 0] - beta[:, None])[:, :, None] * wGc[:, :, None, :, :, 0]
-    Y += V[:, :, None, 1] * wGc[:, :, None, :, :, 1]
+    X = wVc[:, None, :, None, 0] * G[..., 0]
+    X += wVc[:, None, :, None, 1] * G[..., 1]
+    Y = (V[:, :, 0] - beta[:, None])[:, :, None] * wGc[:, None, :, :, 0]
+    Y += V[:, :, None, 1] * wGc[:, None, :, :, 1]
     Vt = V.reshape(n, 2 * nc).T
     d1, B = ((Z.reshape(-1, 2 * nc) @ Vt).reshape(2, -1, n, n) for Z in (X, Y))
     return d1[0] + 1j * d1[1], B[0] + 1j * B[1]
@@ -325,8 +319,11 @@ class GalerkinSystem:
     - (k/rho) z beta + F(t), z' = beta.a, with d(t) (`d_at`) and
     F = f + g beta / rho (`forcing_at`) stored per flow harmonic.
     `transport_forms` holds the carrier half of each d harmonic,
-    B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j).  `scaled` gives
-    the system of the homotopy in the forcing."""
+    B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j).  `carrier_fields`
+    keeps the carrier fields that the assembly evaluated on the basis cells
+    `basis.cell_idx`, which the diagnostics read instead of evaluating the
+    carrier again.  `scaled` gives the system of the homotopy in the
+    forcing."""
 
     basis: GalerkinBasis
     carrier: object
@@ -339,6 +336,9 @@ class GalerkinSystem:
     transport_forms: dict  # flow harmonic k -> complex (n, n) B_k
     f_harmonics: dict  # flow harmonic k -> complex (n,)
     beta: np.ndarray
+    # Re then Im of V_k and grad V_k over carrier.harmonics on basis.cell_idx:
+    # ((2K, nc, 2), (2K, nc, 2, 2)), grad[..., c, d] = d_d V_c
+    carrier_fields: tuple = field(repr=False)
 
     @property
     def n(self):
@@ -375,9 +375,10 @@ class GalerkinSystem:
 def assemble_system(basis, carrier, forces, params):
     """Quadrature assembly of the per-period tensors of the coefficient ODE
     system; the basis-only tensors (strain Gram, cubic transport) come from
-    `build_basis`.  The carrier fields are evaluated once per harmonic on
-    the basis support cells, and the carrier-transport forms and the
-    projected forcing are matrix products over the cells.
+    `build_basis`.  The carrier fields of every harmonic are evaluated once,
+    on the basis support cells, and kept in the system's `carrier_fields`;
+    the carrier-transport forms and the projected forcing are matrix
+    products over the cells.
 
     The cubic transport tensor and the carrier-transport block are assembled
     in explicitly skew-symmetrized form: the continuum integrals are skew
@@ -386,7 +387,6 @@ def assemble_system(basis, carrier, forces, params):
     symmetrization restores that structure to machine precision against
     quadrature error (the standard energy-conserving convective form).
     """
-    mesh = basis.mesh
     n = basis.n
     w = basis.cell_weights
     V = basis.values  # (n, nc, 2)
@@ -401,16 +401,10 @@ def assemble_system(basis, carrier, forces, params):
     b = 0.5 * (b + b.T)
 
     # carrier transport d(t), per flow harmonic
-    pts = mesh.centers[basis.cell_idx]
-    fields = carrier.harmonic_fields(pts, ("V", "grad"))
-    d1, B = _carrier_transport(
-        w,
-        real_fields({k: fld["V"] for k, fld in fields.items()}),
-        real_fields({k: fld["grad"] for k, fld in fields.items()}),
-        V,
-        G,
-        beta,
-    )
+    fields = carrier.harmonic_fields(basis.mesh.centers[basis.cell_idx], ("V", "grad"))
+    Vc = real_fields({k: fld["V"] for k, fld in fields.items()})  # (2K, nc, 2)
+    Gc = real_fields({k: fld["grad"] for k, fld in fields.items()})  # (2K, nc, 2, 2)
+    d1, B = _carrier_transport(w, Vc, Gc, V, G, beta)
     forms = dict(zip(fields, B))
     d_harm = {k: 0.5 * (d - d.T) + forms[k] for k, d in zip(fields, d1)}
 
@@ -418,9 +412,8 @@ def assemble_system(basis, carrier, forces, params):
     f_harm = {}
     if forces.f_harmonics:
         psi_f, _ = basis.fields_at_cells(forces.cell_idx)  # (n, nf, 2)
-        F = real_fields(forces.f_harmonics)  # (2, Kf, nf, 2)
-        F = _weighted_gram(forces.cell_weights, F.reshape(-1, *F.shape[2:]), psi_f)
-        F = F.reshape(2, -1, n)
+        F = real_fields(forces.f_harmonics)  # (2Kf, nf, 2)
+        F = _weighted_gram(forces.cell_weights, F, psi_f).reshape(2, -1, n)
         f_harm = dict(zip(forces.f_harmonics, F[0] + 1j * F[1]))
 
     return GalerkinSystem(
@@ -435,6 +428,7 @@ def assemble_system(basis, carrier, forces, params):
         transport_forms=forms,
         f_harmonics=f_harm,
         beta=beta,
+        carrier_fields=(Vc, Gc),
     )
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._bumps import EdgeBump, WindowBump, curl_fields, leibniz
 from ._spline import cubic_spline
-from .errors import GeometryError
+from .errors import GeometryError, MeshError
 from .geometry import coordinate_split
 from .signals import PeriodicSignal, derivative, differentiate, harmonic_weights
 from .signals import l2_norm_sq, norm_series, product, sobolev_norm_T, synthesize
@@ -288,7 +288,9 @@ def carrier_forces(carrier, params, mesh, tilde_f=None, tilde_g=None):
     """Assemble the forcing fields f (on its support cells) and g.
 
     The viscous boundary integral in g vanishes because grad V = 0 on the
-    body boundary, leaving g = rho * psi(t) * area(B) + tilde_g.
+    body boundary, leaving g = rho * psi(t) * area(B) + tilde_g.  A
+    `tilde_f` whose bump vanishes at every mesh cell centre raises a
+    MeshError: the force reaches the solve only through the cells.
     """
     geom = carrier.geometry
     pts = mesh.centers
@@ -302,6 +304,12 @@ def carrier_forces(carrier, params, mesh, tilde_f=None, tilde_g=None):
             (pts[:, 0] >= b[0]) & (pts[:, 0] <= b[1])
             & (pts[:, 1] >= b[2]) & (pts[:, 1] <= b[3])
         )
+        # the bump vanishes on the box edges, so centres there do not count
+        if not tilde_f.bump(pts[inside, 0], pts[inside, 1]).any():
+            raise MeshError(
+                f"'forces.tilde_f.box' {list(b)} holds no mesh cell centre where the "
+                f"force is nonzero at 'solver.mesh_h' {mesh.h}, so it would act on nothing"
+            )
         mask |= inside
     idx = np.nonzero(mask)[0]
     f_harm = _f_harmonics_at(carrier, params, tilde_f, pts[idx])

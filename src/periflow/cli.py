@@ -148,6 +148,9 @@ def cmd_resonance(config, out_dir):
         parts = assemble_from_config(config.with_period(period), basis=basis)
         basis = parts["basis"]
         probe = resonance_probe(parts["system"], fp_cfg)
+        # each system holds its carrier fields; free this one before the next
+        # period's assembly, which would otherwise peak with both alive
+        del parts
         coupled = probe["coupled"]
         rows.append(
             (

@@ -19,6 +19,7 @@ import numpy as np
 
 from ._bumps import Affine, Product
 from .errors import PeriflowError, ResolutionError, ResonantOrNonUnique
+from .geometry import cell_rows
 from .periodic_ode import (
     oscillator_system,
     resample_periodic,
@@ -222,28 +223,26 @@ def check_partial_bound(traj, gsys):
 
 
 def _gradV_norm_series(gsys, times):
-    """||grad V(t)||_{L^2} restricted to the basis support cells."""
-    basis = gsys.basis
+    """||grad V(t)||_{L^2} restricted to the basis support cells, from the
+    carrier fields that the assembly kept there (`carrier_fields`)."""
     carrier = gsys.carrier
-    pts = basis.mesh.centers[basis.cell_idx]
-    harm = {k: fld["grad"] for k, fld in carrier.harmonic_fields(pts, ("grad",)).items()}
-    return norm_series(harm, basis.cell_weights, carrier.omega, times)
+    re, im = np.split(gsys.carrier_fields[1], 2)  # (K, nc, 2, 2) each
+    harm = dict(zip(carrier.harmonics, re + 1j * im))
+    return norm_series(harm, gsys.basis.cell_weights, carrier.omega, times)
 
 
-def check_particular_energy(traj, gsys):
-    """Ledger rows for the decay inequality of the augmented energy, and the
-    sqrt(G) series.
+def check_particular_energy(traj, gsys, G):
+    """Ledger rows for the decay inequality of the augmented energy G (the
+    series of `energy_report`), and the sqrt(G) series.
 
     All unnamed constants are fitted minimally on this run; the genuine
     check is the sup-via-mean reconstruction: sup sqrt(G) <= (1+1/T) int
     sqrt(G) dt, the mechanism that bounds the homotopy solution set.
     """
     params = gsys.params
-    basis = gsys.basis
     T = traj.period
     M = traj.n_steps
     dt = T / M
-    G = energy_G(traj, params, basis, admissible_delta(basis, params))
     sqrtG = np.sqrt(np.maximum(G, 0.0))
     ids = ("decay-inequality", "integrated-decay", "energy-sup-reconstruction")
     if sqrtG.max() <= 1e-14:
@@ -493,7 +492,8 @@ def far_field_decay(basis, traj, x_list):
     v is evaluated on every mesh cell at 64 times, so a field that leaks
     past the basis support |x1| < X0 + 1 shows as a nonzero norm there;
     this check verifies the support containment and monotone decay inside
-    it.
+    it.  The zero rows that `GalerkinBasis.fields_at_cells` and
+    `stokes_rhs_norm` read beyond the support rest on that containment.
     """
     n_times = 64
     states = traj.resample_states(n_times)[:-1]
@@ -537,25 +537,34 @@ class BodyPressureBump:
 _CELL_BLOCK = 2048  # cells whose Stokes forcing fields stokes_rhs_norm holds at once
 
 
-def _stokes_fields(gsys, theta, cells, f_fields):
+def _stokes_fields(gsys, theta, cells, f_support):
     """The real fields of the Stokes forcing on the mesh cells `cells`,
     (m, len(cells), 2), in the row order of the coefficient columns of
-    `stokes_rhs_norm`: Re/Im of the f harmonics (given: `f_fields`, (2, Kf,
-    len(cells), 2)), psi_i, d_1 psi_i, Re/Im of (V_k.grad) psi_i +
+    `stokes_rhs_norm`: Re/Im of the f harmonics (`f_support`, (2Kf, nf, 2)
+    on `forces.cell_idx`), psi_i, d_1 psi_i, Re/Im of (V_k.grad) psi_i +
     (psi_i.grad) V_k per carrier harmonic k, Re/Im of d_1 V_k, and
-    grad theta."""
-    carrier = gsys.carrier
-    pts = gsys.basis.mesh.centers[cells]
-    psi, gpsi = gsys.basis.fields_at_cells(cells)  # (n, b, 2), (n, b, 2, 2)
-    fields = carrier.harmonic_fields(pts, ("V", "grad"))
-    V = real_fields({k: fld["V"] for k, fld in fields.items()})  # (2, K, b, 2)
-    GV = real_fields({k: fld["grad"] for k, fld in fields.items()})  # (2, K, b, 2, 2)
+    grad theta.
+
+    Every field but grad theta is read, not evaluated: f from its support
+    cells `forces.cell_idx`, psi and V from the basis cells `basis.cell_idx`
+    (the basis `values`/`grads` and the system's `carrier_fields`).  Off
+    the stored cells the rows are zeros, and so are the exact fields: f
+    vanishes off its support, psi_i beyond |x1| >= X0 + 1, V_k enters only
+    multiplied by basis fields, and d_1 V_k = 0 there because the carrier's
+    x1-dependence ends inside |x1| < X0 (`build_flux_carrier`)."""
+    basis = gsys.basis
+    pts = basis.mesh.centers[cells]
+    (f,) = cell_rows(gsys.forces.cell_idx, cells, f_support)
+    # (n, b, 2), (n, b, 2, 2), (2K, b, 2), (2K, b, 2, 2)
+    psi, gpsi, V, GV = cell_rows(
+        basis.cell_idx, cells, basis.values, basis.grads, *gsys.carrier_fields
+    )
     # grad[..., c, d] = d_d u_c, so d_1 u = grad[..., 0]; the transport
-    # fields (r, k, i, p, c) are sums over d of broadcast products
-    Vi, GVi = V[:, :, None, :, :, None], GV[:, :, None]
+    # fields (r k, i, p, c) are sums over d of broadcast products
+    Vi, GVi = V[:, None, :, :, None], GV[:, None]
     transport = Vi[..., 0, :] * gpsi[..., 0] + Vi[..., 1, :] * gpsi[..., 1]
     transport += psi[..., 0, None] * GVi[..., 0] + psi[..., 1, None] * GVi[..., 1]
-    parts = (f_fields, psi, gpsi[..., 0], transport, GV[..., 0], theta.grad(pts[:, 0], pts[:, 1]))
+    parts = (f, psi, gpsi[..., 0], transport, GV[..., 0], theta.grad(pts[:, 0], pts[:, 1]))
     return np.concatenate([x.reshape(-1, *pts.shape) for x in parts])
 
 
@@ -569,8 +578,10 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
     time coefficients C built from the states and the harmonic phases.  So
     ||h(t)||^2 = ((C @ F)^2) @ w, accumulated over blocks of `_CELL_BLOCK`
     cells of the union of the basis and forcing supports: the fields of all
-    cells at once raise the peak memory of a solve.  The sum is a
-    reordering of the per-time evaluation, so nothing cancels.
+    cells at once raise the peak memory of a solve.  The fields are the rows
+    stored by the basis, the assembly and the forcing, so no block evaluates
+    the carrier or the basis again.  The sum is a reordering of the per-time
+    evaluation, so nothing cancels.
     """
     basis = gsys.basis
     carrier = gsys.carrier
@@ -594,35 +605,30 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
     )
 
     omega = carrier.omega
-    f_phase = cos_sin_coefficients(list(forces.f_harmonics), omega, times)  # (t, 2, Kf)
-    V_phase = cos_sin_coefficients(carrier.harmonics, omega, times)  # (t, 2, K)
+    f_phase = cos_sin_coefficients(list(forces.f_harmonics), omega, times)  # (t, 2Kf)
+    V_phase = cos_sin_coefficients(carrier.harmonics, omega, times)  # (t, 2K)
     # one column per row of _stokes_fields
     C = np.concatenate(
         [
-            f_phase.reshape(n_times, -1),
+            f_phase,
             -adot,
             zdot[:, None] * a,
-            -(V_phase[..., None] * a[:, None, None, :]).reshape(n_times, -1),
-            zdot[:, None] * V_phase.reshape(n_times, -1),
+            -(V_phase[..., None] * a[:, None, :]).reshape(n_times, -1),
+            zdot[:, None] * V_phase,
             pressure[:, None],
         ],
         axis=1,
     )
 
-    # f is stored on its support cells and vanishes off them
-    f_support = np.zeros((2, 0) + forces.cell_idx.shape + (2,))
+    f_support = np.zeros((0,) + forces.cell_idx.shape + (2,))
     if forces.f_harmonics:
-        f_support = real_fields(forces.f_harmonics)  # (2, Kf, nf, 2)
+        f_support = real_fields(forces.f_harmonics)  # (2Kf, nf, 2)
     mesh = basis.mesh
     cells = np.union1d(basis.cell_idx, forces.cell_idx)
-    f_pos = np.searchsorted(cells, forces.cell_idx)
     sq = np.zeros(n_times)
     for start in range(0, len(cells), _CELL_BLOCK):
         block = cells[start : start + _CELL_BLOCK]
-        here = np.flatnonzero((f_pos >= start) & (f_pos < start + len(block)))
-        f_fields = np.zeros(f_support.shape[:2] + block.shape + (2,))
-        f_fields[:, :, f_pos[here] - start] = f_support[:, :, here]
-        F = _stokes_fields(gsys, theta, block, f_fields)
+        F = _stokes_fields(gsys, theta, block, f_support)
         h = C @ F.reshape(len(F), -1)
         h *= h
         sq += h @ np.repeat(mesh.weights[block], 2)
@@ -692,7 +698,7 @@ def diagnostics_bundle(traj, gsys):
     pb = check_partial_bound(traj, gsys)
     rows.append(pb)
 
-    pe_rows, _ = check_particular_energy(traj, gsys)
+    pe_rows, _ = check_particular_energy(traj, gsys, er.G)
     rows.extend(pe_rows)
 
     sr = strong_regularity_monitor(traj, gsys)

@@ -133,6 +133,20 @@ def coordinate_split(points):
     return tuple(np.unique(pts[:, j], return_inverse=True) for j in range(2))
 
 
+def cell_rows(stored, cells, *arrays):
+    """The rows of `arrays` at the mesh cells `cells`, for arrays that hold
+    one row per cell of the sorted cell set `stored` on axis 1; the rows of
+    cells outside `stored` are zeros.  Each array comes back as a
+    C-contiguous copy (x[:, pos] would not be), which the products of
+    `diagnostics.stokes_rhs_norm` read as flat rows."""
+    pos = np.minimum(np.searchsorted(stored, cells), len(stored) - 1)
+    off = stored[pos] != cells
+    rows = [x.take(pos, axis=1) for x in arrays]
+    for x in rows:
+        x[:, off] = 0.0
+    return rows
+
+
 def build_mesh(geom, h):
     """Uniform cell-centered quadrature with body cut cells clipped exactly.
 

@@ -48,24 +48,25 @@ def synthesize(harmonics, omega, times):
 
 
 def cos_sin_coefficients(ks, omega, times):
-    """Time coefficients of the series in its real fields: (len(times), 2,
-    len(ks)) with [:, 0] = w_k cos(k omega t) and [:, 1] = -w_k sin(k omega t),
-    w the `harmonic_weights`, so that
+    """Time coefficients of the series in its real fields: (len(times),
+    2 len(ks)), the K columns w_k cos(k omega t) then the K columns
+    -w_k sin(k omega t), w the `harmonic_weights`, so that
 
         synthesize(h, omega, times) == tensordot(
-            cos_sin_coefficients(list(h), omega, times), real_fields(h), 2).
+            cos_sin_coefficients(list(h), omega, times), real_fields(h), 1).
     """
     ks = np.asarray(ks, dtype=float)
     phases = omega * np.multiply.outer(times, ks)
     weights = harmonic_weights(ks)
-    return np.stack([weights * np.cos(phases), -weights * np.sin(phases)], axis=1)
+    return np.concatenate([weights * np.cos(phases), -weights * np.sin(phases)], axis=-1)
 
 
 def real_fields(harmonics):
-    """(2, K) + value.shape real array: Re c_k then Im c_k, in the order of
-    `harmonics`, the fields that `cos_sin_coefficients` weights."""
+    """(2K,) + value.shape real array: Re c_k of every harmonic, then Im c_k,
+    in the order of `harmonics`, the fields that `cos_sin_coefficients`
+    weights."""
     values = np.stack([np.asarray(v, dtype=complex) for v in harmonics.values()])
-    return np.stack([values.real, values.imag])
+    return np.concatenate([values.real, values.imag])
 
 
 def differentiate(harmonics, omega, order=1):

@@ -121,14 +121,8 @@ def test_basis_tensors_match_einsum_oracle(basis):
 
 
 def test_fields_at_cells_matches_direct_evaluation(basis, mesh):
-    # keep every third support cell stored, so the other support cells
-    # (nonzero fields) and the cells beyond the support take the evaluated path
-    part = dataclasses.replace(
-        basis,
-        cell_idx=basis.cell_idx[::3],
-        values=basis.values[:, ::3],
-        grads=basis.grads[:, ::3],
-    )
+    # support cells read stored rows; the cells beyond the support read
+    # zeros, which must equal the evaluated fields exactly
     rng = np.random.default_rng(3)
     outside = np.setdiff1d(np.arange(len(mesh.weights)), basis.cell_idx)
     cells = np.concatenate(
@@ -136,10 +130,29 @@ def test_fields_at_cells_matches_direct_evaluation(basis, mesh):
     )
     rng.shuffle(cells)
     pts = mesh.centers[cells]
-    for b in (basis, part):
-        psi, gpsi = b.fields_at_cells(cells)
-        assert np.array_equal(psi, basis.velocity_at(pts))
-        assert np.array_equal(gpsi, basis.gradient_at(pts))
+    psi, gpsi = basis.fields_at_cells(cells)
+    assert np.array_equal(psi, basis.velocity_at(pts))
+    assert np.array_equal(gpsi, basis.gradient_at(pts))
+
+
+@pytest.mark.parametrize("n", [1, 8, 20, 35])
+def test_modes_vanish_exactly_off_the_support_cells(geom, mesh, n):
+    # `fields_at_cells` and the Stokes forcing read zeros on these cells
+    b = build_basis(geom, n, mesh=mesh)
+    outside = mesh.centers[np.setdiff1d(np.arange(len(mesh.weights)), b.cell_idx)]
+    assert len(outside) > 0
+    assert np.abs(b.velocity_at(outside)).max() == 0.0
+    assert np.abs(b.gradient_at(outside)).max() == 0.0
+
+
+def test_carrier_is_x1_independent_off_the_support_cells(basis, mesh, ref_run):
+    # d_1 V = grad[..., 0] vanishes exactly where the basis is not stored;
+    # V itself does not, but it enters the Stokes forcing only through
+    # products with basis fields
+    outside = mesh.centers[np.setdiff1d(np.arange(len(mesh.weights)), basis.cell_idx)]
+    for fld in ref_run["carrier"].harmonic_fields(outside, ("V", "grad")).values():
+        assert np.abs(fld["grad"][..., 0]).max() == 0.0
+        assert np.abs(fld["V"]).max() > 0.0
 
 
 def test_stream_mode_fields_at_unsorted_repeated_points(basis, mesh, geom):

@@ -224,6 +224,14 @@ NO_DIRECTION = (
     "forces:\n  tilde_f: {box: [1.0, 2.0, -0.4, 0.4], direction: [0, 0],"
     " harmonics: [[1, 0.1, 0.0]]}\n"
 )
+# boxes that overlap the fluid but hold no mesh cell centre at the reference
+# mesh_h 1/32, or only centres on the box edge, where the force's bump is
+# zero: only the forcing stage can judge them
+NO_CELL_BOXES = tuple(
+    "forces: {tilde_f: {box: [%s, 6.5, -0.4, 0.4], direction: [1, 0],"
+    " harmonics: [[1, 5.0, 0.0]]}}\n" % x0
+    for x0 in ("5.99", "5.984375")
+)
 
 # message fragments that the error line of an invalid config must contain
 _MESSAGE_PARTS = {
@@ -241,6 +249,10 @@ _MESSAGE_PARTS = {
     "output: {dir: null}\n": ("'output.dir'",),
     **{text: ("'forces.tilde_f.box'",) for text in NO_FLUID_BOXES},
     NO_DIRECTION: ("'forces.tilde_f.direction'",),
+    **{
+        text: ("'forces'", "'forces.tilde_f.box'", "'solver.mesh_h'")
+        for text in NO_CELL_BOXES
+    },
 }
 
 
@@ -294,6 +306,7 @@ _MESSAGE_PARTS = {
         # an external force that acts on no fluid
         *NO_FLUID_BOXES,
         NO_DIRECTION,
+        *NO_CELL_BOXES,
     ],
 )
 def test_invalid_config_is_config_error(tmp_path, capsys, text):

@@ -26,10 +26,11 @@ from periflow.diagnostics import (
     strong_regularity_monitor,
 )
 from periflow.basis import assemble_system
-from periflow.carrier import ExternalBodyForce, carrier_forces
+from periflow.carrier import ExternalBodyForce, FluxCarrier, carrier_forces
+from periflow.config import reference_config
 from periflow.errors import PeriflowError
 from periflow.periodic_ode import PeriodicTrajectory, resample_periodic, zero_trajectory
-from periflow.solver import FixedPointConfig, fixed_point
+from periflow.solver import FixedPointConfig, fixed_point, galerkin_solve
 from periflow.signals import sine_signal, sobolev_norm_T
 
 from oracles import body_boundary_quadrature, body_force_at, two_constants_linprog
@@ -139,7 +140,8 @@ def test_partial_bound_contradiction_detected(ref_run, zero_system):
 
 
 def test_particular_energy_rows_reference(ref_run):
-    rows, sqrtG = check_particular_energy(ref_run["trajectory"], ref_run["system"])
+    traj, gsys = ref_run["trajectory"], ref_run["system"]
+    rows, sqrtG = check_particular_energy(traj, gsys, energy_report(traj, gsys).G)
     by_id = {r["check_id"]: r for r in rows}
     assert set(by_id) == {
         "decay-inequality",
@@ -402,6 +404,32 @@ def test_diagnostics_bundle_reference(ref_run):
     assert series["E_max"] > 0.0
     assert series["E_max"] <= series["G_max"] <= 3.0 * series["E_max"]
     json.dumps(bundle)  # the whole ledger must be JSON-serializable
+
+
+def _count_carrier_evaluations(monkeypatch):
+    calls = []
+    original = FluxCarrier.harmonic_fields
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FluxCarrier, "harmonic_fields", counted)
+    return calls
+
+
+def test_solve_evaluates_the_carrier_once_per_stage(monkeypatch):
+    # one evaluation for the forcing (with the Laplacian) and one on the
+    # basis cells in the assembly; the diagnostics read the stored fields
+    calls = _count_carrier_evaluations(monkeypatch)
+    galerkin_solve(reference_config(n_steps=512))
+    assert len(calls) == 2
+
+
+def test_diagnostics_bundle_evaluates_no_carrier_field(ref_run, monkeypatch):
+    calls = _count_carrier_evaluations(monkeypatch)
+    diagnostics_bundle(ref_run["trajectory"], ref_run["system"])
+    assert calls == []
 
 
 def test_diagnostics_bundle_zero_data(zero_system):

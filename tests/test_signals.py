@@ -209,13 +209,13 @@ def test_real_fields_and_coefficients_resynthesize(harmonics):
     times = np.linspace(0.0, 2.0, 9)
     coeffs = cos_sin_coefficients(list(harmonics), omega, times)
     fields = real_fields(harmonics)
-    assert coeffs.shape == (9, 2, len(harmonics))
-    assert fields.shape == (2, len(harmonics)) + np.shape(harmonics[0])
-    got = np.tensordot(coeffs, fields, 2)
+    assert coeffs.shape == (9, 2 * len(harmonics))
+    assert fields.shape == (2 * len(harmonics),) + np.shape(harmonics[0])
+    got = np.tensordot(coeffs, fields, 1)
     want = synthesize(harmonics, omega, times)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
     # no harmonics: no columns
-    assert cos_sin_coefficients([], omega, times).shape == (9, 2, 0)
+    assert cos_sin_coefficients([], omega, times).shape == (9, 0)
 
 
 _SCALARS = {0: 0.4, 1: 0.2 - 0.3j, 3: -0.5j}
