@@ -269,43 +269,21 @@ def _weighted_gram(w, X, Y):
 
 
 def _transport_tensor(w, S, G, V):
-    """Q[i, j, k] = sum_p w_p S[i,p,d] G[j,p,c,d] V[k,p,c], (n, n, n).
+    """Q[i, j, k] = sum_p w_p S[i,p,d] G[j,p,c,d] V[k,p,c] for stacks S, G
+    and V of any lengths over the same cells, (len(S), len(G), len(V)).
 
-    One matrix product per (c, d): the (n*n, ncells) products
+    One matrix product per (c, d): the (len(S) len(G), ncells) products
     w S[i,:,d] G[j,:,c,d], written into one reused buffer, against V[k,:,c].
     """
-    n, ncells = V.shape[:2]
+    ncells = V.shape[1]
     wS = w[None, :, None] * S
-    pairs = np.empty((n, n, ncells))
-    Q = np.zeros((n * n, n))
+    pairs = np.empty((len(S), len(G), ncells))
+    Q = np.zeros((len(S) * len(G), len(V)))
     for c in range(2):
         for d in range(2):
             np.multiply(wS[:, None, :, d], G[None, :, :, c, d], out=pairs)
-            Q += pairs.reshape(n * n, ncells) @ V[:, :, c].T
-    return Q.reshape(n, n, n)
-
-
-def _carrier_transport(w, Vc, Gc, V, G, beta):
-    """The two carrier-transport forms of every flow harmonic, complex (K, n, n):
-
-        d1[k, i, j] = sum_p w_p ((V_k . grad) psi_i) . psi_j,
-        B[k, i, j] = sum_p w_p ((psi_i - beta_i e1) . grad V_k) . psi_j,
-
-    from the Re/Im carrier fields Vc (2K, nc, 2) and Gc (2K, nc, 2, 2)
-    and the basis fields V, G (grad[i, p, c, d] = d_d psi_{i,c}).  Each is
-    one real broadcast product, summed over d, of shape (2 K n, nc, 2),
-    times V by one matrix product over (p, c).
-    """
-    n, nc = V.shape[:2]
-    wVc = w[:, None] * Vc
-    wGc = w[:, None, None] * Gc
-    X = wVc[:, None, :, None, 0] * G[..., 0]
-    X += wVc[:, None, :, None, 1] * G[..., 1]
-    Y = (V[:, :, 0] - beta[:, None])[:, :, None] * wGc[:, None, :, :, 0]
-    Y += V[:, :, None, 1] * wGc[:, None, :, :, 1]
-    Vt = V.reshape(n, 2 * nc).T
-    d1, B = ((Z.reshape(-1, 2 * nc) @ Vt).reshape(2, -1, n, n) for Z in (X, Y))
-    return d1[0] + 1j * d1[1], B[0] + 1j * B[1]
+            Q += pairs.reshape(-1, ncells) @ V[:, :, c].T
+    return Q.reshape(len(S), len(G), len(V))
 
 
 def _shifted(V, beta):
@@ -404,9 +382,13 @@ def assemble_system(basis, carrier, forces, params):
     fields = carrier.harmonic_fields(basis.mesh.centers[basis.cell_idx], ("V", "grad"))
     Vc = real_fields({k: fld["V"] for k, fld in fields.items()})  # (2K, nc, 2)
     Gc = real_fields({k: fld["grad"] for k, fld in fields.items()})  # (2K, nc, 2, 2)
-    d1, B = _carrier_transport(w, Vc, Gc, V, G, beta)
-    forms = dict(zip(fields, B))
-    d_harm = {k: 0.5 * (d - d.T) + forms[k] for k, d in zip(fields, d1)}
+    # d1[m, i, j] = ((V_m . grad) psi_i, psi_j) and
+    # B[m, i, j] = ((psi_i - beta_i e1) . grad V_m, psi_j), Re then Im
+    d1 = _transport_tensor(w, Vc, G, V).reshape(2, -1, n, n)
+    B = np.swapaxes(_transport_tensor(w, _shifted(V, beta), Gc, V), 0, 1)
+    B = B.reshape(2, -1, n, n)
+    forms = dict(zip(fields, B[0] + 1j * B[1]))
+    d_harm = {k: 0.5 * (d - d.T) + forms[k] for k, d in zip(fields, d1[0] + 1j * d1[1])}
 
     # projected forcing (f, psi_kappa) per harmonic, on the f support cells
     f_harm = {}

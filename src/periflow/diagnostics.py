@@ -422,6 +422,7 @@ def strong_regularity_monitor(traj, gsys):
     T = traj.period
     params = gsys.params
     m_rho = params.mass / params.rho
+    n = gsys.n
     a = traj.a[:-1]
     adot = traj.adot[:-1]
     zdot = traj.zdot[:-1]
@@ -436,7 +437,9 @@ def strong_regularity_monitor(traj, gsys):
     prime_energy = vp**2 + m_rho * zsec**2
     N = 0.5 * spectral_time_derivative(prime_energy, T)
     Diss = np.einsum("ti,ik,tk->t", adot, gsys.b, adot)
-    Tri = np.einsum("ti,ijk,tj,tk->t", adot, gsys.c, a, adot, optimize=True)
+    # sum_ijk adot_i c_ijk a_j adot_k: contract i by one product, then j, k per time
+    ca = (adot @ gsys.c.reshape(n, n * n)).reshape(-1, n, n)
+    Tri = (a[:, None, :] @ ca @ adot[:, :, None])[:, 0, 0]
 
     d_term = np.einsum("ti,tik,tk->t", adot, gsys.d_at(times), adot)
     d_term += np.einsum("ti,tik,tk->t", a, gsys.d_at(times, 1), adot)

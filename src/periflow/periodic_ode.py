@@ -14,7 +14,15 @@ and the trajectory sweep of one solve share them.  A sweep applies them by a
 prefix scan over the whole period (Blelloch 1990, "Prefix sums and their
 applications"): an up-sweep composes neighbours pairwise, level by level,
 and a down-sweep carries the state from the top of the tree down, one
-batched product per level, ceil(log2 M) levels in all.
+batched product per level, ceil(log2 M) levels in all.  The maps are built
+in blocks of `_MAP_CHUNK` steps, so beyond the tree it keeps a build holds
+the RK4 stage arrays of one block, whatever M is.
+
+The coupled Galerkin system's coefficients are a product of time
+coefficients and fixed matrices, as in `stokes_rhs_norm`: the fixed point
+keeps the time coefficients of d and the matrices once (`FrozenLinearPart`),
+and each iterate's samples are one product with its own transport
+coefficients, the only (4M+1, dim, dim) array of the iterate.
 """
 
 from __future__ import annotations
@@ -25,9 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError, ResonantOrNonUnique
+from .signals import cos_sin_coefficients, real_fields
 
 STEP_HALVING_TOL = 1e-6
 SINGULARITY_THRESHOLD = 1e-8
+_MAP_CHUNK = 256  # steps per block of a map build, a power of two
 
 
 def resample_periodic(x, n_out):
@@ -138,28 +148,52 @@ def _rk4_maps(B, r, h):
 
 def _build_step_maps(system, substeps):
     """RK4 step maps of `system` at step T/(M*substeps) as a `_StepMaps`:
-    step j is the affine map x -> P_j x + q_j.  The even and the odd steps
-    are built apart, so level 0 keeps its left children without a copy, and
-    each level above composes neighbours, (P2, q2) o (P1, q1) =
-    P2 [P1 | q1] + [0 | q2], in one batched product.
+    step j is the affine map x -> P_j x + q_j, and a node is composed from
+    its children, (P2, q2) o (P1, q1) = P2 [P1 | q1] + [0 | q2], in one
+    batched product per level.
+
+    The steps are built in blocks of `_MAP_CHUNK`, a power of two, so a
+    block boundary is a node boundary on every level up to log2 of it: each
+    block is composed up to one node, writing its left children into the
+    kept level arrays, and the block tops are composed above.  The RK4
+    stage arrays and the composition temporaries are then bounded by one
+    block, not by M, and the build holds little beyond the tree it returns.
+    Every map is the same product as in a build at once, so the block size
+    changes no map.
     """
     s = 4 // substeps  # grid indices per step
-    B = (system.mats[:-1:s], system.mats[s // 2 :: s], system.mats[s::s])
-    r = (system.rhs[:-1:s], system.rhs[s // 2 :: s], system.rhs[s::s])
-    h = system.period / (system.n_steps * substeps)
-    evens, odds = (
-        _rk4_maps([b[first::2] for b in B], [c[first::2] for c in r], h) for first in (0, 1)
-    )
-    lefts = []
-    while len(odds):
-        n = len(odds)
-        lefts.append(evens[:n])
-        up = np.empty_like(evens)
-        np.matmul(odds[..., :-1], evens[:n], out=up[:n])
-        up[:n, :, -1] += odds[..., -1]
-        up[n:] = evens[n:]  # an odd count carries its last node up
-        evens, odds = up[0::2].copy(), up[1::2]
-    return _StepMaps(lefts=tuple(lefts), root=evens[0])
+    m = system.n_steps * substeps
+    h = system.period / m
+    shape = (system.dim, system.dim + 1)
+    lefts, count = [], m
+    while count > 1:
+        lefts.append(np.empty((count // 2,) + shape))
+        count -= count // 2
+    tops = np.empty(((m - 1) // _MAP_CHUNK + 1,) + shape)
+    for i, start in enumerate(range(0, m, _MAP_CHUNK)):
+        rows = slice(start * s, (start + _MAP_CHUNK) * s + 1)
+        B, r = system.mats[rows], system.rhs[rows]
+        B, r = ((x[:-1:s], x[s // 2 :: s], x[s::s]) for x in (B, r))
+        tops[i] = _compose_up(_rk4_maps(B, r, h), lefts, 0, start)
+    root = _compose_up(tops, lefts, _MAP_CHUNK.bit_length() - 1, 0)
+    return _StepMaps(lefts=tuple(lefts), root=root)
+
+
+def _compose_up(nodes, lefts, level, first):
+    """Compose `nodes`, the nodes first, first+1, ... of `level` (first
+    even), pairwise up the tree until one is left, and return it.  The left
+    children met on the way are written into `lefts`; an odd count carries
+    its last node up."""
+    while len(nodes) > 1:
+        n = len(nodes) // 2
+        left, right = nodes[: 2 * n : 2], nodes[1::2]
+        lefts[level][first // 2 : first // 2 + n] = left
+        up = np.empty((len(nodes) - n,) + nodes.shape[1:])
+        np.matmul(right[..., :-1], left, out=up[:n])
+        up[:n, :, -1] += right[..., -1]
+        up[n:] = nodes[2 * n :]
+        nodes, level, first = up, level + 1, first // 2
+    return nodes[0]
 
 
 def integrate_rk4(system, x0, substeps=1):
@@ -194,7 +228,7 @@ def integrate_rk4(system, x0, substeps=1):
 
 def step_halving_error(system, x0):
     """Disagreement at t = T between the nominal and the halved step."""
-    nominal = integrate_rk4(system, x0)[-1]
+    nominal = integrate_rk4(system, x0)[-1].copy()  # frees the sweep before the fine build
     fine = integrate_rk4(system, x0, substeps=2)[-1]
     return float(np.max(np.abs(nominal - fine)))
 
@@ -207,7 +241,7 @@ def monodromy(system):
     """
     dim = system.dim
     final = integrate_rk4(system, np.eye(dim, dim + 1))[-1]
-    p = final[:, dim]
+    p = final[:, dim].copy()  # a view would keep the whole sweep alive
     return final[:, :dim] - p[:, None], p
 
 
@@ -300,11 +334,7 @@ def solve_linear_periodic(system):
             "solve; increase solver.n_steps"
         )
     # exact trajectory derivatives from the ODE right-hand side at grid nodes
-    grid_idx = np.arange(0, 4 * system.n_steps + 1, 4)
-    derivs = (
-        np.einsum("tij,tj->ti", system.mats[grid_idx], states)
-        + system.rhs[grid_idx]
-    )
+    derivs = np.einsum("tij,tj->ti", system.mats[::4], states) + system.rhs[::4]
     return PeriodicTrajectory(
         period=system.period,
         states=states,
@@ -317,40 +347,54 @@ def solve_linear_periodic(system):
 class FrozenLinearPart:
     """The iterate-independent part of `linear_system_from_galerkin`.
 
-    `system` is the linear system for a zero frozen iterate (base matrices
-    and the rhs A^{-1} F); `ainv_c` holds A^{-1} c as an
-    (n, n*n) matrix, so the transport block of an iterate with quarter-step
-    samples ta2 is (ta2 @ ainv_c).reshape(-1, n, n).
+    The coefficient samples of the linear system are a product of time
+    coefficients and fixed matrices, as in `stokes_rhs_norm`:
+    mats = [1 | C(t) | ta(t)] @ E on the quarter-step grid, ta the
+    resampled frozen iterate.  `coeffs` holds [1 | C(t)], C the
+    `cos_sin_coefficients` of the transport harmonics d; `fixed` holds E,
+    one flattened (dim, dim) matrix per column: the constant block, then
+    -A^{-1} D_m^T for each real field D_m of d, then A^{-1} c_i, both
+    padded to (dim, dim).  `rhs` = A^{-1} F on the grid is shared by every
+    iterate's system.
     """
 
-    system: LinearPeriodicSystem
-    ainv_c: np.ndarray
+    period: float
+    n_steps: int
+    coeffs: np.ndarray  # (4M+1, 1 + 2K)
+    fixed: np.ndarray  # (1 + 2K + n, dim * dim)
+    rhs: np.ndarray  # (4M+1, dim)
 
 
 def frozen_linear_part(gsys, n_steps):
     """Everything of the linear system that does not depend on the frozen
-    iterate: d and the forcing F of `gsys` synthesized on the quarter-step
-    grid, A^{-1}, the base matrices, the rhs A^{-1} F and A^{-1} c."""
+    iterate: the time coefficients of d on the quarter-step grid, the fixed
+    matrices made with A^{-1} (the constant block of b, beta and the spring,
+    the real fields of d, and c) and the rhs A^{-1} F.  No coefficient
+    sample is formed, so the part holds no (4M+1, dim, dim) array."""
     n = gsys.n
     T = gsys.period
     times2 = np.arange(4 * n_steps + 1) * (T / (4 * n_steps))
-
     Ainv = np.linalg.inv(gsys.A)
-    beta = gsys.beta
     k_over_rho = gsys.params.stiffness / gsys.params.rho
 
-    dim = n + 1
-    mats = np.zeros((len(times2), dim, dim))
-    rhs = np.zeros((len(times2), dim))
-    bd = gsys.b[None].transpose(0, 2, 1) + gsys.d_at(times2).transpose(0, 2, 1)
-    mats[:, :n, :n] = -(Ainv @ bd)  # row kappa, column j
-    mats[:, :n, n] = -(k_over_rho) * (Ainv @ beta)[None]
-    mats[:, n, :n] = beta
-    rhs[:, :n] = gsys.forcing_at(times2) @ Ainv.T
+    D = real_fields(gsys.d_harmonics)  # (2K, n, n)
+    fixed = np.zeros((1 + len(D) + n, n + 1, n + 1))
+    fixed[0, :n, :n] = -(Ainv @ gsys.b.T)  # row kappa, column j
+    fixed[0, :n, n] = -k_over_rho * (Ainv @ gsys.beta)
+    fixed[0, n, :n] = gsys.beta
+    fixed[1 : 1 + len(D), :n, :n] = -(Ainv @ D.transpose(0, 2, 1))
     # (A^{-1} c)[i, m, j] = sum_k A^{-1}_mk c_ijk: row m, column j for tilde_a_i
-    ainv_c = (gsys.c @ Ainv.T).transpose(0, 2, 1).reshape(n, n * n)
-    base = LinearPeriodicSystem(period=T, mats=mats, rhs=rhs, n_steps=n_steps)
-    return FrozenLinearPart(system=base, ainv_c=ainv_c)
+    fixed[1 + len(D) :, :n, :n] = Ainv @ gsys.c.transpose(0, 2, 1)
+    phases = cos_sin_coefficients(list(gsys.d_harmonics), gsys.carrier.omega, times2)
+    rhs = np.zeros((len(times2), n + 1))
+    rhs[:, :n] = gsys.forcing_at(times2) @ Ainv.T
+    return FrozenLinearPart(
+        period=T,
+        n_steps=n_steps,
+        coeffs=np.concatenate([np.ones((len(times2), 1)), phases], axis=1),
+        fixed=fixed.reshape(len(fixed), -1),
+        rhs=rhs,
+    )
 
 
 def linear_system_from_galerkin(frozen, tilde_a):
@@ -358,19 +402,19 @@ def linear_system_from_galerkin(frozen, tilde_a):
 
     `frozen` is the `FrozenLinearPart` of the coefficient system at the
     step count of the solve.  tilde_a: (M, n) samples of the frozen
-    transport coefficients on the uniform grid.  The system adds
-    resample(tilde_a) @ (A^{-1} c) to the base matrices and shares the rhs
+    transport coefficients on the uniform grid.  The coefficient samples
+    are one product, [1 | C(t) | resample(tilde_a)] @ E, so the system's
+    `mats` is the only (4M+1, dim, dim) array it forms; the rhs is the one
     of `frozen`.
     """
-    base = frozen.system
-    n = base.dim - 1
-    mats = base.mats.copy()
-    ta2 = resample_periodic(tilde_a, 4 * base.n_steps)
-    ta2 = np.vstack([ta2, ta2[:1]])
-    # (c_ijk tilde_a_i) acting on a_j in the row-kappa equation, times A^{-1}
-    mats[:, :n, :n] += (ta2 @ frozen.ainv_c).reshape(-1, n, n)
+    ta2 = resample_periodic(tilde_a, 4 * frozen.n_steps)
+    coeffs = np.concatenate([frozen.coeffs, np.vstack([ta2, ta2[:1]])], axis=1)
+    dim = frozen.rhs.shape[1]
     return LinearPeriodicSystem(
-        period=base.period, mats=mats, rhs=base.rhs, n_steps=base.n_steps
+        period=frozen.period,
+        mats=(coeffs @ frozen.fixed).reshape(-1, dim, dim),
+        rhs=frozen.rhs,
+        n_steps=frozen.n_steps,
     )
 
 

@@ -148,7 +148,9 @@ def fixed_point(gsys, cfg, start=None):
 def _coefficient_rhs(gsys, times, a, z):
     """A a' of the coefficient ODE, c(a, a) - a.(b + d) - (k/rho) z beta
     + F, at `times` for fluid states a (m, n) and positions z (m,)."""
-    rhs = np.einsum("ti,ijk,tj->tk", a, gsys.c, a, optimize=True)
+    n = gsys.n
+    # sum_ij a_i c_ijk a_j: contract i by one product, then j per time
+    rhs = (a[:, None, :] @ (a @ gsys.c.reshape(n, n * n)).reshape(-1, n, n))[:, 0]
     rhs -= a @ gsys.b  # b symmetric
     rhs -= np.einsum("ti,tik->tk", a, gsys.d_at(times))
     rhs -= (gsys.params.stiffness / gsys.params.rho) * np.outer(z, gsys.beta)

@@ -1,6 +1,8 @@
 """Linear T-periodic ODE solves, monodromy, and the time integrator."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +140,21 @@ def test_blocked_scan_matches_per_step_loop_off_block_size(n_steps, substeps, co
     assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("n_steps", [3, 100, 1000])
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_map_build_block_size_changes_no_map(monkeypatch, n_steps, substeps):
+    """Blocks of one step, of eight, or one block over the whole period
+    build the same tree as the default block size, bit for bit."""
+    sys = _varying_system(n_steps=n_steps)
+    want = periodic_ode._build_step_maps(sys, substeps)
+    for chunk in (1, 8, 4096):
+        monkeypatch.setattr(periodic_ode, "_MAP_CHUNK", chunk)
+        got = periodic_ode._build_step_maps(sys, substeps)
+        assert np.array_equal(got.root, want.root)
+        assert len(got.lefts) == len(want.lefts)
+        assert all(np.array_equal(g, w) for g, w in zip(got.lefts, want.lefts))
+
+
 def _growing_system(n_steps=300):
     """A rotating mode that grows by e^3 over the period, beside a decaying
     and a neutral one, with time-varying coupling and forcing."""
@@ -214,8 +231,8 @@ def test_linear_solve_builds_each_step_size_once(map_builds):
 
 def test_system_from_galerkin_builds_its_own_maps(map_builds, zero_system):
     frozen = frozen_linear_part(zero_system, 64)
-    M_base, _ = monodromy(frozen.system)
     tilde = np.random.default_rng(7).standard_normal((64, zero_system.n))
+    M_base, _ = monodromy(linear_system_from_galerkin(frozen, np.zeros_like(tilde)))
     for ta in (np.zeros_like(tilde), tilde):
         lin = linear_system_from_galerkin(frozen, tilde_a=ta)
         M, p = monodromy(lin)
@@ -388,8 +405,60 @@ def test_linear_system_split_matches_from_scratch_build(which, ref_run, zero_sys
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a build that uses the frozen part leaves it as it was
     fresh = frozen_linear_part(gsys.scaled(0.6), n_steps)
-    assert np.array_equal(frozen.system.mats, fresh.system.mats)
-    assert np.array_equal(frozen.system.rhs, fresh.system.rhs)
+    for field in dataclasses.fields(frozen):
+        assert np.array_equal(getattr(frozen, field.name), getattr(fresh, field.name))
+
+
+def _arrays(obj):
+    """Every array held by `obj`, a dataclass, down through nested dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+
+
+def test_frozen_part_holds_no_coefficient_samples(ref_run):
+    """The frozen part keeps time coefficients and fixed matrices: all its
+    arrays together are smaller than one (4M+1, dim, dim) sample array."""
+    gsys = ref_run["system"]
+    n_steps = 2048
+    frozen = frozen_linear_part(gsys, n_steps)
+    samples = (4 * n_steps + 1) * (gsys.n + 1) ** 2 * 8
+    assert sum(a.nbytes for a in _arrays(frozen)) < samples
+
+
+def test_monodromy_particular_response_owns_its_data(zero_system):
+    """p is copied out of the sweep, so it does not keep the sweep alive."""
+    lin = linear_system_from_galerkin(
+        frozen_linear_part(zero_system, 64), np.zeros((64, zero_system.n))
+    )
+    M, p = monodromy(lin)
+    assert p.base is None and M.base is None
+
+
+def test_apply_phi_peak_memory_is_bounded_by_its_arrays(ref_run):
+    """One application of the solution map at 2048 steps holds, at its
+    traced peak, no more than the arrays it has to form: the coefficient
+    samples, the step-map trees at both step sizes (a tree over m steps
+    holds m maps) and the RK4 stage arrays of one block of the map build
+    (three, and one more for the products' small temporaries)."""
+    gsys, traj = ref_run["system"], ref_run["trajectory"]
+    n_steps = traj.n_steps
+    assert n_steps == 2048
+    frozen = frozen_linear_part(gsys, n_steps)
+    dim = gsys.n + 1
+    one_map = dim * (dim + 1) * 8
+    mats = (4 * n_steps + 1) * dim * dim * 8
+    trees = (n_steps + 2 * n_steps) * one_map
+    stages = 4 * periodic_ode._MAP_CHUNK * one_map
+    tracemalloc.start()
+    try:
+        apply_phi(frozen, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mats + trees + stages
 
 
 def test_homogeneous_coupled_system_trivial(zero_system):
