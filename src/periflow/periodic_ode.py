@@ -18,11 +18,13 @@ batched product per level, ceil(log2 M) levels in all.  The maps are built
 in blocks of `_MAP_CHUNK` steps, so beyond the tree it keeps a build holds
 the RK4 stage arrays of one block, whatever M is.
 
-The coupled Galerkin system's coefficients are a product of time
-coefficients and fixed matrices, as in `stokes_rhs_norm`: the fixed point
-keeps the time coefficients of d and the matrices once (`FrozenLinearPart`),
-and each iterate's samples are one product with its own transport
-coefficients, the only (4M+1, dim, dim) array of the iterate.
+Every system keeps its coefficient samples as a product of time
+coefficients and fixed matrices, B(t_i) = coeffs[i] @ fixed, as in
+`stokes_rhs_norm`, and forms the samples only for the rows it reads: each
+block of a map build forms its own, so no (4M+1, dim, dim) array is held.
+The fixed point keeps the time coefficients of d and the matrices once
+(`FrozenLinearPart`); each iterate adds its transport coefficients as
+columns.
 """
 
 from __future__ import annotations
@@ -74,23 +76,33 @@ class LinearPeriodicSystem:
     (4M+1 points) so both the nominal step T/M and the halved step T/(2M)
     evaluate coefficients without interpolation.
 
-    `mats` and `rhs` are not mutated after construction: the RK4 step maps
-    built from them are kept on the system (`step_maps`).  A system with
-    other coefficients is a new system with its own maps.
+    The samples of B are a product, B(t_i) = coeffs[i] @ fixed with each
+    row of `fixed` one flattened (dim, dim) matrix, formed by `samples` for
+    the rows a caller reads and never held whole.  A caller that holds the
+    samples passes coeffs = samples.reshape(4M+1, -1) and fixed = I.
+
+    `coeffs`, `fixed` and `rhs` are not mutated after construction: the
+    RK4 step maps built from them are kept on the system (`step_maps`).  A
+    system with other coefficients is a new system with its own maps.
     """
 
     period: float
-    mats: np.ndarray  # (4M+1, dim, dim)
+    coeffs: np.ndarray  # (4M+1, m)
+    fixed: np.ndarray  # (m, dim * dim)
     rhs: np.ndarray  # (4M+1, dim)
     n_steps: int
 
     def __post_init__(self):
-        if self.mats.shape[0] != 4 * self.n_steps + 1:
+        if self.coeffs.shape[0] != 4 * self.n_steps + 1:
             raise ValueError("coefficient grid must have 4*n_steps + 1 samples")
 
     @property
     def dim(self):
-        return self.mats.shape[1]
+        return self.rhs.shape[1]
+
+    def samples(self, rows):
+        """B at the grid rows `rows` (a slice), (rows, dim, dim)."""
+        return (self.coeffs[rows] @ self.fixed).reshape(-1, self.dim, self.dim)
 
     def step_maps(self, substeps):
         """The RK4 step maps at step T/(M*substeps), built on first use and
@@ -158,8 +170,10 @@ def _build_step_maps(system, substeps):
     kept level arrays, and the block tops are composed above.  The RK4
     stage arrays and the composition temporaries are then bounded by one
     block, not by M, and the build holds little beyond the tree it returns.
-    Every map is the same product as in a build at once, so the block size
-    changes no map.
+    Each block forms the coefficient samples of the rows it reads (every
+    half step) from the system's product, so no sample array of the whole
+    grid is held either.  Every map is the same product as in a build at
+    once, so the block size changes no map.
     """
     s = 4 // substeps  # grid indices per step
     m = system.n_steps * substeps
@@ -171,9 +185,9 @@ def _build_step_maps(system, substeps):
         count -= count // 2
     tops = np.empty(((m - 1) // _MAP_CHUNK + 1,) + shape)
     for i, start in enumerate(range(0, m, _MAP_CHUNK)):
-        rows = slice(start * s, (start + _MAP_CHUNK) * s + 1)
-        B, r = system.mats[rows], system.rhs[rows]
-        B, r = ((x[:-1:s], x[s // 2 :: s], x[s::s]) for x in (B, r))
+        rows = slice(start * s, (start + _MAP_CHUNK) * s + 1, s // 2)
+        B, r = system.samples(rows), system.rhs[rows]
+        B, r = ((x[:-1:2], x[1::2], x[2::2]) for x in (B, r))
         tops[i] = _compose_up(_rk4_maps(B, r, h), lefts, 0, start)
     root = _compose_up(tops, lefts, _MAP_CHUNK.bit_length() - 1, 0)
     return _StepMaps(lefts=tuple(lefts), root=root)
@@ -334,7 +348,8 @@ def solve_linear_periodic(system):
             "solve; increase solver.n_steps"
         )
     # exact trajectory derivatives from the ODE right-hand side at grid nodes
-    derivs = np.einsum("tij,tj->ti", system.mats[::4], states) + system.rhs[::4]
+    nodes = slice(None, None, 4)
+    derivs = np.einsum("tij,tj->ti", system.samples(nodes), states) + system.rhs[nodes]
     return PeriodicTrajectory(
         period=system.period,
         states=states,
@@ -349,13 +364,13 @@ class FrozenLinearPart:
 
     The coefficient samples of the linear system are a product of time
     coefficients and fixed matrices, as in `stokes_rhs_norm`:
-    mats = [1 | C(t) | ta(t)] @ E on the quarter-step grid, ta the
+    B(t) = [1 | C(t) | ta(t)] @ E on the quarter-step grid, ta the
     resampled frozen iterate.  `coeffs` holds [1 | C(t)], C the
     `cos_sin_coefficients` of the transport harmonics d; `fixed` holds E,
     one flattened (dim, dim) matrix per column: the constant block, then
     -A^{-1} D_m^T for each real field D_m of d, then A^{-1} c_i, both
-    padded to (dim, dim).  `rhs` = A^{-1} F on the grid is shared by every
-    iterate's system.
+    padded to (dim, dim).  `fixed` and `rhs` = A^{-1} F on the grid are
+    shared by every iterate's system.
     """
 
     period: float
@@ -402,17 +417,16 @@ def linear_system_from_galerkin(frozen, tilde_a):
 
     `frozen` is the `FrozenLinearPart` of the coefficient system at the
     step count of the solve.  tilde_a: (M, n) samples of the frozen
-    transport coefficients on the uniform grid.  The coefficient samples
-    are one product, [1 | C(t) | resample(tilde_a)] @ E, so the system's
-    `mats` is the only (4M+1, dim, dim) array it forms; the rhs is the one
-    of `frozen`.
+    transport coefficients on the uniform grid.  The system keeps its
+    samples as the product [1 | C(t) | resample(tilde_a)] @ E without
+    forming it: its own array is the (4M+1, 1 + 2K + n) time coefficients,
+    and E and the rhs are the ones of `frozen`.
     """
     ta2 = resample_periodic(tilde_a, 4 * frozen.n_steps)
-    coeffs = np.concatenate([frozen.coeffs, np.vstack([ta2, ta2[:1]])], axis=1)
-    dim = frozen.rhs.shape[1]
     return LinearPeriodicSystem(
         period=frozen.period,
-        mats=(coeffs @ frozen.fixed).reshape(-1, dim, dim),
+        coeffs=np.concatenate([frozen.coeffs, np.vstack([ta2, ta2[:1]])], axis=1),
+        fixed=frozen.fixed,
         rhs=frozen.rhs,
         n_steps=frozen.n_steps,
     )
@@ -427,9 +441,13 @@ def oscillator_system(params, g_signal):
     n_steps = 1024
     T = g_signal.period
     times2 = np.arange(4 * n_steps + 1) * (T / (4 * n_steps))
-    mats = np.zeros((len(times2), 2, 2))
-    mats[:, 0, 1] = 1.0
-    mats[:, 1, 0] = -params.stiffness / params.mass
+    B = np.array([[0.0, 1.0], [-params.stiffness / params.mass, 0.0]])
     rhs = np.zeros((len(times2), 2))
     rhs[:, 1] = g_signal(times2) / params.mass
-    return LinearPeriodicSystem(period=T, mats=mats, rhs=rhs, n_steps=n_steps)
+    return LinearPeriodicSystem(
+        period=T,
+        coeffs=np.ones((len(times2), 1)),
+        fixed=B.reshape(1, -1),
+        rhs=rhs,
+        n_steps=n_steps,
+    )

@@ -78,15 +78,28 @@ def _flat(traj):
     return np.concatenate([traj.states.ravel(), traj.derivs.ravel()])
 
 
+def _anderson_step(us, gs, beta):
+    """The next iterate from the recent iterates `us` and map outputs `gs`
+    (flattened, oldest first).  The differences and the mixed pair are
+    local, so none of them outlives the step."""
+    u, g = us[-1], gs[-1]
+    if len(us) > 1:
+        dU, dG = np.diff(us, axis=0).T, np.diff(gs, axis=0).T
+        gamma = np.linalg.lstsq(dG - dU, g - u, rcond=None)[0]
+        u, g = u - dU @ gamma, g - dG @ gamma
+    return (1.0 - beta) * u + beta * g
+
+
 def fixed_point(gsys, cfg, start=None):
     """Anderson-accelerated damped Picard iteration on the system
     `gsys.scaled(cfg.alpha)`; returns (trajectory, report).
 
     The iterate is the pair (states, derivs), starting from `start` (a
-    trajectory with `cfg.n_steps` steps) or from zero.  Each step applies the
-    map once and mixes with weight beta = `cfg.damping`: with the last
-    `ANDERSON_DEPTH` differences dU of iterates, dG of map outputs and
-    dF = dG - dU of residuals F = Phi(u) - u, gamma minimizes |F - dF gamma|
+    trajectory with `cfg.n_steps` steps over the period of `gsys`) or from
+    zero.  Each step applies the map once and mixes with weight
+    beta = `cfg.damping`: with the last `ANDERSON_DEPTH` differences dU of
+    iterates, dG of map outputs and dF = dG - dU of residuals
+    F = Phi(u) - u, gamma minimizes |F - dF gamma|
     and the next iterate is (1 - beta)(u - dU gamma) + beta (Phi(u) - dG gamma).
     The history is cleared whenever the iterate distance grows, so that step
     is a plain damped Picard step.  A map output that is not finite raises
@@ -102,6 +115,8 @@ def fixed_point(gsys, cfg, start=None):
         x = zero_trajectory(gsys.period, gsys.n, cfg.n_steps)
     elif start.n_steps != cfg.n_steps:
         raise ValueError(f"start has {start.n_steps} steps, expected {cfg.n_steps}")
+    elif start.period != gsys.period:
+        raise ValueError(f"start has period {start.period}, expected {gsys.period}")
     else:
         x = start
     frozen = frozen_linear_part(gsys, cfg.n_steps)
@@ -130,12 +145,7 @@ def fixed_point(gsys, cfg, start=None):
         us.append(_flat(x))
         gs.append(_flat(y))
         del us[: -ANDERSON_DEPTH - 1], gs[: -ANDERSON_DEPTH - 1]
-        u, g = us[-1], gs[-1]
-        if len(us) > 1:
-            dU, dG = np.diff(us, axis=0).T, np.diff(gs, axis=0).T
-            gamma = np.linalg.lstsq(dG - dU, g - u, rcond=None)[0]
-            u, g = u - dU @ gamma, g - dG @ gamma
-        new = (1.0 - beta) * u + beta * g
+        new = _anderson_step(us, gs, beta)
         half = y.states.size
         x = replace(
             y,

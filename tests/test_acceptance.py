@@ -185,7 +185,8 @@ def test_criterion_05_linear_periodic_solver(zero_system):
     tgrid = np.arange(4 * 512 + 1) * (T / (4 * 512))
     sys1 = LinearPeriodicSystem(
         period=T,
-        mats=np.full((len(tgrid), 1, 1), -1.0),
+        coeffs=np.ones((len(tgrid), 1)),
+        fixed=np.full((1, 1), -1.0),
         rhs=np.cos(omega_f * tgrid)[:, None],
         n_steps=512,
     )

@@ -24,7 +24,7 @@ from periflow.periodic_ode import (
     step_halving_error,
 )
 from periflow.signals import sine_signal, synthesize
-from periflow.solver import apply_phi
+from periflow.solver import ANDERSON_DEPTH, FixedPointConfig, apply_phi, fixed_point
 
 from oracles import damped_cosine_response
 
@@ -35,23 +35,33 @@ def _constant_system(B, r, period=1.0, n_steps=256):
     ng = 4 * n_steps + 1
     return LinearPeriodicSystem(
         period=period,
-        mats=np.broadcast_to(B, (ng,) + B.shape).copy(),
+        coeffs=np.ones((ng, 1)),
+        fixed=B.reshape(1, -1),
         rhs=np.broadcast_to(r, (ng,) + r.shape).copy(),
+        n_steps=n_steps,
+    )
+
+
+def _sampled_system(period, samples, rhs, n_steps):
+    """A system given its (4M+1, dim, dim) coefficient samples whole."""
+    return LinearPeriodicSystem(
+        period=period,
+        coeffs=samples.reshape(len(samples), -1),
+        fixed=np.eye(samples.shape[1] * samples.shape[2]),
+        rhs=rhs,
         n_steps=n_steps,
     )
 
 
 def _time_system(period, n_steps, mat_fn, rhs_fn):
     t = np.arange(4 * n_steps + 1) * (period / (4 * n_steps))
-    return LinearPeriodicSystem(
-        period=period, mats=mat_fn(t), rhs=rhs_fn(t), n_steps=n_steps
-    )
+    return _sampled_system(period, mat_fn(t), rhs_fn(t), n_steps)
 
 
 def _rk4_per_step(system, x0, substeps=1):
     """Plain per-step classical RK4, stage by stage: the oracle for the
     batched step maps of integrate_rk4."""
-    mats, rhs = system.mats, system.rhs
+    mats, rhs = system.samples(slice(None)), system.rhs
     n_out = system.n_steps * substeps
     h = system.period / n_out
     s = 4 // substeps
@@ -76,28 +86,27 @@ def _rk4_per_step(system, x0, substeps=1):
 
 
 def _varying_system(dim=5, n_steps=64, seed=3):
-    """Time-varying B(t) and nonzero r(t) with two harmonics each."""
+    """Time-varying B(t) = B0 - 2I + sin(wt) B1 + cos(2wt) B2, kept as the
+    product of its time coefficients and matrices, and nonzero r(t) with
+    two harmonics."""
     rng = np.random.default_rng(seed)
     B_parts = rng.standard_normal((3, dim, dim))
+    B_parts[0] -= 2.0 * np.eye(dim)
     r_parts = rng.standard_normal((3, dim))
-
-    def mat_fn(t):
-        w = 2.0 * math.pi * t / 1.5
-        return (
-            B_parts[0] - 2.0 * np.eye(dim)
-            + np.sin(w)[:, None, None] * B_parts[1]
-            + np.cos(2.0 * w)[:, None, None] * B_parts[2]
-        )
-
-    def rhs_fn(t):
-        w = 2.0 * math.pi * t / 1.5
-        return (
-            r_parts[0]
-            + np.cos(w)[:, None] * r_parts[1]
-            + np.sin(3.0 * w)[:, None] * r_parts[2]
-        )
-
-    return _time_system(1.5, n_steps, mat_fn, rhs_fn)
+    t = np.arange(4 * n_steps + 1) * (1.5 / (4 * n_steps))
+    w = 2.0 * math.pi * t / 1.5
+    rhs = (
+        r_parts[0]
+        + np.cos(w)[:, None] * r_parts[1]
+        + np.sin(3.0 * w)[:, None] * r_parts[2]
+    )
+    return LinearPeriodicSystem(
+        period=1.5,
+        coeffs=np.column_stack([np.ones_like(w), np.sin(w), np.cos(2.0 * w)]),
+        fixed=B_parts.reshape(3, -1),
+        rhs=rhs,
+        n_steps=n_steps,
+    )
 
 
 @pytest.mark.parametrize("substeps", [1, 2])
@@ -115,9 +124,7 @@ def test_integrate_rk4_matches_per_step_loop(substeps, columns):
 def test_monodromy_matches_per_step_loop():
     sys = _varying_system()
     M, p = monodromy(sys)
-    homogeneous = LinearPeriodicSystem(
-        period=sys.period, mats=sys.mats, rhs=np.zeros_like(sys.rhs), n_steps=sys.n_steps
-    )
+    homogeneous = dataclasses.replace(sys, rhs=np.zeros_like(sys.rhs))
     M_ref = _rk4_per_step(homogeneous, np.eye(sys.dim))[-1]
     p_ref = _rk4_per_step(sys, np.zeros(sys.dim))[-1]
     assert np.max(np.abs(M - M_ref)) <= 1e-12 * (1.0 + np.max(np.abs(M_ref)))
@@ -144,15 +151,19 @@ def test_blocked_scan_matches_per_step_loop_off_block_size(n_steps, substeps, co
 @pytest.mark.parametrize("substeps", [1, 2])
 def test_map_build_block_size_changes_no_map(monkeypatch, n_steps, substeps):
     """Blocks of one step, of eight, or one block over the whole period
-    build the same tree as the default block size, bit for bit."""
+    build the same tree as the default block size, bit for bit; and the
+    samples each block forms from the product give the maps of a system
+    handed the whole product (fixed = I), bit for bit."""
     sys = _varying_system(n_steps=n_steps)
+    whole = _sampled_system(sys.period, sys.samples(slice(None)), sys.rhs, n_steps)
     want = periodic_ode._build_step_maps(sys, substeps)
     for chunk in (1, 8, 4096):
         monkeypatch.setattr(periodic_ode, "_MAP_CHUNK", chunk)
-        got = periodic_ode._build_step_maps(sys, substeps)
-        assert np.array_equal(got.root, want.root)
-        assert len(got.lefts) == len(want.lefts)
-        assert all(np.array_equal(g, w) for g, w in zip(got.lefts, want.lefts))
+        for system in (sys, whole):
+            got = periodic_ode._build_step_maps(system, substeps)
+            assert np.array_equal(got.root, want.root)
+            assert len(got.lefts) == len(want.lefts)
+            assert all(np.array_equal(g, w) for g, w in zip(got.lefts, want.lefts))
 
 
 def _growing_system(n_steps=300):
@@ -196,9 +207,7 @@ def test_scan_of_non_contracting_maps_matches_per_step_loop(which, substeps, col
 def test_monodromy_matches_per_step_loop_off_block_size(n_steps):
     sys = _varying_system(n_steps=n_steps)
     M, p = monodromy(sys)
-    homogeneous = LinearPeriodicSystem(
-        period=sys.period, mats=sys.mats, rhs=np.zeros_like(sys.rhs), n_steps=n_steps
-    )
+    homogeneous = dataclasses.replace(sys, rhs=np.zeros_like(sys.rhs))
     M_ref = _rk4_per_step(homogeneous, np.eye(sys.dim))[-1]
     p_ref = _rk4_per_step(sys, np.zeros(sys.dim))[-1]
     assert np.max(np.abs(M - M_ref)) <= 1e-12 * (1.0 + np.max(np.abs(M_ref)))
@@ -237,7 +246,11 @@ def test_system_from_galerkin_builds_its_own_maps(map_builds, zero_system):
         lin = linear_system_from_galerkin(frozen, tilde_a=ta)
         M, p = monodromy(lin)
         fresh = LinearPeriodicSystem(
-            period=lin.period, mats=lin.mats.copy(), rhs=lin.rhs.copy(), n_steps=64
+            period=lin.period,
+            coeffs=lin.coeffs.copy(),
+            fixed=lin.fixed.copy(),
+            rhs=lin.rhs.copy(),
+            n_steps=64,
         )
         M_fresh, p_fresh = monodromy(fresh)
         assert np.array_equal(M, M_fresh) and np.array_equal(p, p_fresh)
@@ -400,7 +413,7 @@ def test_linear_system_split_matches_from_scratch_build(which, ref_run, zero_sys
     frozen = frozen_linear_part(gsys.scaled(0.6), n_steps)
     lin = linear_system_from_galerkin(frozen, tilde_a=tilde)
     assert lin.n_steps == n_steps
-    for got, want in ((lin.mats, want_mats), (lin.rhs, want_rhs)):
+    for got, want in ((lin.samples(slice(None)), want_mats), (lin.rhs, want_rhs)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a build that uses the frozen part leaves it as it was
@@ -428,6 +441,18 @@ def test_frozen_part_holds_no_coefficient_samples(ref_run):
     assert sum(a.nbytes for a in _arrays(frozen)) < samples
 
 
+def test_linear_system_holds_no_coefficient_samples(ref_run):
+    """The iterate's system keeps its samples as a product: all its arrays
+    together, the frozen part's matrices and rhs included, are smaller than
+    one (4M+1, dim, dim) sample array."""
+    gsys = ref_run["system"]
+    n_steps = 2048
+    frozen = frozen_linear_part(gsys, n_steps)
+    lin = linear_system_from_galerkin(frozen, ref_run["trajectory"].a[:-1])
+    samples = (4 * n_steps + 1) * (gsys.n + 1) ** 2 * 8
+    assert sum(a.nbytes for a in _arrays(lin)) < samples
+
+
 def test_monodromy_particular_response_owns_its_data(zero_system):
     """p is copied out of the sweep, so it does not keep the sweep alive."""
     lin = linear_system_from_galerkin(
@@ -437,28 +462,61 @@ def test_monodromy_particular_response_owns_its_data(zero_system):
     assert p.base is None and M.base is None
 
 
-def test_apply_phi_peak_memory_is_bounded_by_its_arrays(ref_run):
-    """One application of the solution map at 2048 steps holds, at its
-    traced peak, no more than the arrays it has to form: the coefficient
-    samples, the step-map trees at both step sizes (a tree over m steps
-    holds m maps) and the RK4 stage arrays of one block of the map build
-    (three, and one more for the products' small temporaries)."""
-    gsys, traj = ref_run["system"], ref_run["trajectory"]
-    n_steps = traj.n_steps
-    assert n_steps == 2048
-    frozen = frozen_linear_part(gsys, n_steps)
-    dim = gsys.n + 1
-    one_map = dim * (dim + 1) * 8
-    mats = (4 * n_steps + 1) * dim * dim * 8
-    trees = (n_steps + 2 * n_steps) * one_map
-    stages = 4 * periodic_ode._MAP_CHUNK * one_map
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        apply_phi(frozen, traj)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= mats + trees + stages
+
+
+def _apply_phi_bound(frozen):
+    """The arrays one application of the solution map has to form: the
+    system's time coefficients (those of `frozen` and one column per fluid
+    mode), the step-map trees at both step sizes (a tree over m steps holds
+    m maps), the samples at the M+1 grid nodes that the trajectory
+    derivatives read, and one block of the map build: its samples (a row
+    per half step) and its RK4 stage arrays (three, and one more for the
+    products' small temporaries).  No sample array of the whole grid."""
+    dim = frozen.rhs.shape[1]
+    n_steps = frozen.n_steps
+    one_map = dim * (dim + 1) * 8
+    coeffs = (4 * n_steps + 1) * (frozen.coeffs.shape[1] + dim - 1) * 8
+    trees = (n_steps + 2 * n_steps) * one_map
+    node_samples = (n_steps + 1) * dim * dim * 8
+    block_samples = (2 * periodic_ode._MAP_CHUNK + 1) * dim * dim * 8
+    stages = 4 * periodic_ode._MAP_CHUNK * one_map
+    return coeffs + trees + node_samples + block_samples + stages
+
+
+def test_apply_phi_peak_memory_is_bounded_by_its_arrays(ref_run):
+    """One application of the solution map at 2048 steps holds, at its
+    traced peak, no more than the arrays it has to form (`_apply_phi_bound`)."""
+    gsys, traj = ref_run["system"], ref_run["trajectory"]
+    assert traj.n_steps == 2048
+    frozen = frozen_linear_part(gsys, traj.n_steps)
+    assert _traced_peak(lambda: apply_phi(frozen, traj)) <= _apply_phi_bound(frozen)
+
+
+def test_fixed_point_peak_memory_is_bounded_by_its_arrays(ref_run):
+    """One fixed point at 2048 steps from zero holds, at its traced peak, no
+    more than its Anderson history (ANDERSON_DEPTH + 1 flattened iterates
+    and as many map outputs), one application of the map, two trajectories
+    (the iterate and the last map output) and its frozen part: the mixing
+    step's differences and mixed pair end with the step."""
+    gsys = ref_run["system"]
+    n_steps = 2048
+    frozen = frozen_linear_part(gsys, n_steps)
+    flat = 2 * (n_steps + 1) * (gsys.n + 1) * 8
+    bound = (
+        2 * (ANDERSON_DEPTH + 1) * flat
+        + _apply_phi_bound(frozen)
+        + 2 * flat
+        + sum(a.nbytes for a in _arrays(frozen))
+    )
+    cfg = FixedPointConfig(n_steps=n_steps)
+    assert _traced_peak(lambda: fixed_point(gsys, cfg)) <= bound
 
 
 def test_homogeneous_coupled_system_trivial(zero_system):
@@ -535,7 +593,8 @@ def test_coefficient_grid_size_enforced():
     with pytest.raises(ValueError):
         LinearPeriodicSystem(
             period=1.0,
-            mats=np.zeros((100, 1, 1)),
+            coeffs=np.zeros((100, 1)),
+            fixed=np.zeros((1, 1)),
             rhs=np.zeros((100, 1)),
             n_steps=256,
         )

@@ -142,6 +142,18 @@ def test_start_must_match_step_count(ref_run):
         fixed_point(ref_run["system"], FixedPointConfig(n_steps=256), start=start)
 
 
+def test_start_must_match_period(ref_run):
+    """A start over another period would be read on the wrong time grid
+    (the iterate distance takes dt from it); it is refused, naming both."""
+    start = ref_run["trajectory"]
+    other = replace(start, period=1.1 * start.period)
+    cfg = FixedPointConfig(n_steps=start.n_steps)
+    with pytest.raises(ValueError, match="period") as exc_info:
+        fixed_point(ref_run["system"], cfg, start=other)
+    assert str(other.period) in str(exc_info.value)
+    assert str(start.period) in str(exc_info.value)
+
+
 def test_homotopy_energy_monotone(ref_run):
     gsys = ref_run["system"]
     alphas = (0.25, 0.5, 1.0)
