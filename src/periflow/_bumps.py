@@ -59,21 +59,17 @@ def curl_fields(terms, at, need):
     `terms` lists one pair (f, g) per separable term: the jets of F at the
     distinct x1 and of G at the distinct x2 of the points (orders 0..1 for
     "V", 0..2 for "grad", 0..3 for "lap"), and `at` = (at1, at2) places each
-    point among them (`geometry.coordinate_split`).  f is None for F = 1: the
-    term adds G's rows alone and has no x1 derivative.  `need` may contain
-    "V" (npts, 2), "grad" (npts, 2, 2) with grad[:, i, j] = d_j V_i, and
-    "lap" (npts, 2).  Each row is scattered to the points only where a
-    product reads it, so no table of every order at every point is held.
-    At least one term has an x1 factor."""
+    point among them (`geometry.coordinate_split`).  `need` may contain "V"
+    (npts, 2), "grad" (npts, 2, 2) with grad[:, i, j] = d_j V_i, and "lap"
+    (npts, 2).  Each row is scattered to the points only where a product
+    reads it, so no table of every order at every point is held."""
     at1, at2 = at
 
     def d(i, j):  # d_1^i d_2^j s
-        out = None
-        for f, g in terms:
-            if f is None and i > 0:
-                continue
-            term = g[j, at2] if f is None else f[i, at1] * g[j, at2]
-            out = term if out is None else out + term
+        (f, g), *rest = terms
+        out = f[i, at1] * g[j, at2]
+        for f, g in rest:
+            out = out + f[i, at1] * g[j, at2]
         return out
 
     out = {}

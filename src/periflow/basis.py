@@ -342,10 +342,7 @@ class GalerkinSystem:
 
     def scaled(self, factor):
         """The system with the data f, g and the external forces scaled by
-        `factor`; the flow rate, the carrier and every tensor are shared.
-        At factor 1 it is the system itself, with no copy of the forcing."""
-        if factor == 1.0:
-            return self
+        `factor`; the flow rate, the carrier and every tensor are shared."""
         return replace(
             self,
             forces=self.forces.scaled(factor),

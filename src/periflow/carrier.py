@@ -108,12 +108,14 @@ class FluxCarrier:
         """
         (x1, at1), (x2, at2) = coordinate_split(points)
         m = 3 if "lap" in need else 2 if "grad" in need else 1
+        one = np.zeros((m + 1,) + x1.shape)
+        one[0] = 1.0
         theta1, theta2 = self.bump_x.jet(x1, m), self.bump_y.jet(x2, m)
         out = {}
         for k in self.harmonics:
             S = self.profiles[k].jet(x2, m)
             c_minus_S = np.concatenate([self.center_values[k] - S[:1], -S[1:]])
-            terms = [(None, S), (theta1, leibniz(c_minus_S, theta2))]
+            terms = [(one, S), (theta1, leibniz(c_minus_S, theta2))]
             out[k] = curl_fields(terms, (at1, at2), need)
         return out
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from periflow._bumps import Affine, Cosine, EdgeBump, Product, WindowBump, curl_fields, leibniz
+from periflow._bumps import Affine, Cosine, EdgeBump, Product, WindowBump
 
 FD_H = 1e-6
 
@@ -62,21 +62,3 @@ def test_product_value_is_the_product_of_its_factors():
     x = np.linspace(-2.0, 2.0, 97)
     got = Product(window, cosine).jet(x, 2)[0]
     assert np.array_equal(got, window.jet(x, 0)[0] * cosine.jet(x, 0)[0])
-
-
-def test_curl_fields_term_without_x1_factor_is_the_constant_one():
-    """A term (None, g) gives the fields of F = 1: its x1 derivatives
-    vanish, and the fields equal those with the jet [1, 0, 0, 0] of the
-    constant factor."""
-    x1, x2 = np.linspace(-1.5, 1.5, 7), np.linspace(-0.9, 0.9, 5)
-    at = (np.repeat(np.arange(7), 5), np.tile(np.arange(5), 7))
-    g = leibniz(Cosine(2, -1.0, 1.0).jet(x2, 3), WindowBump(-0.8, 0.7).jet(x2, 3))
-    f = EdgeBump(-0.5, 0.5, 0.2, 0.9).jet(x1, 3)
-    h = Cosine(1, -1.0, 1.0).jet(x2, 3)
-    one = np.zeros((4,) + x1.shape)
-    one[0] = 1.0
-    need = ("V", "grad", "lap")
-    got = curl_fields([(None, g), (f, h)], at, need)
-    want = curl_fields([(one, g), (f, h)], at, need)
-    for key in need:
-        assert np.array_equal(got[key], want[key]), key
