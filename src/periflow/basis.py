@@ -25,7 +25,7 @@ import numpy as np
 
 from ._bumps import Affine, Cosine, EdgeBump, Product, WindowBump, curl_fields
 from .errors import BasisError
-from .geometry import cell_rows, coordinate_split
+from .geometry import cell_blocks, cell_rows, coordinate_split
 from .signals import derivative, differentiate, real_fields, sobolev_norm_T, synthesize
 
 
@@ -77,10 +77,16 @@ class StreamMode:
 
 def _raw_fields(modes, points, need):
     """Stacked raw mode fields at points, one array per entry of `need`; the
-    points are split into distinct coordinates once for all modes."""
+    points are split into distinct coordinates once for all modes, and each
+    mode's fields are written into arrays allocated once."""
     split = coordinate_split(points)
-    fields = [m.fields_on(split, need) for m in modes]
-    return [np.stack([fld[key] for fld in fields]) for key in need]
+    for i, mode in enumerate(modes):
+        fields = mode.fields_on(split, need)
+        if i == 0:
+            out = [np.empty((len(modes),) + fields[key].shape) for key in need]
+        for stacked, key in zip(out, need):
+            stacked[i] = fields[key]
+    return out
 
 
 def _gamma_mode(geom, r_in, r_out_x, r_out_y, label):
@@ -142,8 +148,8 @@ class GalerkinBasis:
     ramps earlier.  So `fields_at_cells` reads the fields of any cell set
     back as stored rows and exact zeros, and evaluates nothing;
     `diagnostics.far_field_decay` checks those zeros on every run.  The
-    basis-only tensors are contracted over the cells by BLAS products in
-    `build_basis`.
+    basis-only tensors are contracted over the cells in `build_basis`, by
+    BLAS products over one block of cells at a time.
     """
 
     geometry: object
@@ -192,8 +198,11 @@ def build_basis(geom, n, mesh):
 
     Every raw mode is evaluated once ("V" and "grad" together) on the cells
     within |x1| < X0 + 1.  The quadrature sums over those cells run as BLAS
-    matrix products: the gradient and strain Grams through `_weighted_gram`,
-    the cubic transport tensor through `_transport_tensor`.
+    matrix products over one block of `geometry.CELL_BLOCK` cells at a time:
+    the gradient and strain Grams through `_weighted_gram`, the cubic
+    transport tensor through `_transport_tensor`.  So the temporaries of
+    each sum span one block of cells, and the raw and orthonormal fields of
+    all the support cells set the peak memory.
     """
     if n < 1:
         raise BasisError(f"basis size must be >= 1, got {n}")
@@ -232,17 +241,15 @@ def build_basis(geom, n, mesh):
     beta = coeff.T @ np.array([m.beta for m in modes])
     if beta[0] <= 0:
         raise BasisError("first mode lost its positive boundary coupling")
+    # free each raw field once its orthonormal field is formed
     V = np.tensordot(coeff, raw_v, axes=(0, 0))  # (n, nc, 2)
+    del raw_v
     G = np.tensordot(coeff, raw_g, axes=(0, 0))  # grad[i, p, c, d] = d_d psi_{i,c}
-    # free each field array once its last reader is done: the contractions
-    # below hold an (n*n, nc) buffer, and the peak memory is what they add
-    del raw_v, raw_g
+    del raw_g
 
     grad_gram = _weighted_gram(w, G, G)
-    # D = sym grad, so (D psi_i, D psi_k) gives the viscous matrix b
-    D = 0.5 * (G + np.swapaxes(G, 2, 3))
-    strain_gram = _weighted_gram(w, D, D)
-    del D
+    # (D psi_i, D psi_k) gives the viscous matrix b
+    strain_gram = _weighted_gram(w, G, G, part=_strain)
     # cubic transport tensor, skew-symmetrized in (j, kappa)
     Q = _transport_tensor(w, _shifted(V, beta), G, V)
     return GalerkinBasis(
@@ -261,28 +268,45 @@ def build_basis(geom, n, mesh):
     )
 
 
-def _weighted_gram(w, X, Y):
-    """sum_p w_p X[i, p, ...] . Y[k, p, ...] over the cells p and the trailing
-    axes, (len(X), len(Y)), as one matrix product."""
-    wX = X * w.reshape(w.shape + (1,) * (X.ndim - 2))
-    return wX.reshape(len(X), -1) @ Y.reshape(len(Y), -1).T
+def _weighted_gram(w, X, Y, part=None):
+    """sum_p w_p P(X)[i, p, ...] . P(Y)[k, p, ...] over the cells p and the
+    trailing axes, (len(X), len(Y)), where P is `part` (the identity if None)
+    applied to the rows of a block of cells.  One matrix product per block
+    of `geometry.CELL_BLOCK` cells, so neither a weighted copy of X nor a
+    whole P(X) is formed."""
+    gram = np.zeros((len(X), len(Y)))
+    for cells in cell_blocks(len(w)):
+        x, y = X[:, cells], Y[:, cells]
+        if part is not None:
+            x, y = part(x), part(y)
+        x = x * w[cells].reshape((-1,) + (1,) * (x.ndim - 2))
+        gram += x.reshape(len(X), -1) @ y.reshape(len(Y), -1).T
+        del x, y  # before the next block forms its own
+    return gram
+
+
+def _strain(grad):
+    """The symmetric gradient D = (grad + grad^T) / 2 of gradient rows."""
+    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
 def _transport_tensor(w, S, G, V):
     """Q[i, j, k] = sum_p w_p S[i,p,d] G[j,p,c,d] V[k,p,c] for stacks S, G
     and V of any lengths over the same cells, (len(S), len(G), len(V)).
 
-    One matrix product per (c, d): the (len(S) len(G), ncells) products
-    w S[i,:,d] G[j,:,c,d], written into one reused buffer, against V[k,:,c].
+    One matrix product per (c, d) and block of `geometry.CELL_BLOCK` cells:
+    the (len(S) len(G), block) products w S[i,:,d] G[j,:,c,d], written into
+    one buffer per block, against V[k,:,c].
     """
-    ncells = V.shape[1]
-    wS = w[None, :, None] * S
-    pairs = np.empty((len(S), len(G), ncells))
     Q = np.zeros((len(S) * len(G), len(V)))
-    for c in range(2):
-        for d in range(2):
-            np.multiply(wS[:, None, :, d], G[None, :, :, c, d], out=pairs)
-            Q += pairs.reshape(-1, ncells) @ V[:, :, c].T
+    for cells in cell_blocks(len(w)):
+        wS = w[None, cells, None] * S[:, cells]
+        pairs = np.empty((len(S), len(G), wS.shape[1]))
+        for c in range(2):
+            for d in range(2):
+                np.multiply(wS[:, None, :, d], G[None, :, cells, c, d], out=pairs)
+                Q += pairs.reshape(len(Q), -1) @ V[:, cells, c].T
+        del wS, pairs  # before the next block forms its own
     return Q.reshape(len(S), len(G), len(V))
 
 
@@ -382,13 +406,16 @@ def assemble_system(basis, carrier, forces, params):
     fields = carrier.harmonic_fields(basis.mesh.centers[basis.cell_idx], ("V", "grad"))
     Vc = real_fields({k: fld["V"] for k, fld in fields.items()})  # (2K, nc, 2)
     Gc = real_fields({k: fld["grad"] for k, fld in fields.items()})  # (2K, nc, 2, 2)
+    del fields  # the system keeps the real copies
     # d1[m, i, j] = ((V_m . grad) psi_i, psi_j) and
     # B[m, i, j] = ((psi_i - beta_i e1) . grad V_m, psi_j), Re then Im
     d1 = _transport_tensor(w, Vc, G, V).reshape(2, -1, n, n)
     B = np.swapaxes(_transport_tensor(w, _shifted(V, beta), Gc, V), 0, 1)
     B = B.reshape(2, -1, n, n)
-    forms = dict(zip(fields, B[0] + 1j * B[1]))
-    d_harm = {k: 0.5 * (d - d.T) + forms[k] for k, d in zip(fields, d1[0] + 1j * d1[1])}
+    forms = dict(zip(carrier.harmonics, B[0] + 1j * B[1]))
+    d_harm = {
+        k: 0.5 * (d - d.T) + forms[k] for k, d in zip(carrier.harmonics, d1[0] + 1j * d1[1])
+    }
 
     # projected forcing (f, psi_kappa) per harmonic, on the f support cells
     f_harm = {}

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._bumps import Affine, Product
 from .errors import PeriflowError, ResolutionError, ResonantOrNonUnique
-from .geometry import cell_rows
+from .geometry import cell_blocks, cell_rows
 from .periodic_ode import (
     oscillator_system,
     resample_periodic,
@@ -499,21 +499,23 @@ def far_field_decay(basis, traj, x_list):
     `stokes_rhs_norm` read beyond the support rest on that containment.
     """
     n_times = 64
-    states = traj.resample_states(n_times)[:-1]
+    a = traj.resample_states(n_times)[:-1, : basis.n]  # (n_times, n)
     centers = basis.mesh.centers
-    # (n, 2, ncells): each velocity component contiguous over the cells
-    psi = np.ascontiguousarray(np.moveaxis(basis.velocity_at(centers), 2, 1))
+    psi = basis.velocity_at(centers)  # (n, ncells, 2)
     # quadrature weights of the cells beyond each X, (len(x_list), ncells)
     beyond = np.array([np.abs(centers[:, 0]) >= X for X in x_list]) * basis.mesh.weights
-    # one time at a time: all times at once would hold n_times copies of v
-    l3 = np.empty((n_times, len(x_list)))
-    for it, a in enumerate(states[:, : basis.n]):
-        v = np.tensordot(a, psi, 1)
+    # the integrals of |v|^3 beyond each X per time, one product of the
+    # states with the basis velocities per block of cells: v of all times
+    # on all cells at once would hold n_times copies of the fields
+    cubes = np.zeros((n_times, len(x_list)))
+    for cells in cell_blocks(len(centers)):
+        # (n_times, 2 * block): the two components of v side by side per cell
+        v = a @ psi[:, cells].reshape(len(psi), -1)
         v *= v
-        q = np.add(v[0], v[1], out=v[0])  # |v|^2
-        cube = np.sqrt(q, out=v[1])
-        cube *= q  # |v|^3
-        l3[it] = (beyond @ cube) ** (1.0 / 3.0)
+        q = v[:, 0::2] + v[:, 1::2]  # |v|^2
+        cubes += (q * np.sqrt(q)) @ beyond[:, cells].T
+        del v, q  # before the next block forms its own
+    l3 = cubes ** (1.0 / 3.0)
     norms = np.sqrt((traj.period / n_times) * np.sum(l3**2, axis=0))
     return {float(X): float(v) for X, v in zip(x_list, norms)}
 
@@ -535,9 +537,6 @@ class BodyPressureBump:
     def grad(self, x1, x2):
         f, g = self.fx.jet(x1, 1), self.gy.jet(x2, 1)
         return np.stack([f[1] * g[0], f[0] * g[1]], axis=-1)
-
-
-_CELL_BLOCK = 2048  # cells whose Stokes forcing fields stokes_rhs_norm holds at once
 
 
 def _stokes_fields(gsys, theta, cells, f_support):
@@ -579,12 +578,12 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
     The forcing h = f - v' - (V.grad) v - (v.grad) V + z'(d_1 v + d_1 V)
     + p grad theta is C(t) @ F: fixed real fields F (`_stokes_fields`) with
     time coefficients C built from the states and the harmonic phases.  So
-    ||h(t)||^2 = ((C @ F)^2) @ w, accumulated over blocks of `_CELL_BLOCK`
-    cells of the union of the basis and forcing supports: the fields of all
-    cells at once raise the peak memory of a solve.  The fields are the rows
-    stored by the basis, the assembly and the forcing, so no block evaluates
-    the carrier or the basis again.  The sum is a reordering of the per-time
-    evaluation, so nothing cancels.
+    ||h(t)||^2 = ((C @ F)^2) @ w, accumulated over blocks of
+    `geometry.CELL_BLOCK` cells of the union of the basis and forcing
+    supports: the fields of all cells at once raise the peak memory of a
+    solve.  The fields are the rows stored by the basis, the assembly and
+    the forcing, so no block evaluates the carrier or the basis again.  The
+    sum is a reordering of the per-time evaluation, so nothing cancels.
     """
     basis = gsys.basis
     carrier = gsys.carrier
@@ -629,8 +628,8 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
     mesh = basis.mesh
     cells = np.union1d(basis.cell_idx, forces.cell_idx)
     sq = np.zeros(n_times)
-    for start in range(0, len(cells), _CELL_BLOCK):
-        block = cells[start : start + _CELL_BLOCK]
+    for rows in cell_blocks(len(cells)):
+        block = cells[rows]
         F = _stokes_fields(gsys, theta, block, f_support)
         h = C @ F.reshape(len(F), -1)
         h *= h

@@ -133,6 +133,16 @@ def coordinate_split(points):
     return tuple(np.unique(pts[:, j], return_inverse=True) for j in range(2))
 
 
+CELL_BLOCK = 2048  # cells per block of a quadrature sum over a cell set
+
+
+def cell_blocks(ncells):
+    """Slices of consecutive blocks of `CELL_BLOCK` cells that cover `ncells`
+    cells.  The quadrature sums over a cell set run one block at a time, so
+    their temporaries hold one block of cells, never the whole set."""
+    return [slice(start, start + CELL_BLOCK) for start in range(0, ncells, CELL_BLOCK)]
+
+
 def cell_rows(stored, cells, *arrays):
     """The rows of `arrays` at the mesh cells `cells`, for arrays that hold
     one row per cell of the sorted cell set `stored` on axis 1; the rows of

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from periflow.basis import build_basis, estimate_cq, grad_identity_gap
+from periflow import geometry
+from periflow.basis import assemble_system, build_basis, estimate_cq, grad_identity_gap
 from periflow.errors import BasisError
 from periflow.geometry import coordinate_split
 from periflow.signals import sine_signal, sobolev_norm_T, synthesize
@@ -240,6 +242,73 @@ def test_transport_halves_match_oracles_on_two_harmonics(two_harmonic_system):
         assert np.max(np.abs(got - B)) <= 1e-13 * np.max(np.abs(B)), k
         d1 = gsys.d_harmonics[k] - got
         assert np.max(np.abs(d1 - advected[k])) <= 1e-13 * np.max(np.abs(advected[k])), k
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_cell_block_size_changes_no_tensor(monkeypatch, geom, mesh, basis, two_harmonic_system, block):
+    """Blocks of one cell, of seven (the last block shorter, on the basis
+    and on the forcing cells), or one block over all the cells sum the same
+    tensors as the default block size, and still match the oracles."""
+    want = two_harmonic_system
+    carrier, forces = want.carrier, want.forces
+    assert len(basis.cell_idx) % 7 != 0 and len(forces.cell_idx) % 7 != 0
+    assert len(basis.cell_idx) < 1 << 20 and want.f_harmonics
+    monkeypatch.setattr(geometry, "CELL_BLOCK", block)
+    got = build_basis(geom, basis.n, mesh=mesh)
+    gsys = assemble_system(got, carrier, forces, want.params)
+    assert np.array_equal(got.values, basis.values) and np.array_equal(got.grads, basis.grads)
+    for name in ("c", "grad_gram", "strain_gram"):
+        assert _relative_gap(getattr(got, name), getattr(basis, name)) <= 1e-13, name
+    for name in ("d_harmonics", "transport_forms", "f_harmonics"):
+        tensors = getattr(gsys, name)
+        assert set(tensors) == set(getattr(want, name))
+        for k, expect in getattr(want, name).items():
+            assert _relative_gap(tensors[k], expect) <= 1e-13, (name, k)
+    for name, expect in basis_tensors_einsum(got).items():
+        assert _relative_gap(getattr(got, name), expect) <= 1e-13, name
+    for k, expect in carrier_transport_forms(got, carrier).items():
+        assert _relative_gap(gsys.transport_forms[k], expect) <= 1e-13, k
+    for k, expect in carrier_advected_forms(got, carrier).items():
+        d1 = gsys.d_harmonics[k] - gsys.transport_forms[k]
+        assert _relative_gap(d1, expect) <= 1e-13, k
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_basis_and_assembly_peak_memory_is_bounded_by_their_arrays(geom, mesh, ref_run):
+    """`build_basis` and `assemble_system` hold, at their traced peaks, the
+    arrays they keep, the arrays those are formed from, and one block of
+    `geometry.CELL_BLOCK` cells of temporaries: no quadrature sum holds a
+    temporary over every support cell."""
+    gsys = ref_run["system"]
+    basis = gsys.basis
+    n = basis.n
+    block = geometry.CELL_BLOCK * 8  # one float per cell of a block
+    # the orthonormal fields, the raw gradients they are combined from (the
+    # raw velocities are freed first), the support cells' indices, points
+    # and weights, and the transport products of one block with their
+    # weighted velocities
+    support = basis.cell_idx.nbytes + 3 * basis.cell_weights.nbytes
+    bound = basis.values.nbytes + 2 * basis.grads.nbytes + support + (n * n + 2 * n) * block
+    assert _traced_peak(lambda: build_basis(geom, n, mesh=mesh)) <= bound
+    # the carrier fields, evaluated complex and kept as real copies, the
+    # basis velocities shifted by beta e1, and the transport products of
+    # one block with their weighted velocities
+    Vc, Gc = gsys.carrier_fields
+    bound = 2 * (Vc.nbytes + Gc.nbytes) + basis.values.nbytes + (n * len(Vc) + 2 * n) * block
+    peak = _traced_peak(lambda: assemble_system(basis, gsys.carrier, gsys.forces, gsys.params))
+    assert peak <= bound
 
 
 def test_too_many_modes_rejected(geom, mesh):

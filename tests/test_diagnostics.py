@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from periflow import diagnostics
+from periflow import geometry
 from periflow.diagnostics import (
     BodyPressureBump,
     _fit_two_constants,
@@ -251,6 +251,32 @@ def test_far_field_decay_sees_a_field_beyond_the_support(basis, geom):
     assert norm == pytest.approx(math.sqrt(traj.period) * l3, rel=1e-12)
 
 
+@pytest.mark.parametrize("block", [7, 2048, 1 << 20])
+def test_far_field_decay_matches_per_time_sums_across_cell_blocks(
+    basis, geom, ref_run, monkeypatch, block
+):
+    # the reference evaluates v on all mesh cells one grid time at a time
+    traj = ref_run["trajectory"]
+    xs = [0.0, geom.X0 - 0.5, geom.X0 + 1.0]
+    mesh = basis.mesh
+    psi = basis.velocity_at(mesh.centers)
+    a = traj.resample_states(64)[:-1, : basis.n]
+    cubes = np.array(
+        [
+            [
+                np.dot(mesh.weights * (np.abs(mesh.centers[:, 0]) >= X), speed**3)
+                for X in xs
+            ]
+            for speed in np.linalg.norm(np.einsum("ti,ipc->tpc", a, psi), axis=2)
+        ]
+    )
+    expect = np.sqrt((traj.period / 64) * np.sum(cubes ** (2.0 / 3.0), axis=0))
+    monkeypatch.setattr(geometry, "CELL_BLOCK", block)
+    got = far_field_decay(basis, traj, xs)
+    assert np.allclose([got[X] for X in xs], expect, rtol=1e-12, atol=0.0)
+    assert got[xs[-1]] == 0.0 and expect[-1] == 0.0 and expect[1] > 0.0
+
+
 def test_body_pressure_bump(ref_run, geom, mesh):
     theta = BodyPressureBump(ref_run["carrier"])
     assert theta.boundary_weight == pytest.approx(geom.body_area)
@@ -346,7 +372,7 @@ def test_stokes_rhs_norm_across_cell_blocks(ref_run, params, mesh, monkeypatch):
         # forcing support
         for block in (n_cells // 3 + 1, n_forcing // 4 + 1):
             assert n_cells % block != 0
-            monkeypatch.setattr(diagnostics, "_CELL_BLOCK", block)
+            monkeypatch.setattr(geometry, "CELL_BLOCK", block)
             _, norms = stokes_rhs_norm(traj, system, n_times=16)
             assert np.max(np.abs(norms - expect)) <= 1e-12 * np.max(expect)
 
