@@ -380,7 +380,7 @@ def assemble_system(basis, carrier, forces, params):
     `build_basis`.  The carrier fields of every harmonic are evaluated once,
     on the basis support cells, and kept in the system's `carrier_fields`;
     the carrier-transport forms and the projected forcing are matrix
-    products over the cells.
+    products over one block of `geometry.CELL_BLOCK` cells at a time.
 
     The cubic transport tensor and the carrier-transport block are assembled
     in explicitly skew-symmetrized form: the continuum integrals are skew
