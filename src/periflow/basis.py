@@ -241,17 +241,19 @@ def build_basis(geom, n, mesh):
     beta = coeff.T @ np.array([m.beta for m in modes])
     if beta[0] <= 0:
         raise BasisError("first mode lost its positive boundary coupling")
-    # free each raw field once its orthonormal field is formed
-    V = np.tensordot(coeff, raw_v, axes=(0, 0))  # (n, nc, 2)
-    del raw_v
-    G = np.tensordot(coeff, raw_g, axes=(0, 0))  # grad[i, p, c, d] = d_d psi_{i,c}
-    del raw_g
+    # psi = coeff^T raw, written over the raw fields one block of cells at a
+    # time, so no second copy of the fields of every support cell is formed
+    for cells in cell_blocks(len(w)):
+        for raw in (raw_v, raw_g):
+            block = raw[:, cells]
+            block[...] = np.tensordot(coeff, block, axes=(0, 0))
+    V, G = raw_v, raw_g  # (n, nc, 2), (n, nc, 2, 2) with G[i, p, c, d] = d_d psi_{i,c}
 
     grad_gram = _weighted_gram(w, G, G)
     # (D psi_i, D psi_k) gives the viscous matrix b
     strain_gram = _weighted_gram(w, G, G, part=_strain)
     # cubic transport tensor, skew-symmetrized in (j, kappa)
-    Q = _transport_tensor(w, _shifted(V, beta), G, V)
+    Q = _transport_tensor(w, V, G, V, shift=beta)
     return GalerkinBasis(
         geometry=geom,
         mesh=mesh,
@@ -290,17 +292,20 @@ def _strain(grad):
     return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
-def _transport_tensor(w, S, G, V):
+def _transport_tensor(w, S, G, V, shift=None):
     """Q[i, j, k] = sum_p w_p S[i,p,d] G[j,p,c,d] V[k,p,c] for stacks S, G
-    and V of any lengths over the same cells, (len(S), len(G), len(V)).
+    and V of any lengths over the same cells, (len(S), len(G), len(V)); with
+    a `shift`, S[i] - shift_i e1 in place of S[i].
 
     One matrix product per (c, d) and block of `geometry.CELL_BLOCK` cells:
     the (len(S) len(G), block) products w S[i,:,d] G[j,:,c,d], written into
-    one buffer per block, against V[k,:,c].
+    one buffer per block, against V[k,:,c].  The shift is applied per block
+    too, so no temporary holds every cell.
     """
     Q = np.zeros((len(S) * len(G), len(V)))
     for cells in cell_blocks(len(w)):
-        wS = w[None, cells, None] * S[:, cells]
+        wS = S[:, cells] if shift is None else _shifted(S[:, cells], shift)
+        wS = w[None, cells, None] * wS
         pairs = np.empty((len(S), len(G), wS.shape[1]))
         for c in range(2):
             for d in range(2):
@@ -311,7 +316,7 @@ def _transport_tensor(w, S, G, V):
 
 
 def _shifted(V, beta):
-    """psi_i - beta_i e1 on the basis support cells, (n, nc, 2)."""
+    """psi_i - beta_i e1 at the cells of V, (n, ncells, 2)."""
     return V - beta[:, None, None] * np.array([1.0, 0.0])[None, None, :]
 
 
@@ -410,7 +415,7 @@ def assemble_system(basis, carrier, forces, params):
     # d1[m, i, j] = ((V_m . grad) psi_i, psi_j) and
     # B[m, i, j] = ((psi_i - beta_i e1) . grad V_m, psi_j), Re then Im
     d1 = _transport_tensor(w, Vc, G, V).reshape(2, -1, n, n)
-    B = np.swapaxes(_transport_tensor(w, _shifted(V, beta), Gc, V), 0, 1)
+    B = np.swapaxes(_transport_tensor(w, V, Gc, V, shift=beta), 0, 1)
     B = B.reshape(2, -1, n, n)
     forms = dict(zip(carrier.harmonics, B[0] + 1j * B[1]))
     d_harm = {

@@ -288,26 +288,29 @@ def _traced_peak(fn):
 
 def test_basis_and_assembly_peak_memory_is_bounded_by_their_arrays(geom, mesh, ref_run):
     """`build_basis` and `assemble_system` hold, at their traced peaks, the
-    arrays they keep, the arrays those are formed from, and one block of
-    `geometry.CELL_BLOCK` cells of temporaries: no quadrature sum holds a
-    temporary over every support cell."""
+    fields they keep or read and the temporaries of one step: neither a
+    quadrature sum nor the change to the orthonormal basis holds a second
+    array over every support cell."""
     gsys = ref_run["system"]
-    basis = gsys.basis
+    basis, forces = gsys.basis, gsys.forces
     n = basis.n
-    block = geometry.CELL_BLOCK * 8  # one float per cell of a block
-    # the orthonormal fields, the raw gradients they are combined from (the
-    # raw velocities are freed first), the support cells' indices, points
-    # and weights, and the transport products of one block with their
-    # weighted velocities
+    fields = basis.values.nbytes + basis.grads.nbytes
+    # the support cells' indices, points and weights
     support = basis.cell_idx.nbytes + 3 * basis.cell_weights.nbytes
-    bound = basis.values.nbytes + 2 * basis.grads.nbytes + support + (n * n + 2 * n) * block
-    assert _traced_peak(lambda: build_basis(geom, n, mesh=mesh)) <= bound
-    # the carrier fields, evaluated complex and kept as real copies, the
-    # basis velocities shifted by beta e1, and the transport products of
-    # one block with their weighted velocities
+    # one raw mode evaluated on the support cells (its fields and the
+    # factors they are formed from, four times the fields it returns), or one
+    # block of a transport sum (the pair products and the shifted and
+    # weighted velocities)
+    step = max(4 * fields // n, (n * n + 4 * n) * geometry.CELL_BLOCK * 8)
+    assert _traced_peak(lambda: build_basis(geom, n, mesh=mesh)) <= fields + support + step
+    # the carrier fields, evaluated complex and kept as real copies; the
+    # basis fields at the forcing cells and the forcing, complex and real,
+    # which the forcing projection reads
     Vc, Gc = gsys.carrier_fields
-    bound = 2 * (Vc.nbytes + Gc.nbytes) + basis.values.nbytes + (n * len(Vc) + 2 * n) * block
-    peak = _traced_peak(lambda: assemble_system(basis, gsys.carrier, gsys.forces, gsys.params))
+    at_forcing = fields * len(forces.cell_idx) // len(basis.cell_idx)
+    forcing = 2 * 16 * len(forces.f_harmonics) * forces.cell_idx.size * 2
+    bound = 2 * (Vc.nbytes + Gc.nbytes) + at_forcing + forcing
+    peak = _traced_peak(lambda: assemble_system(basis, gsys.carrier, forces, gsys.params))
     assert peak <= bound
 
 
