@@ -200,9 +200,10 @@ def build_basis(geom, n, mesh):
     within |x1| < X0 + 1.  The quadrature sums over those cells run as BLAS
     matrix products over one block of `geometry.CELL_BLOCK` cells at a time:
     the gradient and strain Grams through `_weighted_gram`, the cubic
-    transport tensor through `_transport_tensor`.  So the temporaries of
-    each sum span one block of cells, and the raw and orthonormal fields of
-    all the support cells set the peak memory.
+    transport tensor through `_transport_tensor`.  The raw fields are
+    turned into the orthonormal ones in place, block by block.  So every
+    temporary spans one block of cells or one mode, and the fields of all
+    the support cells, held once, set the peak memory.
     """
     if n < 1:
         raise BasisError(f"basis size must be >= 1, got {n}")
@@ -241,8 +242,8 @@ def build_basis(geom, n, mesh):
     beta = coeff.T @ np.array([m.beta for m in modes])
     if beta[0] <= 0:
         raise BasisError("first mode lost its positive boundary coupling")
-    # psi = coeff^T raw, written over the raw fields one block of cells at a
-    # time, so no second copy of the fields of every support cell is formed
+    # psi = coeff^T raw (coeff is square), written over the raw fields one
+    # block of cells at a time, so no second copy of the fields is formed
     for cells in cell_blocks(len(w)):
         for raw in (raw_v, raw_g):
             block = raw[:, cells]
@@ -304,14 +305,14 @@ def _transport_tensor(w, S, G, V, shift=None):
     """
     Q = np.zeros((len(S) * len(G), len(V)))
     for cells in cell_blocks(len(w)):
-        wS = S[:, cells] if shift is None else _shifted(S[:, cells], shift)
-        wS = w[None, cells, None] * wS
+        rows = S[:, cells] if shift is None else _shifted(S[:, cells], shift)
+        wS = w[None, cells, None] * rows
         pairs = np.empty((len(S), len(G), wS.shape[1]))
         for c in range(2):
             for d in range(2):
                 np.multiply(wS[:, None, :, d], G[None, :, cells, c, d], out=pairs)
                 Q += pairs.reshape(len(Q), -1) @ V[:, cells, c].T
-        del wS, pairs  # before the next block forms its own
+        del rows, wS, pairs  # before the next block forms its own
     return Q.reshape(len(S), len(G), len(V))
 
 
