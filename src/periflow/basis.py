@@ -145,8 +145,8 @@ class GalerkinBasis:
     `values` and `grads` hold psi and grad psi on the mesh cells `cell_idx`,
     the cells with |x1| < X0 + 1.  Every mode is exactly zero on the other
     cells: the interior boxes end at |x1| = X0 + 0.95 and the body-coupled
-    ramps earlier.  So `fields_at_cells` reads the fields of any cell set
-    back as stored rows and exact zeros, and evaluates nothing;
+    ramps earlier.  So `geometry.cell_rows` reads the fields of any cell
+    set back as stored rows and exact zeros, and evaluates nothing;
     `diagnostics.far_field_decay` checks those zeros on every run.  The
     basis-only tensors are contracted over the cells in `build_basis`, by
     BLAS products over one block of cells at a time.
@@ -180,12 +180,6 @@ class GalerkinBasis:
     def gradient_at(self, points):
         (raw,) = _raw_fields(self.modes, points, ("grad",))
         return self._combine(raw)
-
-    def fields_at_cells(self, cells):
-        """(psi, grad psi) at the centers of the mesh cells `cells`:
-        (n, m, 2) and (n, m, 2, 2), the rows of `values`/`grads`, and exact
-        zeros off `cell_idx`, where every mode vanishes."""
-        return cell_rows(self.cell_idx, cells, self.values, self.grads)
 
     def l2_inner(self, i, k):
         return float(
@@ -426,7 +420,7 @@ def assemble_system(basis, carrier, forces, params):
     # projected forcing (f, psi_kappa) per harmonic, on the f support cells
     f_harm = {}
     if forces.f_harmonics:
-        psi_f, _ = basis.fields_at_cells(forces.cell_idx)  # (n, nf, 2)
+        (psi_f,) = cell_rows(basis.cell_idx, forces.cell_idx, basis.values)  # (n, nf, 2)
         F = real_fields(forces.f_harmonics)  # (2Kf, nf, 2)
         F = _weighted_gram(forces.cell_weights, F, psi_f).reshape(2, -1, n)
         f_harm = dict(zip(forces.f_harmonics, F[0] + 1j * F[1]))

@@ -5,8 +5,9 @@ Subcommands:
               profile-norm table
   solve       full periodic solve: trajectory CSV, diagnostics ledger,
               run manifest
-  resonance   period sweep around the oscillator's natural period, coupled
-              vs decoupled outcome table
+  resonance   period sweep around the oscillator's natural period, each
+              period continued from the previous one: coupled vs decoupled
+              outcome table
   homotopy    forcing-scale sweep over the config's alphas: sup E, iterations
               and residual per scale
 
@@ -143,15 +144,20 @@ def cmd_resonance(config, out_dir):
     fp_cfg = config.build_fixed_point()
     rows = []
     basis = None  # built for the first factor, shared by the later ones
+    last = None  # the previous period's converged trajectory
     for factor in config.resonance_factors:
         period = factor * t_nat
         parts = assemble_from_config(config.with_period(period), basis=basis)
         basis = parts["basis"]
-        probe = resonance_probe(parts["system"], fp_cfg)
+        # natural-parameter continuation in the period: start from the
+        # previous period's solution, rescaled in phase to this period
+        start = None if last is None else last.with_period(period)
+        probe = resonance_probe(parts["system"], fp_cfg, start=start)
         # each system holds its carrier fields; free this one before the next
         # period's assembly, which would otherwise peak with both alive
-        del parts
+        del parts, start
         coupled = probe["coupled"]
+        last = coupled.get("trajectory")  # a failed solve hands on no start
         rows.append(
             (
                 factor,

@@ -126,7 +126,7 @@ class RunConfig:
     n_steps: int = 2048
     mesh_h: float = 1.0 / 32.0
     profile_nodes: int = 257
-    damping: float = 0.7  # Anderson mixing weight of the fixed point
+    damping: float = 1.0  # Anderson mixing weight of the fixed point
     fixed_point_tol: float = 1e-9
     max_iter: int = 50
     alphas: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)

@@ -495,8 +495,8 @@ def far_field_decay(basis, traj, x_list):
     v is evaluated on every mesh cell at 64 times, so a field that leaks
     past the basis support |x1| < X0 + 1 shows as a nonzero norm there;
     this check verifies the support containment and monotone decay inside
-    it.  The zero rows that `GalerkinBasis.fields_at_cells` and
-    `stokes_rhs_norm` read beyond the support rest on that containment.
+    it.  The zero rows that the forcing projection of `assemble_system`
+    and `stokes_rhs_norm` read beyond the support rest on that containment.
     """
     n_times = 64
     a = traj.resample_states(n_times)[:-1, : basis.n]  # (n_times, n)
@@ -641,27 +641,31 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
 # resonance probe
 
 
-def resonance_probe(gsys, fp_cfg):
+def resonance_probe(gsys, fp_cfg, start=None):
     """Coupled solve vs decoupled pure oscillator at the system period.
 
     Returns both outcomes: the coupled problem should converge with bounded
     energy at any period (fluid dissipation damps the oscillator), while the
-    bare oscillator is singular exactly at its natural period.  A coupled
-    solve that fails is reported, except a ResolutionError: a grid too coarse
-    for the system says nothing about resonance, so it propagates.
+    bare oscillator is singular exactly at its natural period.  The coupled
+    fixed point starts from `start` (as in `fixed_point`) or from zero, and
+    a converged one carries its trajectory, the start of a period sweep's
+    next period.  A coupled solve that fails is reported, except a
+    ResolutionError: a grid too coarse for the system says nothing about
+    resonance, so it propagates.
     """
     from .solver import fixed_point
 
     params = gsys.params
     report = {"period": gsys.period, "natural_period": params.natural_period}
     try:
-        traj, rep = fixed_point(gsys, fp_cfg)
+        traj, rep = fixed_point(gsys, fp_cfg, start=start)
         E = energy_E(traj, params)
         report["coupled"] = {
             "converged": True,
             "iterations": rep["iterations"],
             "sup_E": float(E.max()),
             "residual": rep["residual"],
+            "trajectory": traj,
         }
     except ResolutionError:
         raise

@@ -184,13 +184,24 @@ def _build_step_maps(system, substeps):
         lefts.append(np.empty((count // 2,) + shape))
         count -= count // 2
     tops = np.empty(((m - 1) // _MAP_CHUNK + 1,) + shape)
-    for i, start in enumerate(range(0, m, _MAP_CHUNK)):
-        rows = slice(start * s, (start + _MAP_CHUNK) * s + 1, s // 2)
-        B, r = system.samples(rows), system.rhs[rows]
-        B, r = ((x[:-1:2], x[1::2], x[2::2]) for x in (B, r))
-        tops[i] = _compose_up(_rk4_maps(B, r, h), lefts, 0, start)
-    root = _compose_up(tops, lefts, _MAP_CHUNK.bit_length() - 1, 0)
+    # an overflow shows as a top that is not finite (a non-finite entry
+    # makes every product it enters non-finite, 0 * inf included), so the
+    # build checks each top and warns about nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, start in enumerate(range(0, m, _MAP_CHUNK)):
+            rows = slice(start * s, (start + _MAP_CHUNK) * s + 1, s // 2)
+            B, r = system.samples(rows), system.rhs[rows]
+            B, r = ((x[:-1:2], x[1::2], x[2::2]) for x in (B, r))
+            tops[i] = _compose_up(_rk4_maps(B, r, h), lefts, 0, start)
+            _require_finite(tops[i], f"RK4 step maps from step {start}")
+        root = _compose_up(tops, lefts, _MAP_CHUNK.bit_length() - 1, 0)
+    _require_finite(root, "RK4 map over the period")
     return _StepMaps(lefts=tuple(lefts), root=root)
+
+
+def _require_finite(x, what):
+    if not np.isfinite(x).all():
+        raise ResolutionError(f"{what} not finite; increase solver.n_steps")
 
 
 def _compose_up(nodes, lefts, level, first):
@@ -229,14 +240,16 @@ def integrate_rk4(system, x0, substeps=1):
     n_out = system.n_steps * substeps
     out = np.empty((n_out + 1,) + x.shape)
     out[0] = x
-    np.matmul(maps.root[:, :-1], x, out=out[n_out])
-    out[n_out] += maps.root[:, -1:]
-    for level in reversed(range(len(maps.lefts))):
-        left = maps.lefts[level]
-        stride = 2 << level
-        ends = out[stride // 2 :: stride][: len(left)]
-        np.matmul(left[..., :-1], out[::stride][: len(left)], out=ends)
-        ends += left[..., -1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(maps.root[:, :-1], x, out=out[n_out])
+        out[n_out] += maps.root[:, -1:]
+        for level in reversed(range(len(maps.lefts))):
+            left = maps.lefts[level]
+            stride = 2 << level
+            ends = out[stride // 2 :: stride][: len(left)]
+            np.matmul(left[..., :-1], out[::stride][: len(left)], out=ends)
+            ends += left[..., -1:]
+    _require_finite(out, f"RK4 sweep at {n_out} steps")
     return out.reshape((n_out + 1,) + x0.shape)
 
 
@@ -300,6 +313,17 @@ class PeriodicTrajectory:
     def sup_norm(self):
         return float(np.max(np.abs(self.states)))
 
+    def with_period(self, period):
+        """The same samples in phase over another period, as a start for a
+        solve at that period: the states are kept and the time derivatives
+        scale by old period / new period."""
+        return PeriodicTrajectory(
+            period=period,
+            states=self.states,
+            derivs=(self.period / period) * self.derivs,
+            periodicity_defect=self.periodicity_defect,
+        )
+
     def resample_states(self, n_out):
         """Band-limited resample of the periodic states to n_out+1 samples."""
         res = resample_periodic(self.states[:-1], n_out)
@@ -334,7 +358,7 @@ def solve_linear_periodic(system):
         raise ResonantOrNonUnique(sigma_min, SINGULARITY_THRESHOLD * max(scale, 1.0))
     x0 = np.linalg.solve(np.eye(dim) - M, p)
     err = step_halving_error(system, x0)
-    if err > STEP_HALVING_TOL * (1.0 + float(np.max(np.abs(x0)))):
+    if not err <= STEP_HALVING_TOL * (1.0 + float(np.max(np.abs(x0)))):
         raise ResolutionError(
             f"step-halving disagreement {err:.3e} exceeds tolerance; "
             "increase solver.n_steps"
@@ -342,7 +366,7 @@ def solve_linear_periodic(system):
     states = integrate_rk4(system, x0)
     defect = float(np.max(np.abs(states[-1] - states[0])))
     tol = 1e-8 * (1.0 + float(np.max(np.abs(states))))
-    if defect > tol:
+    if not defect <= tol:
         raise ResolutionError(
             f"periodicity defect {defect:.3e} exceeds {tol:.3e} after monodromy "
             "solve; increase solver.n_steps"

@@ -11,7 +11,7 @@ import pytest
 from periflow import geometry
 from periflow.basis import assemble_system, build_basis, estimate_cq, grad_identity_gap
 from periflow.errors import BasisError
-from periflow.geometry import coordinate_split
+from periflow.geometry import cell_rows, coordinate_split
 from periflow.signals import sine_signal, sobolev_norm_T, synthesize
 
 from oracles import (
@@ -123,8 +123,8 @@ def test_basis_tensors_match_einsum_oracle(basis):
 
 
 def test_fields_at_cells_matches_direct_evaluation(basis, mesh):
-    # support cells read stored rows; the cells beyond the support read
-    # zeros, which must equal the evaluated fields exactly
+    # through `cell_rows`, support cells read stored rows; the cells beyond
+    # the support read zeros, which must equal the evaluated fields exactly
     rng = np.random.default_rng(3)
     outside = np.setdiff1d(np.arange(len(mesh.weights)), basis.cell_idx)
     cells = np.concatenate(
@@ -132,14 +132,14 @@ def test_fields_at_cells_matches_direct_evaluation(basis, mesh):
     )
     rng.shuffle(cells)
     pts = mesh.centers[cells]
-    psi, gpsi = basis.fields_at_cells(cells)
+    psi, gpsi = cell_rows(basis.cell_idx, cells, basis.values, basis.grads)
     assert np.array_equal(psi, basis.velocity_at(pts))
     assert np.array_equal(gpsi, basis.gradient_at(pts))
 
 
 @pytest.mark.parametrize("n", [1, 8, 20, 35])
 def test_modes_vanish_exactly_off_the_support_cells(geom, mesh, n):
-    # `fields_at_cells` and the Stokes forcing read zeros on these cells
+    # the forcing projection and the Stokes forcing read zeros on these cells
     b = build_basis(geom, n, mesh=mesh)
     outside = mesh.centers[np.setdiff1d(np.arange(len(mesh.weights)), b.cell_idx)]
     assert len(outside) > 0

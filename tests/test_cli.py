@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,96 @@ def test_resonance_on_an_unresolved_grid_is_config_error(tmp_path, capsys):
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert "increase solver.n_steps" in err
     assert not (out / "resonance.csv").exists()
+
+
+def _recording_fixed_point(monkeypatch, fail_at=()):
+    """Record every coupled fixed point the resonance probe runs: its
+    period, its start, and its trajectory and iterations; the calls
+    numbered in `fail_at` (from 1) fail without converging."""
+    from periflow import solver
+    from periflow.errors import NoConvergence
+
+    real = solver.fixed_point
+    calls = []
+
+    def recording(gsys, cfg, start=None):
+        calls.append({"period": gsys.period, "start": start})
+        if len(calls) in fail_at:
+            raise NoConvergence([1.0])
+        traj, report = real(gsys, cfg, start=start)
+        calls[-1].update(trajectory=traj, iterations=report["iterations"])
+        return traj, report
+
+    monkeypatch.setattr(solver, "fixed_point", recording)
+    return calls, real
+
+
+def _resonance_rows(out_dir):
+    return np.loadtxt(os.path.join(out_dir, "resonance.csv"), delimiter=",", skiprows=1)
+
+
+def test_resonance_continues_each_period_from_the_last(tmp_path, monkeypatch):
+    """Each period starts from the previous period's solution, rescaled in
+    phase; it reaches the cold solve's energy in fewer iterations."""
+    from periflow.cli import cmd_resonance
+    from periflow.config import reference_config
+    from periflow.diagnostics import energy_E
+    from periflow.solver import assemble_from_config
+
+    config = reference_config(n_steps=512)
+    assert config.resonance_factors == (0.8, 1.0, 1.2)
+    calls, cold_fixed_point = _recording_fixed_point(monkeypatch)
+    assert cmd_resonance(config, str(tmp_path)) == EXIT_OK
+    rows = _resonance_rows(tmp_path)
+    assert calls[0]["start"] is None
+    for prev, call in zip(calls, calls[1:]):
+        start = call["start"]
+        assert start.period == call["period"]
+        assert np.array_equal(start.states, prev["trajectory"].states)
+        ratio = prev["period"] / call["period"]
+        assert np.array_equal(start.derivs, ratio * prev["trajectory"].derivs)
+
+    basis = None
+    for row, call in zip(rows, calls):
+        parts = assemble_from_config(config.with_period(row[1]), basis=basis)
+        basis = parts["basis"]
+        traj, report = cold_fixed_point(parts["system"], config.build_fixed_point())
+        sup_e = float(energy_E(traj, config.params).max())
+        assert row[2] == 1.0 and row[3] == pytest.approx(sup_e, rel=1e-9)
+        if call["start"] is not None:
+            assert call["iterations"] < report["iterations"]
+
+
+def test_failed_period_hands_on_no_start(tmp_path, monkeypatch):
+    from periflow.cli import cmd_resonance
+    from periflow.config import reference_config
+
+    config = reference_config(n_steps=512)
+    calls, _ = _recording_fixed_point(monkeypatch, fail_at=(2,))
+    assert cmd_resonance(config, str(tmp_path)) == EXIT_OK
+    rows = _resonance_rows(tmp_path)
+    assert [call["start"] is None for call in calls] == [True, False, True]
+    assert rows[:, 2].tolist() == [1.0, 0.0, 1.0]
+    assert math.isnan(rows[1, 3]) and math.isfinite(rows[2, 3])
+
+
+def test_overflowing_flow_rate_is_config_error(tmp_path, capsys):
+    """At 4096 times the reference flow rate, past the smallness gate that
+    `warn_only` lets through, RK4 at 2048 steps overflows in the map build:
+    exit 3 with one line, and no RuntimeWarning escapes."""
+    cfg = _write(
+        tmp_path,
+        "flowrate:\n"
+        "  period: 6.283185307179586\n"
+        "  harmonics: [[1, 0.0, -2048.0]]\n"
+        "warn_only: true\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "not finite" in err and "increase solver.n_steps" in err
 
 
 def test_missing_config_file_is_config_error(tmp_path):

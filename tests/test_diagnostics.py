@@ -414,6 +414,16 @@ def test_resonance_probe_at_natural_period(ref_run):
     assert rep["decoupled"]["sigma_min"] < 1e-8
 
 
+def test_resonance_probe_from_its_own_solution(ref_run):
+    """A start at the converged solution is a fixed point already: one map
+    application confirms it and gives the same energy."""
+    cfg = FixedPointConfig(n_steps=1024)
+    cold = resonance_probe(ref_run["system"], cfg)["coupled"]
+    warm = resonance_probe(ref_run["system"], cfg, start=cold["trajectory"])["coupled"]
+    assert cold["iterations"] > 1 and warm["iterations"] == 1
+    assert warm["sup_E"] == pytest.approx(cold["sup_E"], rel=1e-9)
+
+
 def test_resonance_probe_off_resonance(offres_run):
     rep = resonance_probe(offres_run["system"], FixedPointConfig(n_steps=1024))
     assert rep["coupled"]["converged"]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -260,13 +261,25 @@ def test_system_from_galerkin_builds_its_own_maps(map_builds, zero_system):
 
 @pytest.mark.parametrize("r", [0.0, 1.0])
 def test_overflowing_grid_is_unresolved_not_resonant(r):
-    """RK4 at h B = 1.6e4 overflows; the non-finite monodromy (inf, or nan
-    once inf meets inf in a product) names the step count."""
+    """RK4 at h B = 1.6e4 overflows; the map build finds a step map that is
+    not finite (inf, or nan once inf meets inf or 0 in a product), names the
+    step count, and lets no overflow warning escape."""
     sys = _constant_system([[1e6]], [r], period=1.0, n_steps=64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ResolutionError, match="monodromy norm inf") as exc_info:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResolutionError, match="not finite") as exc_info:
             solve_linear_periodic(sys)
     assert "increase solver.n_steps" in str(exc_info.value)
+
+
+def test_overflowing_sweep_is_unresolved():
+    """Finite step maps can still carry a state past the largest float; the
+    sweep names the step count instead of returning inf, with no warning."""
+    sys = _constant_system([[1.0]], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResolutionError, match="RK4 sweep at 256 steps not finite"):
+            integrate_rk4(sys, np.array([1e308]))
 
 
 def test_zero_rhs_constant_trajectory():

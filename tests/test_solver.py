@@ -111,6 +111,33 @@ def test_anderson_matches_damped_picard(ref_run, monkeypatch):
     assert np.max(np.abs(traj.states - picard.states)) <= 1e-10 * scale
 
 
+def test_full_weight_mixing_reaches_the_damped_path_in_fewer_iterations(ref_run):
+    """The default weight 1 and the former default 0.7 take different paths
+    to the same fixed point; the full-weight path is the shorter one."""
+    gsys = ref_run["system"]
+    cfg = FixedPointConfig(n_steps=256)
+    assert cfg.damping == 1.0
+    traj, report = fixed_point(gsys, cfg)
+    damped, damped_report = fixed_point(gsys, replace(cfg, damping=0.7))
+    assert report["converged"] and damped_report["converged"]
+    assert report["iterations"] < damped_report["iterations"]
+    scale = np.max(np.abs(damped.states))
+    assert np.max(np.abs(traj.states - damped.states)) <= 1e-10 * scale
+
+
+def test_map_lipschitz_estimates_on_the_reference(ref_run):
+    """The map's own rate |Phi(x_k) - Phi(x_{k-1})| / |x_k - x_{k-1}| stays
+    far below 1 on the reference data, the measured basis for mixing at
+    full weight."""
+    _, report = fixed_point(ref_run["system"], FixedPointConfig(n_steps=256))
+    lip, hist = report["lipschitz"], report["history"]
+    assert len(lip) == report["iterations"] - 1 >= 2
+    assert all(0.0 < q < 0.05 for q in lip)
+    # at weight 1 the second iterate is the first map output, so the first
+    # estimate is the ratio of the first two iterate distances
+    assert lip[0] == pytest.approx(hist[1] / hist[0], rel=1e-12)
+
+
 def test_warm_homotopy_matches_cold(ref_run):
     gsys = ref_run["system"]
     cfg = FixedPointConfig(n_steps=256)
