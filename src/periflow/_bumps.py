@@ -53,6 +53,13 @@ def leibniz(a, b):
     return out
 
 
+# Each component of V = curl s = (d_2 s, -d_1 s) and of its gradient
+# grad[c][d] = d_d V_c is one derivative of the stream function s:
+# (sign, x1 order, x2 order) for sign * d_1^i d_2^j s.
+CURL = ((1.0, 0, 1), (-1.0, 1, 0))
+CURL_GRADIENT = (((1.0, 1, 1), (1.0, 0, 2)), ((-1.0, 2, 0), (-1.0, 1, 1)))
+
+
 def curl_fields(terms, at, need):
     """Fields of V = curl s = (d_2 s, -d_1 s) for s = sum F(x1) G(x2).
 
@@ -61,26 +68,31 @@ def curl_fields(terms, at, need):
     "V", 0..2 for "grad", 0..3 for "lap"), and `at` = (at1, at2) places each
     point among them (`geometry.coordinate_split`).  `need` may contain "V"
     (npts, 2), "grad" (npts, 2, 2) with grad[:, i, j] = d_j V_i, and "lap"
-    (npts, 2).  Each row is scattered to the points only where a product
-    reads it, so no table of every order at every point is held."""
+    (npts, 2).  The components follow `CURL` and `CURL_GRADIENT`; the
+    Laplacian of V_c is sum_d d_d grad[c][d].  Each row is scattered to the
+    points only where a product reads it, so no table of every order at
+    every point is held."""
     at1, at2 = at
 
-    def d(i, j):  # d_1^i d_2^j s
+    def d(sign, i, j):  # sign * d_1^i d_2^j s
         (f, g), *rest = terms
         out = f[i, at1] * g[j, at2]
         for f, g in rest:
             out = out + f[i, at1] * g[j, at2]
-        return out
+        return out if sign > 0 else np.negative(out, out=out)
 
     out = {}
     if "V" in need:
-        out["V"] = np.stack([d(0, 1), -d(1, 0)], axis=-1)
+        out["V"] = np.stack([d(*CURL[c]) for c in range(2)], axis=-1)
     if "grad" in need:
-        d11 = d(1, 1)
-        rows = [np.stack([d11, d(0, 2)], axis=-1), np.stack([-d(2, 0), -d11], axis=-1)]
+        rows = [np.stack([d(*CURL_GRADIENT[c][e]) for e in range(2)], axis=-1) for c in range(2)]
         out["grad"] = np.stack(rows, axis=-2)
     if "lap" in need:
-        out["lap"] = np.stack([d(2, 1) + d(0, 3), -(d(3, 0) + d(1, 2))], axis=-1)
+        lap = []
+        for c in range(2):
+            (s0, i0, j0), (s1, i1, j1) = CURL_GRADIENT[c]
+            lap.append(d(s0, i0 + 1, j0) + d(s1, i1, j1 + 1))
+        out["lap"] = np.stack(lap, axis=-1)
     return out
 
 

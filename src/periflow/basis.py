@@ -14,6 +14,13 @@ s(x) = F(x1) G(x2), so div psi = 0 holds exactly.  Two families:
 The raw modes are L2-orthonormalized by Gram-Schmidt on the quadrature mesh;
 the transform matrix is kept so orthonormal fields stay analytically
 evaluable at arbitrary points.
+
+Every quadrature form over the basis support (the Grams, the cubic
+transport tensor and the carrier-transport forms) is a sum of products of
+stream-function derivatives F(x1) G(x2).  It is summed in the raw modes as
+a sum over the tensor grid of the mesh, where each product factors into 1D
+sums, plus a signed correction on the few cells that the body cuts or
+covers (`SeparableQuadrature`), and then changed to the orthonormal modes.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._bumps import Affine, Cosine, EdgeBump, Product, WindowBump, curl_fields
+from ._bumps import CURL, CURL_GRADIENT, Affine, Cosine, EdgeBump, Product, WindowBump
+from ._bumps import curl_fields
 from .errors import BasisError
 from .geometry import cell_blocks, cell_rows, coordinate_split
 from .signals import derivative, differentiate, real_fields, sobolev_norm_T, synthesize
@@ -75,18 +83,40 @@ class StreamMode:
         return curl_fields([(self.fx.jet(x1, m), self.gy.jet(x2, m))], (at1, at2), need)
 
 
-def _raw_fields(modes, points, need):
-    """Stacked raw mode fields at points, one array per entry of `need`; the
-    points are split into distinct coordinates once for all modes, and each
-    mode's fields are written into arrays allocated once."""
-    split = coordinate_split(points)
-    for i, mode in enumerate(modes):
-        fields = mode.fields_on(split, need)
+# the uniform flow e1 as a mode: its stream function x2 has curl e1
+_UNIFORM = StreamMode(fx=Cosine(0, 0.0, 1.0), gy=Affine(0.0), beta=0.0, label="e1")
+
+
+def _stream_jets(modes, x1, x2, m):
+    """(f, g): the jets of orders 0..m of every mode's factor F at the
+    coordinates x1 and G at x2, (m+1, len(modes), len(x1)) and
+    (m+1, len(modes), len(x2))."""
+    f = np.stack([mode.fx.jet(x1, m) for mode in modes], axis=1)
+    g = np.stack([mode.gy.jet(x2, m) for mode in modes], axis=1)
+    return f, g
+
+
+def _fields_from_jets(jets, at, need):
+    """Stacked mode fields, one array per entry of `need`, at the points
+    that `at` = (at1, at2) places among the coordinates of `jets`
+    (`_stream_jets`); each mode's fields are written into arrays allocated
+    once."""
+    f, g = jets
+    for i in range(f.shape[1]):
+        fields = curl_fields([(f[:, i], g[:, i])], at, need)
         if i == 0:
-            out = [np.empty((len(modes),) + fields[key].shape) for key in need]
+            out = [np.empty((f.shape[1],) + fields[key].shape) for key in need]
         for stacked, key in zip(out, need):
             stacked[i] = fields[key]
     return out
+
+
+def _raw_fields(modes, points, need):
+    """Stacked raw mode fields at points, one array per entry of `need`; the
+    points are split into distinct coordinates once for all modes."""
+    (x1, at1), (x2, at2) = coordinate_split(points)
+    jets = _stream_jets(modes, x1, x2, 2 if "grad" in need else 1)
+    return _fields_from_jets(jets, (at1, at2), need)
 
 
 def _gamma_mode(geom, r_in, r_out_x, r_out_y, label):
@@ -139,6 +169,99 @@ def _candidate_modes(geom, n):
 
 
 @dataclass(frozen=True)
+class SeparableQuadrature:
+    """The quadrature over the basis support cells as a grid sum plus a
+    correction.
+
+    The sum over the support cells is `area` times the sum over the tensor
+    grid of the support columns (every row), plus the signed point
+    `weights` of `QuadratureMesh.grid_correction`.  On the grid a product of
+    separable fields factors into one 1D sum along x1 and one along x2.
+    Every coordinate that either part reads is one of `x1`, `x2`: `grid`
+    places the grid's columns and rows among them, and `at` the correction
+    points.  `jets` holds the stream-function jets (orders 0..2) at the grid
+    columns and rows of the raw modes and, last, of the uniform flow e1
+    (`_stream_jets`); `values` and `grads` hold their fields at the
+    correction points.
+    """
+
+    x1: np.ndarray
+    x2: np.ndarray
+    grid: tuple  # (columns, rows): indices into x1 and x2
+    at: tuple  # (at1, at2): the correction points among x1 and x2
+    area: float
+    weights: np.ndarray  # (m,) signed, at the correction points
+    jets: tuple = field(repr=False)  # (3, n+1, columns), (3, n+1, rows)
+    values: np.ndarray = field(repr=False)  # (n+1, m, 2)
+    grads: np.ndarray = field(repr=False)  # (n+1, m, 2, 2), grad[..., c, d] = d_d V_c
+
+    def raw_modes(self):
+        """The raw modes without e1: their grid stack (one separable term)
+        and their fields at the correction points."""
+        f, g = self.jets
+        return [(f[:, :-1], g[:, :-1])], self.values[:-1], self.grads[:-1]
+
+    def transport(self, S, G, V, s, g, v):
+        """`_grid_transport` of the grid stacks S, G, V plus
+        `_transport_tensor` of their fields s, g, v at the correction points."""
+        return _grid_transport(self.area, S, G, V) + _transport_tensor(self.weights, s, g, v)
+
+
+# the components of the fields in the grid sums, each a list of
+# (coefficient, x1 order, x2 order) of stream-function derivatives
+_VELOCITY = [[CURL[c]] for c in range(2)]
+_GRADIENT = [[CURL_GRADIENT[c][d]] for c in range(2) for d in range(2)]
+_STRAIN = [
+    [(0.5 * s, i, j) for s, i, j in (CURL_GRADIENT[c][d], CURL_GRADIENT[d][c])]
+    for c in range(2)
+    for d in range(2)
+]
+
+
+def _grid_gram(area, X, Y, parts):
+    """area * sum over the grid of sum_q P_q(X)[i] P_q(Y)[k], (n_X, n_Y).
+
+    X and Y are grid stacks: lists of separable terms (f, g), the jets of
+    every field's F at the grid columns, (orders, n, columns), and of its G
+    at the grid rows.  `parts` lists the components P_q, each a list of
+    (coefficient, x1 order, x2 order) of stream-function derivatives.  Each
+    product of two derivatives is one matrix product along x1 times one
+    along x2."""
+    gram = 0.0
+    for part in parts:
+        for a, i1, i2 in part:
+            for b, j1, j2 in part:
+                for fx, gx in X:
+                    for fy, gy in Y:
+                        gram = gram + (a * b) * ((fx[i1] @ fy[j1].T) * (gx[i2] @ gy[j2].T))
+    return area * gram
+
+
+def _triple(x, y, z):
+    """sum_p x[i, p] y[j, p] z[k, p], (len(x), len(y), len(z))."""
+    pairs = (x[:, None] * y[None]).reshape(-1, x.shape[1])
+    return (pairs @ z.T).reshape(len(x), len(y), len(z))
+
+
+def _grid_transport(area, S, G, V):
+    """The grid part of `_transport_tensor` for the grid stacks S, G and V
+    (`_grid_gram`): area * sum over the grid of S[i]_d grad(G[j])_cd V[k]_c,
+    summed over c and d.  Each term is one triple 1D sum along x1 times one
+    along x2."""
+    Q = 0.0
+    for c in range(2):
+        for d in range(2):
+            (a, a1, a2), (b, b1, b2), (e, e1, e2) = CURL[d], CURL_GRADIENT[c][d], CURL[c]
+            for fs, gs in S:
+                for fg, gg in G:
+                    for fv, gv in V:
+                        x = _triple(fs[a1], fg[b1], fv[e1])
+                        x *= _triple(gs[a2], gg[b2], gv[e2])
+                        Q = Q + (a * b * e) * x
+    return area * Q
+
+
+@dataclass(frozen=True)
 class GalerkinBasis:
     """Orthonormal basis fields, evaluated once on the support cells.
 
@@ -148,8 +271,10 @@ class GalerkinBasis:
     ramps earlier.  So `geometry.cell_rows` reads the fields of any cell
     set back as stored rows and exact zeros, and evaluates nothing;
     `diagnostics.far_field_decay` checks those zeros on every run.  The
-    basis-only tensors are contracted over the cells in `build_basis`, by
-    BLAS products over one block of cells at a time.
+    quadrature forms over the support are summed in the raw modes through
+    `quadrature` and changed to the orthonormal modes by `coeff`: psi_i is
+    sum_r coeff[r, i] raw_r, and psi_i - beta_i e1 adds -beta_i times the
+    uniform flow, the last row of the quadrature's stacks.
     """
 
     geometry: object
@@ -159,6 +284,7 @@ class GalerkinBasis:
     beta: np.ndarray  # (n,) boundary values after orthonormalization
     cell_idx: np.ndarray  # sorted mesh cells carrying the basis support
     cell_weights: np.ndarray
+    quadrature: SeparableQuadrature = field(repr=False)
     values: np.ndarray = field(repr=False)  # (n, nc, 2)
     grads: np.ndarray = field(repr=False)  # (n, nc, 2, 2)
     grad_gram: np.ndarray = field(repr=False)  # (n, n): (grad psi_i, grad psi_k)
@@ -181,6 +307,18 @@ class GalerkinBasis:
         (raw,) = _raw_fields(self.modes, points, ("grad",))
         return self._combine(raw)
 
+    def velocity_blocks(self, points):
+        """(cells, psi) for each block `cells` of `geometry.cell_blocks`
+        over the points: the orthonormal velocities (n, len(cells), 2) at
+        points[cells], equal to those of `velocity_at`.  The factors are
+        evaluated once at the distinct coordinates of all the points, and
+        the fields one block at a time."""
+        (x1, at1), (x2, at2) = coordinate_split(points)
+        jets = _stream_jets(self.modes, x1, x2, 1)
+        for cells in cell_blocks(len(at1)):
+            (raw,) = _fields_from_jets(jets, (at1[cells], at2[cells]), ("V",))
+            yield cells, self._combine(raw)
+
     def l2_inner(self, i, k):
         return float(
             np.einsum("p,pc,pc->", self.cell_weights, self.values[i], self.values[k])
@@ -190,14 +328,17 @@ class GalerkinBasis:
 def build_basis(geom, n, mesh):
     """Build the orthonormal divergence-free basis of size n.
 
-    Every raw mode is evaluated once ("V" and "grad" together) on the cells
-    within |x1| < X0 + 1.  The quadrature sums over those cells run as BLAS
-    matrix products over one block of `geometry.CELL_BLOCK` cells at a time:
-    the gradient and strain Grams through `_weighted_gram`, the cubic
-    transport tensor through `_transport_tensor`.  The raw fields are
-    turned into the orthonormal ones in place, block by block.  So every
-    temporary spans one block of cells or one mode, and the fields of all
-    the support cells, held once, set the peak memory.
+    The factors of every raw mode, and of the uniform flow e1, are
+    evaluated once at the distinct coordinates of the support cells
+    (|x1| < X0 + 1), of the grid and of the correction points.  From these
+    jets come the raw fields on the support cells and the
+    `SeparableQuadrature`.  The mode Gram, the gradient and strain Grams
+    and the cubic transport tensor are summed through it in the raw modes:
+    1D sums on the grid, and the block sums `_weighted_gram` and
+    `_transport_tensor` on the correction points.  The raw fields are turned
+    into the orthonormal ones in place, one block of `geometry.CELL_BLOCK`
+    cells at a time, so the fields of all the support cells, held once,
+    set the peak memory.
     """
     if n < 1:
         raise BasisError(f"basis size must be >= 1, got {n}")
@@ -212,13 +353,34 @@ def build_basis(geom, n, mesh):
     modes = interiors + gammas
     n_int = len(interiors)
 
-    idx = mesh.cells_within(geom.X0 + 1.0)
+    support = geom.X0 + 1.0
+    idx = mesh.cells_within(support)
     pts = mesh.centers[idx]
     w = mesh.weights[idx]
-    raw_v, raw_g = _raw_fields(modes, pts, ("V", "grad"))
-    # the mode Gram fixes coeff, hence values, grads and beta, so it keeps
-    # this summation order; a BLAS product moves all of them by ~1e-14
-    gram = np.einsum("p,ipc,kpc->ik", w, raw_v, raw_v)
+    corr, corr_w = mesh.grid_correction(support)
+    grid = (mesh.x1[np.abs(mesh.x1) < support], mesh.x2)
+    x1, x2 = (np.unique(np.concatenate([pts[:, j], corr[:, j], grid[j]])) for j in range(2))
+    f, g = _stream_jets(modes + [_UNIFORM], x1, x2, 2)
+    at = (np.searchsorted(x1, pts[:, 0]), np.searchsorted(x2, pts[:, 1]))
+    raw_v, raw_g = _fields_from_jets((f[:, :-1], g[:, :-1]), at, ("V", "grad"))
+    cols, rows = np.searchsorted(x1, grid[0]), np.searchsorted(x2, grid[1])
+    at = (np.searchsorted(x1, corr[:, 0]), np.searchsorted(x2, corr[:, 1]))
+    corr_v, corr_g = _fields_from_jets((f, g), at, ("V", "grad"))
+    quad = SeparableQuadrature(
+        x1=x1,
+        x2=x2,
+        grid=(cols, rows),
+        at=at,
+        area=mesh.cell_area,
+        weights=corr_w,
+        jets=(f[:, :, cols], g[:, :, rows]),
+        values=corr_v,
+        grads=corr_g,
+    )
+    del f, g
+
+    R, cv, cg = quad.raw_modes()
+    gram = _grid_gram(quad.area, R, R, _VELOCITY) + _weighted_gram(corr_w, cv, cv)
     try:
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -242,13 +404,15 @@ def build_basis(geom, n, mesh):
         for raw in (raw_v, raw_g):
             block = raw[:, cells]
             block[...] = np.tensordot(coeff, block, axes=(0, 0))
-    V, G = raw_v, raw_g  # (n, nc, 2), (n, nc, 2, 2) with G[i, p, c, d] = d_d psi_{i,c}
 
-    grad_gram = _weighted_gram(w, G, G)
+    grad_gram = _grid_gram(quad.area, R, R, _GRADIENT) + _weighted_gram(corr_w, cg, cg)
     # (D psi_i, D psi_k) gives the viscous matrix b
-    strain_gram = _weighted_gram(w, G, G, part=_strain)
-    # cubic transport tensor, skew-symmetrized in (j, kappa)
-    Q = _transport_tensor(w, V, G, V, shift=beta)
+    strain_gram = _grid_gram(quad.area, R, R, _STRAIN)
+    strain_gram += _weighted_gram(corr_w, cg, cg, part=_strain)
+    # cubic transport tensor over (raw modes and e1, raw, raw), then in
+    # (psi_i - beta_i e1, psi_j, psi_k) and skew-symmetrized in (j, kappa)
+    Q = quad.transport([quad.jets], R, R, quad.values, cg, cv)
+    Q = np.tensordot(_shifted(coeff, beta), coeff.T @ Q @ coeff, axes=(0, 0))
     return GalerkinBasis(
         geometry=geom,
         mesh=mesh,
@@ -257,19 +421,20 @@ def build_basis(geom, n, mesh):
         beta=beta,
         cell_idx=idx,
         cell_weights=w,
-        values=V,
-        grads=G,
-        grad_gram=grad_gram,
-        strain_gram=strain_gram,
+        quadrature=quad,
+        values=raw_v,
+        grads=raw_g,
+        grad_gram=coeff.T @ grad_gram @ coeff,
+        strain_gram=coeff.T @ strain_gram @ coeff,
         c=0.5 * (Q - np.transpose(Q, (0, 2, 1))),
     )
 
 
 def _weighted_gram(w, X, Y, part=None):
-    """sum_p w_p P(X)[i, p, ...] . P(Y)[k, p, ...] over the cells p and the
+    """sum_p w_p P(X)[i, p, ...] . P(Y)[k, p, ...] over the points p and the
     trailing axes, (len(X), len(Y)), where P is `part` (the identity if None)
-    applied to the rows of a block of cells.  One matrix product per block
-    of `geometry.CELL_BLOCK` cells, so neither a weighted copy of X nor a
+    applied to the rows of a block of points.  One matrix product per block
+    of `geometry.CELL_BLOCK` points, so neither a weighted copy of X nor a
     whole P(X) is formed."""
     gram = np.zeros((len(X), len(Y)))
     for cells in cell_blocks(len(w)):
@@ -287,32 +452,29 @@ def _strain(grad):
     return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
-def _transport_tensor(w, S, G, V, shift=None):
+def _transport_tensor(w, S, G, V):
     """Q[i, j, k] = sum_p w_p S[i,p,d] G[j,p,c,d] V[k,p,c] for stacks S, G
-    and V of any lengths over the same cells, (len(S), len(G), len(V)); with
-    a `shift`, S[i] - shift_i e1 in place of S[i].
+    and V of any lengths over the same points, (len(S), len(G), len(V)).
 
-    One matrix product per (c, d) and block of `geometry.CELL_BLOCK` cells:
-    the (len(S) len(G), block) products w S[i,:,d] G[j,:,c,d], written into
-    one buffer per block, against V[k,:,c].  The shift is applied per block
-    too, so no temporary holds every cell.
+    One matrix product per (c, d) and block of `geometry.CELL_BLOCK`
+    points: the (len(S) len(G), block) products w S[i,:,d] G[j,:,c,d],
+    written into one buffer per block, against V[k,:,c].
     """
     Q = np.zeros((len(S) * len(G), len(V)))
     for cells in cell_blocks(len(w)):
-        rows = S[:, cells] if shift is None else _shifted(S[:, cells], shift)
-        wS = w[None, cells, None] * rows
+        wS = w[None, cells, None] * S[:, cells]
         pairs = np.empty((len(S), len(G), wS.shape[1]))
         for c in range(2):
             for d in range(2):
                 np.multiply(wS[:, None, :, d], G[None, :, cells, c, d], out=pairs)
                 Q += pairs.reshape(len(Q), -1) @ V[:, cells, c].T
-        del rows, wS, pairs  # before the next block forms its own
+        del wS, pairs  # before the next block forms its own
     return Q.reshape(len(S), len(G), len(V))
 
 
-def _shifted(V, beta):
-    """psi_i - beta_i e1 at the cells of V, (n, ncells, 2)."""
-    return V - beta[:, None, None] * np.array([1.0, 0.0])[None, None, :]
+def _shifted(coeff, beta):
+    """(n_raw + 1, n): psi_i - beta_i e1 over the raw modes and, last, e1."""
+    return np.vstack([coeff, -beta])
 
 
 @dataclass(frozen=True)
@@ -322,10 +484,9 @@ class GalerkinSystem:
     F = f + g beta / rho (`forcing_at`) stored per flow harmonic.
     `transport_forms` holds the carrier half of each d harmonic,
     B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j).  `carrier_fields`
-    keeps the carrier fields that the assembly evaluated on the basis cells
-    `basis.cell_idx`, which the diagnostics read instead of evaluating the
-    carrier again.  `scaled` gives the system of the homotopy in the
-    forcing."""
+    are the carrier fields on the basis cells `basis.cell_idx`, which the
+    diagnostics read; they are evaluated on first read and kept on the
+    system.  `scaled` gives the system of the homotopy in the forcing."""
 
     basis: GalerkinBasis
     carrier: object
@@ -338,9 +499,6 @@ class GalerkinSystem:
     transport_forms: dict  # flow harmonic k -> complex (n, n) B_k
     f_harmonics: dict  # flow harmonic k -> complex (n,)
     beta: np.ndarray
-    # Re then Im of V_k and grad V_k over carrier.harmonics on basis.cell_idx:
-    # ((2K, nc, 2), (2K, nc, 2, 2)), grad[..., c, d] = d_d V_c
-    carrier_fields: tuple = field(repr=False)
 
     @property
     def n(self):
@@ -349,6 +507,19 @@ class GalerkinSystem:
     @property
     def period(self):
         return self.carrier.period
+
+    @property
+    def carrier_fields(self):
+        """Re then Im of V_k and grad V_k over carrier.harmonics on the basis
+        cells: ((2K, nc, 2), (2K, nc, 2, 2)), grad[..., c, d] = d_d V_c.
+        Evaluated on first read and kept on the system."""
+        if "_carrier_fields" not in self.__dict__:
+            pts = self.basis.mesh.centers[self.basis.cell_idx]
+            fields = self.carrier.harmonic_fields(pts, ("V", "grad"))
+            self.__dict__["_carrier_fields"] = tuple(
+                real_fields({k: fld[key] for k, fld in fields.items()}) for key in ("V", "grad")
+            )
+        return self.__dict__["_carrier_fields"]
 
     def d_at(self, t, order=0):
         """Order-th time derivative of the transport matrix d(t), for a
@@ -374,13 +545,32 @@ class GalerkinSystem:
         )
 
 
+def _carrier_stack(carrier, quad):
+    """The carrier's Re then Im fields over carrier.harmonics in the form of
+    `SeparableQuadrature`: the grid stack of its two separable terms (their
+    x1 factors are real and shared by Re and Im), and V and grad V at the
+    correction points, (2K, m, 2) and (2K, m, 2, 2)."""
+    terms = carrier.separable_terms(quad.x1, quad.x2, 2)
+    cols, rows = quad.grid
+    stack = []
+    for t in range(2):
+        f = np.stack([terms[k][t][0][:, cols] for k in terms] * 2, axis=1)
+        g = real_fields({k: tk[t][1][:, rows] for k, tk in terms.items()})
+        stack.append((f, np.swapaxes(g, 0, 1)))
+    at = {k: curl_fields(tk, quad.at, ("V", "grad")) for k, tk in terms.items()}
+    return stack, *(real_fields({k: fld[key] for k, fld in at.items()}) for key in ("V", "grad"))
+
+
 def assemble_system(basis, carrier, forces, params):
     """Quadrature assembly of the per-period tensors of the coefficient ODE
     system; the basis-only tensors (strain Gram, cubic transport) come from
-    `build_basis`.  The carrier fields of every harmonic are evaluated once,
-    on the basis support cells, and kept in the system's `carrier_fields`;
-    the carrier-transport forms and the projected forcing are matrix
-    products over one block of `geometry.CELL_BLOCK` cells at a time.
+    `build_basis`.  The carrier-transport forms d_1 and B_k are summed
+    through the basis's `SeparableQuadrature`, from the carrier's
+    `separable_terms` at its coordinates: two separable terms per harmonic
+    on the grid and the fields at the correction points, so no carrier
+    field is evaluated on the support cells (the system's `carrier_fields`
+    does that on first read).  The projected forcing is a matrix product
+    over one block of `geometry.CELL_BLOCK` forcing cells at a time.
 
     The cubic transport tensor and the carrier-transport block are assembled
     in explicitly skew-symmetrized form: the continuum integrals are skew
@@ -390,9 +580,8 @@ def assemble_system(basis, carrier, forces, params):
     quadrature error (the standard energy-conserving convective form).
     """
     n = basis.n
-    w = basis.cell_weights
-    V = basis.values  # (n, nc, 2)
-    G = basis.grads  # (n, nc, 2, 2), grad[i, p, c, d] = d_d psi_{i,c}
+    quad = basis.quadrature
+    coeff = basis.coeff
     beta = basis.beta
     rho = params.rho
 
@@ -402,16 +591,16 @@ def assemble_system(basis, carrier, forces, params):
     b = (2.0 * params.mu / rho) * basis.strain_gram
     b = 0.5 * (b + b.T)
 
-    # carrier transport d(t), per flow harmonic
-    fields = carrier.harmonic_fields(basis.mesh.centers[basis.cell_idx], ("V", "grad"))
-    Vc = real_fields({k: fld["V"] for k, fld in fields.items()})  # (2K, nc, 2)
-    Gc = real_fields({k: fld["grad"] for k, fld in fields.items()})  # (2K, nc, 2, 2)
-    del fields  # the system keeps the real copies
-    # d1[m, i, j] = ((V_m . grad) psi_i, psi_j) and
-    # B[m, i, j] = ((psi_i - beta_i e1) . grad V_m, psi_j), Re then Im
-    d1 = _transport_tensor(w, Vc, G, V).reshape(2, -1, n, n)
-    B = np.swapaxes(_transport_tensor(w, V, Gc, V, shift=beta), 0, 1)
-    B = B.reshape(2, -1, n, n)
+    # carrier transport d(t), per flow harmonic, in the raw modes:
+    # d1[m, r, s] = ((V_m . grad) raw_r, raw_s) and
+    # B[r, m, s] = ((raw_r or e1) . grad V_m, raw_s), Re then Im
+    C, cv_c, cg_c = _carrier_stack(carrier, quad)
+    R, cv, cg = quad.raw_modes()
+    d1 = quad.transport(C, R, R, cv_c, cg, cv)
+    B = quad.transport([quad.jets], C, R, quad.values, cg_c, cv)
+    # in the orthonormal modes, psi_i (d1) and psi_i - beta_i e1 (B)
+    d1 = (coeff.T @ d1 @ coeff).reshape(2, -1, n, n)
+    B = (_shifted(coeff, beta).T @ np.swapaxes(B, 0, 1) @ coeff).reshape(2, -1, n, n)
     forms = dict(zip(carrier.harmonics, B[0] + 1j * B[1]))
     d_harm = {
         k: 0.5 * (d - d.T) + forms[k] for k, d in zip(carrier.harmonics, d1[0] + 1j * d1[1])
@@ -437,7 +626,6 @@ def assemble_system(basis, carrier, forces, params):
         transport_forms=forms,
         f_harmonics=f_harm,
         beta=beta,
-        carrier_fields=(Vc, Gc),
     )
 
 

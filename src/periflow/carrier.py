@@ -97,17 +97,11 @@ class FluxCarrier:
     def harmonics(self):
         return sorted(self.profiles)
 
-    def harmonic_fields(self, points, need=("V",)):
-        """Complex fields of every harmonic k at (npts, 2) points, {k: fields}.
-
-        `need` may contain "V", "grad", "lap"; the fields of k are a dict
-        "V" -> (npts, 2); "grad" -> (npts, 2, 2) with grad[:, i, j] = d_j V_i;
-        "lap" -> (npts, 2).  The points are split into distinct coordinates
-        and the bumps evaluated once for all harmonics.  Time derivatives
-        are `signals.differentiate` of these harmonics.
-        """
-        (x1, at1), (x2, at2) = coordinate_split(points)
-        m = 3 if "lap" in need else 2 if "grad" in need else 1
+    def separable_terms(self, x1, x2, m):
+        """The two separable terms of every harmonic of Psi, {k: [(f, g),
+        (f, g)]}: the jets of orders 0..m of 1 and theta1 at the
+        coordinates x1, and of S_k and (c_k - S_k) theta2 at x2, the second
+        complex.  The bumps are evaluated once for all harmonics."""
         one = np.zeros((m + 1,) + x1.shape)
         one[0] = 1.0
         theta1, theta2 = self.bump_x.jet(x1, m), self.bump_y.jet(x2, m)
@@ -115,9 +109,22 @@ class FluxCarrier:
         for k in self.harmonics:
             S = self.profiles[k].jet(x2, m)
             c_minus_S = np.concatenate([self.center_values[k] - S[:1], -S[1:]])
-            terms = [(one, S), (theta1, leibniz(c_minus_S, theta2))]
-            out[k] = curl_fields(terms, (at1, at2), need)
+            out[k] = [(one, S), (theta1, leibniz(c_minus_S, theta2))]
         return out
+
+    def harmonic_fields(self, points, need=("V",)):
+        """Complex fields of every harmonic k at (npts, 2) points, {k: fields}.
+
+        `need` may contain "V", "grad", "lap"; the fields of k are a dict
+        "V" -> (npts, 2); "grad" -> (npts, 2, 2) with grad[:, i, j] = d_j V_i;
+        "lap" -> (npts, 2).  The points are split into distinct coordinates,
+        where the `separable_terms` are evaluated.  Time derivatives are
+        `signals.differentiate` of these harmonics.
+        """
+        (x1, at1), (x2, at2) = coordinate_split(points)
+        m = 3 if "lap" in need else 2 if "grad" in need else 1
+        terms = self.separable_terms(x1, x2, m)
+        return {k: curl_fields(tk, (at1, at2), need) for k, tk in terms.items()}
 
     def velocity_at(self, points, t):
         """Real carrier velocity at time t, shape (npts, 2)."""

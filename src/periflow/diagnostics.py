@@ -492,29 +492,30 @@ def strong_regularity_monitor(traj, gsys):
 def far_field_decay(basis, traj, x_list):
     """L^2-in-time, L^3-in-space norms of v beyond |x1| >= X, per X.
 
-    v is evaluated on every mesh cell at 64 times, so a field that leaks
-    past the basis support |x1| < X0 + 1 shows as a nonzero norm there;
-    this check verifies the support containment and monotone decay inside
-    it.  The zero rows that the forcing projection of `assemble_system`
+    v is evaluated on every mesh cell at 64 times, one block of cells at a
+    time, so a field that leaks past the basis support |x1| < X0 + 1 shows
+    as a nonzero norm there; this check verifies the support containment
+    and monotone decay inside it.  The zero rows that the forcing projection of `assemble_system`
     and `stokes_rhs_norm` read beyond the support rest on that containment.
     """
     n_times = 64
     a = traj.resample_states(n_times)[:-1, : basis.n]  # (n_times, n)
-    centers = basis.mesh.centers
-    psi = basis.velocity_at(centers)  # (n, ncells, 2)
-    # quadrature weights of the cells beyond each X, (len(x_list), ncells)
-    beyond = np.array([np.abs(centers[:, 0]) >= X for X in x_list]) * basis.mesh.weights
+    mesh = basis.mesh
     # the integrals of |v|^3 beyond each X per time, one product of the
     # states with the basis velocities per block of cells: v of all times
-    # on all cells at once would hold n_times copies of the fields
+    # on all cells at once would hold n_times copies of the fields, and the
+    # fields of all cells at once two arrays over the whole mesh
     cubes = np.zeros((n_times, len(x_list)))
-    for cells in cell_blocks(len(centers)):
+    for cells, psi in basis.velocity_blocks(mesh.centers):
+        # quadrature weights of the block's cells beyond each X
+        x1 = np.abs(mesh.centers[cells, 0])
+        beyond = np.array([x1 >= X for X in x_list]) * mesh.weights[cells]
         # (n_times, 2 * block): the two components of v side by side per cell
-        v = a @ psi[:, cells].reshape(len(psi), -1)
+        v = a @ psi.reshape(len(psi), -1)
         v *= v
         q = v[:, 0::2] + v[:, 1::2]  # |v|^2
-        cubes += (q * np.sqrt(q)) @ beyond[:, cells].T
-        del v, q  # before the next block forms its own
+        cubes += (q * np.sqrt(q)) @ beyond.T
+        del psi, v, q  # before the next block forms its own
     l3 = cubes ** (1.0 / 3.0)
     norms = np.sqrt((traj.period / n_times) * np.sum(l3**2, axis=0))
     return {float(X): float(v) for X, v in zip(x_list, norms)}

@@ -112,15 +112,43 @@ def build_geometry(half_length, body):
 
 @dataclass(frozen=True)
 class QuadratureMesh:
+    """Midpoint rule on a uniform grid of cells with the body cut out.
+
+    The grid cells have the centres x1 x x2 (`x1`, `x2`) and the area
+    `cell_area`.  The cells that the body cuts or covers are irregular: a
+    covered cell is dropped, and a cut cell keeps the fluid part of its area
+    at the centroid of that part.  Every other cell has its grid centre and
+    the full area.  So a sum over the cells is a sum over the tensor grid,
+    which separable integrands factor into 1D sums, plus a signed
+    correction on the irregular cells (`grid_correction`).
+    """
+
     h: float
     centers: np.ndarray  # (ncells, 2), fluid-area centroids for cut cells
     weights: np.ndarray  # (ncells,)
+    x1: np.ndarray  # (nx,) grid centres along x1
+    x2: np.ndarray  # (ny,) grid centres along x2
+    cell_area: float
+    irregular: np.ndarray = field(repr=False)  # (nirr, 2) grid centres of the irregular cells
+    cut: np.ndarray = field(repr=False)  # cells (rows of `centers`) that the body cuts
 
     def cells_within(self, x1_abs_max):
         return np.nonzero(np.abs(self.centers[:, 0]) < x1_abs_max)[0]
 
     def area(self):
         return float(self.weights.sum())
+
+    def grid_correction(self, x1_abs_max):
+        """(points (m, 2), weights (m,)): the signed point weights that turn
+        `cell_area` times the sum over the grid columns |x1| < x1_abs_max
+        into the sum over `cells_within(x1_abs_max)`: -`cell_area` at the
+        grid centre of every irregular cell, and the fluid area at the
+        centroid of every cut cell."""
+        gone = self.irregular[np.abs(self.irregular[:, 0]) < x1_abs_max]
+        kept = self.cut[np.abs(self.centers[self.cut, 0]) < x1_abs_max]
+        points = np.concatenate([gone, self.centers[kept]])
+        weights = np.concatenate([np.full(len(gone), -self.cell_area), self.weights[kept]])
+        return points, weights
 
 
 def coordinate_split(points):
@@ -161,7 +189,10 @@ def build_mesh(geom, h):
     """Uniform cell-centered quadrature with body cut cells clipped exactly.
 
     Cells fully inside the body are dropped; partially covered cells keep the
-    fluid part of their area with the centroid of that part.
+    fluid part of their area with the centroid of that part.  The mesh
+    records the grid (its centres along x1 and x2 and the cell area) and its
+    irregular cells, so that `QuadratureMesh.grid_correction` can write the
+    cell sum as a grid sum plus a correction.
     """
     h = float(h)
     if h <= 0:
@@ -205,8 +236,19 @@ def build_mesh(geom, h):
 
     centers = np.column_stack([cx[keep], cy[keep]])
     weights = a_fluid[keep]
+    # a_int tells the irregular cells apart exactly: it is 0 for the others
+    irregular = a_int > 0
 
-    mesh = QuadratureMesh(h=h, centers=centers, weights=weights)
+    mesh = QuadratureMesh(
+        h=h,
+        centers=centers,
+        weights=weights,
+        x1=xe[:-1] + 0.5 * hx,
+        x2=ye[:-1] + 0.5 * hy,
+        cell_area=a_cell,
+        irregular=np.column_stack([cx_cell[irregular], cy_cell[irregular]]),
+        cut=np.nonzero(irregular[keep])[0],
+    )
     area_err = abs(mesh.area() - geom.fluid_area) / geom.fluid_area
     if area_err > 1e-10:
         raise MeshError(f"mesh area inconsistent with geometry (relative error {area_err:.2e})")

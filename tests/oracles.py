@@ -4,15 +4,16 @@ These are deliberately different algorithms from the library code: the
 channel-profile oracle is a Crank-Nicolson time stepper with a bordered flux
 constraint (the library solves per-harmonic boundary-value problems), cubic
 tensor sums are brute-force triple loops, and the linear-ODE references are
-closed forms.  The basis tensors have a multi-operand einsum reference
-(the library contracts them by BLAS products), and the carrier transport
-forms and their carrier-advected partner per-component loops (the library
-uses one broadcast product and one matrix product per form).  The body force
-at arbitrary points re-evaluates the carrier fields there (the library
-stores it on its support cells).  scipy is the
-reference for the library's numpy numerics: `CubicSpline` for its splines,
-`solve_banded` for its tridiagonal solve, the generalized `eigh` for its
-Cholesky-reduced eigenproblem and `linprog` for its two-constant fit.
+closed forms.  The basis tensors have a multi-operand einsum reference over
+the support cells (the library sums them as products of 1D sums on the
+mesh grid), the carrier transport forms and their carrier-advected partner
+per-component loops over the support cells, and the forcing projection an
+einsum with the basis evaluated afresh.  The body force at arbitrary points
+re-evaluates the carrier fields there (the library stores it on its
+support cells).  scipy is the reference for the library's numpy numerics:
+`CubicSpline` for its splines, `solve_banded` for its tridiagonal solve,
+the generalized `eigh` for its Cholesky-reduced eigenproblem and `linprog`
+for its two-constant fit.
 """
 
 import math
@@ -176,6 +177,16 @@ def carrier_advected_forms(basis, carrier):
                 D += (G[:, :, c, d] * (w * vel[:, d])) @ V[:, :, c].T
         forms[k] = 0.5 * (D - D.T)
     return forms
+
+
+def forcing_projection(basis, forces):
+    """Per harmonic k of the body force f, (f_k, psi_i) over the forcing
+    cells, with the basis velocities evaluated afresh at their centres."""
+    psi = basis.velocity_at(forces.mesh.centers[forces.cell_idx])
+    return {
+        k: np.einsum("p,pc,ipc->i", forces.cell_weights, fk, psi)
+        for k, fk in forces.f_harmonics.items()
+    }
 
 
 def body_force_at(forces, params, pts, t):

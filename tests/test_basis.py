@@ -10,9 +10,10 @@ import pytest
 
 from periflow import geometry
 from periflow.basis import assemble_system, build_basis, estimate_cq, grad_identity_gap
+from periflow.carrier import FluxCarrier, carrier_forces
 from periflow.errors import BasisError
-from periflow.geometry import cell_rows, coordinate_split
-from periflow.signals import sine_signal, sobolev_norm_T, synthesize
+from periflow.geometry import build_mesh, cell_rows, coordinate_split
+from periflow.signals import real_fields, sine_signal, sobolev_norm_T, synthesize
 
 from oracles import (
     basis_tensors_einsum,
@@ -20,6 +21,7 @@ from oracles import (
     carrier_advected_forms,
     carrier_transport_forms,
     cubic_sum_bruteforce,
+    forcing_projection,
     generalized_eigenvalues,
 )
 
@@ -276,6 +278,62 @@ def test_cell_block_size_changes_no_tensor(
     for k, expect in carrier_advected_forms(got, carrier).items():
         d1 = gsys.d_harmonics[k] - gsys.transport_forms[k]
         assert _relative_gap(d1, expect) <= 1e-13, k
+
+
+@pytest.mark.parametrize(
+    "n, h, n_cut", [(8, 1.0 / 32.0, 64), (17, 1.0 / 32.0, 64), (8, 0.05, 20), (25, 1.0 / 24.0, 48)]
+)
+def test_separable_sums_match_the_cell_sum_oracles(
+    geom, two_harmonic_forces, params, n, h, n_cut
+):
+    """The grid sums plus the correction on the irregular cells give the
+    tensors of the sums over the support cells, with 64 or 48 cut cells,
+    and at h = 0.05, where the body's edges lie on grid lines: there the
+    cells are covered whole, and the 20 cut cells below the body overlap it
+    by a rounding sliver only."""
+    mesh = build_mesh(geom, h)
+    assert len(mesh.cut) == n_cut and len(mesh.irregular) > n_cut
+    basis = build_basis(geom, n, mesh=mesh)
+    carrier = two_harmonic_forces.carrier
+    forces = carrier_forces(carrier, params, mesh)
+    gsys = assemble_system(basis, carrier, forces, params)
+    for name, expect in basis_tensors_einsum(basis).items():
+        assert _relative_gap(getattr(basis, name), expect) <= 1e-13, name
+    advected = carrier_advected_forms(basis, carrier)
+    for k, expect in carrier_transport_forms(basis, carrier).items():
+        assert _relative_gap(gsys.transport_forms[k], expect) <= 1e-13, k
+        d1 = gsys.d_harmonics[k] - gsys.transport_forms[k]
+        assert _relative_gap(d1, advected[k]) <= 1e-13, k
+    expect = forcing_projection(basis, forces)
+    assert set(gsys.f_harmonics) == set(expect) and expect
+    for k, fk in expect.items():
+        assert _relative_gap(gsys.f_harmonics[k], fk) <= 1e-13, k
+
+
+def test_assembly_leaves_the_carrier_fields_to_their_first_read(
+    two_harmonic_forces, params, basis, monkeypatch
+):
+    """The assembly evaluates no carrier field on the basis cells; the
+    system's `carrier_fields` does, once, on first read, and keeps them."""
+    forces = two_harmonic_forces
+    carrier = forces.carrier
+    pts = basis.mesh.centers[basis.cell_idx]
+    direct = carrier.harmonic_fields(pts, ("V", "grad"))
+    calls = []
+    original = FluxCarrier.harmonic_fields
+
+    def counted(self, points, *args, **kwargs):
+        calls.append(len(points))
+        return original(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(FluxCarrier, "harmonic_fields", counted)
+    gsys = assemble_system(basis, carrier, forces, params)
+    assert calls == []
+    fields = gsys.carrier_fields
+    assert calls == [len(pts)]
+    assert gsys.carrier_fields is fields and calls == [len(pts)]
+    for got, key in zip(fields, ("V", "grad")):
+        assert np.array_equal(got, real_fields({k: fld[key] for k, fld in direct.items()}))
 
 
 def _traced_peak(fn):

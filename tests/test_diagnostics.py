@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,12 +223,25 @@ def test_fit_two_constants_optimum_on_an_axis_is_exactly_zero(axis):
 
 def test_far_field_decay(basis, geom, ref_run):
     xs = [0.0, 1.0, geom.X0, geom.X0 + 1.0, geom.X0 + 2.0]
-    out = far_field_decay(basis, ref_run["trajectory"], xs)
+    tracemalloc.start()
+    try:
+        out = far_field_decay(basis, ref_run["trajectory"], xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     vals = [out[float(x)] for x in xs]
     assert vals[0] > 0.0
     for lo, hi in zip(vals[1:], vals[:-1]):
         assert lo <= hi + 1e-12
     assert vals[-2] == 0.0 and vals[-1] == 0.0
+    # per block of cells: the basis velocities, raw and orthonormal, and the
+    # products over the 64 grid times (v with its two components, |v|^2 and
+    # two temporaries of the cube); beside them only the place of every
+    # mesh cell among the distinct coordinates, never a field of all cells
+    block, n_times = geometry.CELL_BLOCK, 64
+    per_block = 2 * basis.n * block * 2 * 8 + 5 * n_times * block * 8
+    places = 2 * len(basis.mesh.weights) * 8
+    assert peak <= per_block + places
 
 
 def test_far_field_decay_sees_a_field_beyond_the_support(basis, geom):
@@ -456,15 +470,19 @@ def _count_carrier_evaluations(monkeypatch):
 
 def test_solve_evaluates_the_carrier_once_per_stage(monkeypatch):
     # one evaluation for the forcing (with the Laplacian) and one on the
-    # basis cells in the assembly; the diagnostics read the stored fields
+    # basis cells, on the diagnostics' first read of the system's fields
     calls = _count_carrier_evaluations(monkeypatch)
     galerkin_solve(reference_config(n_steps=512))
     assert len(calls) == 2
 
 
 def test_diagnostics_bundle_evaluates_no_carrier_field(ref_run, monkeypatch):
+    # the system evaluates its carrier fields on first read and keeps them;
+    # the bundle reads those and evaluates nothing more
+    gsys = ref_run["system"]
+    gsys.carrier_fields
     calls = _count_carrier_evaluations(monkeypatch)
-    diagnostics_bundle(ref_run["trajectory"], ref_run["system"])
+    diagnostics_bundle(ref_run["trajectory"], gsys)
     assert calls == []
 
 

@@ -91,3 +91,27 @@ def test_cells_within_selects_by_abscissa(mesh):
     assert np.all(np.abs(mesh.centers[idx, 0]) < 2.0)
     rest = np.setdiff1d(np.arange(len(mesh.weights)), idx)
     assert np.all(np.abs(mesh.centers[rest, 0]) >= 2.0)
+
+
+@pytest.mark.parametrize("h", [1.0 / 32.0, 0.05, 1.0 / 24.0])
+def test_grid_sum_plus_correction_is_the_cell_sum(geom, h):
+    # a smooth non-separable integrand, summed over the cells within X and
+    # over the grid columns within X plus the signed correction points
+    m = build_mesh(geom, h)
+    X = geom.X0 + 1.0
+
+    def u(x1, x2):
+        return np.exp(0.3 * x1 - x2**2) + x1 * x2
+
+    idx = m.cells_within(X)
+    cells = np.dot(m.weights[idx], u(*m.centers[idx].T))
+    x1 = m.x1[np.abs(m.x1) < X]
+    grid = m.cell_area * u(*np.meshgrid(x1, m.x2, indexing="ij")).sum()
+    points, weights = m.grid_correction(X)
+    assert np.all(np.abs(points[:, 0]) < X)
+    assert weights.sum() == pytest.approx(m.weights[idx].sum() - m.cell_area * x1.size * m.x2.size)
+    assert grid + np.dot(weights, u(*points.T)) == pytest.approx(cells, rel=1e-13)
+    # the cut cells are the kept irregular ones: grid centres of the rest
+    # carry the full cell area
+    regular = np.setdiff1d(np.arange(len(m.weights)), m.cut)
+    assert np.all(m.weights[regular] == m.cell_area)

@@ -282,6 +282,23 @@ def test_overflowing_sweep_is_unresolved():
             integrate_rk4(sys, np.array([1e308]))
 
 
+def test_overflowing_monodromy_is_unresolved(monkeypatch):
+    """Finite swept states whose difference M = final - p overflows: the
+    monodromy is not finite, which is a resolution error, with no warning."""
+    sys = _constant_system([[1.0]], [0.0])
+
+    def sweep(system, x0, substeps=1):
+        out = np.zeros((system.n_steps + 1,) + np.shape(x0))
+        out[-1] = [[1.5e308, -1.5e308]]
+        return out
+
+    monkeypatch.setattr(periodic_ode, "integrate_rk4", sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResolutionError, match="monodromy not finite"):
+            solve_linear_periodic(sys)
+
+
 def test_zero_rhs_constant_trajectory():
     sys = _constant_system([[0.0]], [0.0])
     out = integrate_rk4(sys, np.array([3.0]))
