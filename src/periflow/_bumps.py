@@ -58,9 +58,11 @@ def leibniz(a, b):
 # (sign, x1 order, x2 order) for sign * d_1^i d_2^j s.
 CURL = ((1.0, 0, 1), (-1.0, 1, 0))
 CURL_GRADIENT = (((1.0, 1, 1), (1.0, 0, 2)), ((-1.0, 2, 0), (-1.0, 1, 1)))
+# the shape of each field of `curl_fields` at one point
+FIELD_SHAPES = {"V": (2,), "grad": (2, 2), "lap": (2,)}
 
 
-def curl_fields(terms, at, need):
+def curl_fields(terms, at, need, out=None):
     """Fields of V = curl s = (d_2 s, -d_1 s) for s = sum F(x1) G(x2).
 
     `terms` lists one pair (f, g) per separable term: the jets of F at the
@@ -69,30 +71,37 @@ def curl_fields(terms, at, need):
     point among them (`geometry.coordinate_split`).  `need` may contain "V"
     (npts, 2), "grad" (npts, 2, 2) with grad[:, i, j] = d_j V_i, and "lap"
     (npts, 2).  The components follow `CURL` and `CURL_GRADIENT`; the
-    Laplacian of V_c is sum_d d_d grad[c][d].  Each row is scattered to the
-    points only where a product reads it, so no table of every order at
-    every point is held."""
+    Laplacian of V_c is sum_d d_d grad[c][d].  Each component is written
+    into `out`, a dict of arrays of those shapes, or into new arrays, so no
+    table of every order at every point is held."""
     at1, at2 = at
+    if out is None:
+        dtype = np.result_type(*(x for term in terms for x in term))
+        out = {key: np.empty((len(at1),) + FIELD_SHAPES[key], dtype) for key in need}
 
-    def d(sign, i, j):  # sign * d_1^i d_2^j s
+    def put(dst, sign, i, j):  # dst = sign * d_1^i d_2^j s
         (f, g), *rest = terms
-        out = f[i, at1] * g[j, at2]
+        np.multiply(f[i, at1], g[j, at2], out=dst)
         for f, g in rest:
-            out = out + f[i, at1] * g[j, at2]
-        return out if sign > 0 else np.negative(out, out=out)
+            dst += f[i, at1] * g[j, at2]
+        if sign < 0:
+            np.negative(dst, out=dst)
 
-    out = {}
     if "V" in need:
-        out["V"] = np.stack([d(*CURL[c]) for c in range(2)], axis=-1)
+        for c in range(2):
+            put(out["V"][:, c], *CURL[c])
     if "grad" in need:
-        rows = [np.stack([d(*CURL_GRADIENT[c][e]) for e in range(2)], axis=-1) for c in range(2)]
-        out["grad"] = np.stack(rows, axis=-2)
+        for c in range(2):
+            for d in range(2):
+                put(out["grad"][:, c, d], *CURL_GRADIENT[c][d])
     if "lap" in need:
-        lap = []
+        lap = out["lap"]
+        second = np.empty(len(at1), lap.dtype)
         for c in range(2):
             (s0, i0, j0), (s1, i1, j1) = CURL_GRADIENT[c]
-            lap.append(d(s0, i0 + 1, j0) + d(s1, i1, j1 + 1))
-        out["lap"] = np.stack(lap, axis=-1)
+            put(lap[:, c], s0, i0 + 1, j0)
+            put(second, s1, i1, j1 + 1)
+            lap[:, c] += second
     return out
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._bumps import CURL, CURL_GRADIENT, Affine, Cosine, EdgeBump, Product, WindowBump
-from ._bumps import curl_fields
+from ._bumps import CURL, CURL_GRADIENT, FIELD_SHAPES, Affine, Cosine, EdgeBump, Product
+from ._bumps import WindowBump, curl_fields
 from .errors import BasisError
 from .geometry import cell_blocks, cell_rows, coordinate_split
 from .signals import derivative, differentiate, real_fields, sobolev_norm_T, synthesize
@@ -73,15 +73,6 @@ class StreamMode:
     beta: float  # e1 . psi on the body boundary
     label: str
 
-    def fields_on(self, split, need):
-        """Real mode fields at the points that `geometry.coordinate_split`
-        gave `split`: "V" (npts, 2), "grad" with grad[:, i, j] = d_j V_i.
-        Each 1D factor is evaluated once per distinct coordinate and
-        scattered back to the points."""
-        (x1, at1), (x2, at2) = split
-        m = 2 if "grad" in need else 1
-        return curl_fields([(self.fx.jet(x1, m), self.gy.jet(x2, m))], (at1, at2), need)
-
 
 # the uniform flow e1 as a mode: its stream function x2 has curl e1
 _UNIFORM = StreamMode(fx=Cosine(0, 0.0, 1.0), gy=Affine(0.0), beta=0.0, label="e1")
@@ -102,18 +93,17 @@ def _fields_from_jets(jets, at, need):
     (`_stream_jets`); each mode's fields are written into arrays allocated
     once."""
     f, g = jets
+    out = [np.empty((f.shape[1], len(at[0])) + FIELD_SHAPES[key]) for key in need]
     for i in range(f.shape[1]):
-        fields = curl_fields([(f[:, i], g[:, i])], at, need)
-        if i == 0:
-            out = [np.empty((f.shape[1],) + fields[key].shape) for key in need]
-        for stacked, key in zip(out, need):
-            stacked[i] = fields[key]
+        curl_fields([(f[:, i], g[:, i])], at, need, out=dict(zip(need, (x[i] for x in out))))
     return out
 
 
 def _raw_fields(modes, points, need):
-    """Stacked raw mode fields at points, one array per entry of `need`; the
-    points are split into distinct coordinates once for all modes."""
+    """Stacked raw mode fields at points, one array per entry of `need`:
+    "V" (n, npts, 2) and "grad" (n, npts, 2, 2) with grad[..., i, j] =
+    d_j V_i.  The points are split into distinct coordinates once for all
+    modes, and each 1D factor is evaluated once per distinct coordinate."""
     (x1, at1), (x2, at2) = coordinate_split(points)
     jets = _stream_jets(modes, x1, x2, 2 if "grad" in need else 1)
     return _fields_from_jets(jets, (at1, at2), need)
@@ -412,7 +402,7 @@ def build_basis(geom, n, mesh):
     # cubic transport tensor over (raw modes and e1, raw, raw), then in
     # (psi_i - beta_i e1, psi_j, psi_k) and skew-symmetrized in (j, kappa)
     Q = quad.transport([quad.jets], R, R, quad.values, cg, cv)
-    Q = np.tensordot(_shifted(coeff, beta), coeff.T @ Q @ coeff, axes=(0, 0))
+    Q = np.tensordot(_shifted_coeff(coeff, beta), coeff.T @ Q @ coeff, axes=(0, 0))
     return GalerkinBasis(
         geometry=geom,
         mesh=mesh,
@@ -472,7 +462,7 @@ def _transport_tensor(w, S, G, V):
     return Q.reshape(len(S), len(G), len(V))
 
 
-def _shifted(coeff, beta):
+def _shifted_coeff(coeff, beta):
     """(n_raw + 1, n): psi_i - beta_i e1 over the raw modes and, last, e1."""
     return np.vstack([coeff, -beta])
 
@@ -600,7 +590,7 @@ def assemble_system(basis, carrier, forces, params):
     B = quad.transport([quad.jets], C, R, quad.values, cg_c, cv)
     # in the orthonormal modes, psi_i (d1) and psi_i - beta_i e1 (B)
     d1 = (coeff.T @ d1 @ coeff).reshape(2, -1, n, n)
-    B = (_shifted(coeff, beta).T @ np.swapaxes(B, 0, 1) @ coeff).reshape(2, -1, n, n)
+    B = (_shifted_coeff(coeff, beta).T @ np.swapaxes(B, 0, 1) @ coeff).reshape(2, -1, n, n)
     forms = dict(zip(carrier.harmonics, B[0] + 1j * B[1]))
     d_harm = {
         k: 0.5 * (d - d.T) + forms[k] for k, d in zip(carrier.harmonics, d1[0] + 1j * d1[1])

@@ -495,8 +495,9 @@ def far_field_decay(basis, traj, x_list):
     v is evaluated on every mesh cell at 64 times, one block of cells at a
     time, so a field that leaks past the basis support |x1| < X0 + 1 shows
     as a nonzero norm there; this check verifies the support containment
-    and monotone decay inside it.  The zero rows that the forcing projection of `assemble_system`
-    and `stokes_rhs_norm` read beyond the support rest on that containment.
+    and monotone decay inside it.  The zero rows that the forcing
+    projection of `assemble_system` and `stokes_rhs_norm` read beyond the
+    support rest on that containment.
     """
     n_times = 64
     a = traj.resample_states(n_times)[:-1, : basis.n]  # (n_times, n)

@@ -129,8 +129,8 @@ class QuadratureMesh:
     x1: np.ndarray  # (nx,) grid centres along x1
     x2: np.ndarray  # (ny,) grid centres along x2
     cell_area: float
-    irregular: np.ndarray = field(repr=False)  # (nirr, 2) grid centres of the irregular cells
-    cut: np.ndarray = field(repr=False)  # cells (rows of `centers`) that the body cuts
+    irregular: np.ndarray = field(repr=False)  # (m, 2) grid centres of the irregular cells
+    cut: np.ndarray = field(repr=False)  # rows of `centers` that the body cuts
 
     def cells_within(self, x1_abs_max):
         return np.nonzero(np.abs(self.centers[:, 0]) < x1_abs_max)[0]
