@@ -58,11 +58,9 @@ def leibniz(a, b):
 # (sign, x1 order, x2 order) for sign * d_1^i d_2^j s.
 CURL = ((1.0, 0, 1), (-1.0, 1, 0))
 CURL_GRADIENT = (((1.0, 1, 1), (1.0, 0, 2)), ((-1.0, 2, 0), (-1.0, 1, 1)))
-# the shape of each field of `curl_fields` at one point
-FIELD_SHAPES = {"V": (2,), "grad": (2, 2), "lap": (2,)}
 
 
-def curl_fields(terms, at, need, out=None):
+def curl_fields(terms, at, need):
     """Fields of V = curl s = (d_2 s, -d_1 s) for s = sum F(x1) G(x2).
 
     `terms` lists one pair (f, g) per separable term: the jets of F at the
@@ -72,12 +70,12 @@ def curl_fields(terms, at, need, out=None):
     (npts, 2), "grad" (npts, 2, 2) with grad[:, i, j] = d_j V_i, and "lap"
     (npts, 2).  The components follow `CURL` and `CURL_GRADIENT`; the
     Laplacian of V_c is sum_d d_d grad[c][d].  Each component is written
-    into `out`, a dict of arrays of those shapes, or into new arrays, so no
-    table of every order at every point is held."""
+    into its place in the output arrays, so no table of every order at
+    every point is held."""
     at1, at2 = at
-    if out is None:
-        dtype = np.result_type(*(x for term in terms for x in term))
-        out = {key: np.empty((len(at1),) + FIELD_SHAPES[key], dtype) for key in need}
+    dtype = np.result_type(*(x for term in terms for x in term))
+    shapes = {"V": (2,), "grad": (2, 2), "lap": (2,)}
+    out = {key: np.empty((len(at1),) + shapes[key], dtype) for key in need}
 
     def put(dst, sign, i, j):  # dst = sign * d_1^i d_2^j s
         (f, g), *rest = terms

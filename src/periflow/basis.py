@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._bumps import CURL, CURL_GRADIENT, FIELD_SHAPES, Affine, Cosine, EdgeBump, Product
-from ._bumps import WindowBump, curl_fields
+from ._bumps import CURL, CURL_GRADIENT, Affine, Cosine, EdgeBump, Product, WindowBump
+from ._bumps import curl_fields
 from .errors import BasisError
 from .geometry import cell_blocks, cell_rows, coordinate_split
 from .signals import derivative, differentiate, real_fields, sobolev_norm_T, synthesize
@@ -93,9 +93,12 @@ def _fields_from_jets(jets, at, need):
     (`_stream_jets`); each mode's fields are written into arrays allocated
     once."""
     f, g = jets
-    out = [np.empty((f.shape[1], len(at[0])) + FIELD_SHAPES[key]) for key in need]
     for i in range(f.shape[1]):
-        curl_fields([(f[:, i], g[:, i])], at, need, out=dict(zip(need, (x[i] for x in out))))
+        fields = curl_fields([(f[:, i], g[:, i])], at, need)
+        if i == 0:
+            out = [np.empty((f.shape[1],) + fields[key].shape) for key in need]
+        for stacked, key in zip(out, need):
+            stacked[i] = fields[key]
     return out
 
 
