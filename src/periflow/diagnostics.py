@@ -224,7 +224,7 @@ def check_partial_bound(traj, gsys):
 
 def _gradV_norm_series(gsys, times):
     """||grad V(t)||_{L^2} restricted to the basis support cells, from the
-    carrier fields that the assembly kept there (`carrier_fields`)."""
+    carrier fields that the system keeps there (`carrier_fields`)."""
     carrier = gsys.carrier
     re, im = np.split(gsys.carrier_fields[1], 2)  # (K, nc, 2, 2) each
     harm = dict(zip(carrier.harmonics, re + 1j * im))
