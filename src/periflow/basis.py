@@ -33,7 +33,7 @@ import numpy as np
 from ._bumps import CURL, CURL_GRADIENT, Affine, Cosine, EdgeBump, Product, WindowBump
 from ._bumps import curl_fields
 from .errors import BasisError
-from .geometry import cell_blocks, cell_rows, coordinate_split
+from .geometry import cell_blocks, coordinate_split
 from .signals import derivative, differentiate, real_fields, sobolev_norm_T, synthesize
 
 
@@ -163,19 +163,20 @@ def _candidate_modes(geom, n):
 
 @dataclass(frozen=True)
 class SeparableQuadrature:
-    """The quadrature over the basis support cells as a grid sum plus a
-    correction.
+    """The stream-function jets of the basis, and the quadrature over the
+    basis support cells as a grid sum plus a correction.
 
+    `jets` holds the jets (orders 0..2) of the raw modes and, last, of the
+    uniform flow e1 (`_stream_jets`) at the coordinates `x1` and `x2`: the
+    distinct coordinates of every mesh cell centre, of the grid and of the
+    correction points.  Every field of the basis on the mesh is formed from
+    them (`GalerkinBasis.field_blocks`), and `place` finds a point among them.
     The sum over the support cells is `area` times the sum over the tensor
-    grid of the support columns (every row), plus the signed point
-    `weights` of `QuadratureMesh.grid_correction`.  On the grid a product of
-    separable fields factors into one 1D sum along x1 and one along x2.
-    Every coordinate that either part reads is one of `x1`, `x2`: `grid`
-    places the grid's columns and rows among them, and `at` the correction
-    points.  `jets` holds the stream-function jets (orders 0..2) at the grid
-    columns and rows of the raw modes and, last, of the uniform flow e1
-    (`_stream_jets`); `values` and `grads` hold their fields at the
-    correction points.
+    grid of the support columns (every row), plus the signed point `weights`
+    of `QuadratureMesh.grid_correction`.  On the grid a product of separable
+    fields factors into one 1D sum along x1 and one along x2.  `grid` places
+    the grid's columns and rows among `x1` and `x2`, and `at` the correction
+    points; `values` and `grads` hold the fields at the correction points.
     """
 
     x1: np.ndarray
@@ -184,14 +185,26 @@ class SeparableQuadrature:
     at: tuple  # (at1, at2): the correction points among x1 and x2
     area: float
     weights: np.ndarray  # (m,) signed, at the correction points
-    jets: tuple = field(repr=False)  # (3, n+1, columns), (3, n+1, rows)
+    jets: tuple = field(repr=False)  # (3, n+1, len(x1)), (3, n+1, len(x2))
     values: np.ndarray = field(repr=False)  # (n+1, m, 2)
     grads: np.ndarray = field(repr=False)  # (n+1, m, 2, 2), grad[..., c, d] = d_d V_c
 
-    def raw_modes(self):
-        """The raw modes without e1: their grid stack (one separable term)
-        and their fields at the correction points."""
+    def place(self, points):
+        """(at1, at2): the indices of the coordinates of (npts, 2) points
+        among `x1` and `x2`, which must hold them."""
+        return np.searchsorted(self.x1, points[:, 0]), np.searchsorted(self.x2, points[:, 1])
+
+    def grid_stack(self):
+        """The grid stack of the raw modes and e1 (one separable term):
+        their jets at the grid columns and rows."""
         f, g = self.jets
+        cols, rows = self.grid
+        return [(f[:, :, cols], g[:, :, rows])]
+
+    def raw_modes(self):
+        """The raw modes without e1: their grid stack and their fields at
+        the correction points."""
+        ((f, g),) = self.grid_stack()
         return [(f[:, :-1], g[:, :-1])], self.values[:-1], self.grads[:-1]
 
     def transport(self, S, G, V, s, g, v):
@@ -256,18 +269,21 @@ def _grid_transport(area, S, G, V):
 
 @dataclass(frozen=True)
 class GalerkinBasis:
-    """Orthonormal basis fields, evaluated once on the support cells.
+    """Orthonormal divergence-free basis: its raw modes, the change to the
+    orthonormal modes, and its tensors.
 
-    `values` and `grads` hold psi and grad psi on the mesh cells `cell_idx`,
-    the cells with |x1| < X0 + 1.  Every mode is exactly zero on the other
-    cells: the interior boxes end at |x1| = X0 + 0.95 and the body-coupled
-    ramps earlier.  So `geometry.cell_rows` reads the fields of any cell
-    set back as stored rows and exact zeros, and evaluates nothing;
-    `diagnostics.far_field_decay` checks those zeros on every run.  The
-    quadrature forms over the support are summed in the raw modes through
-    `quadrature` and changed to the orthonormal modes by `coeff`: psi_i is
-    sum_r coeff[r, i] raw_r, and psi_i - beta_i e1 adds -beta_i times the
-    uniform flow, the last row of the quadrature's stacks.
+    psi_i is sum_r coeff[r, i] raw_r.  The basis keeps its fields in one
+    form, the stream-function jets of the raw modes in `quadrature`, and
+    forms every field on mesh cells from them one block of cells at a time
+    (`field_blocks`); `velocity_at` and `gradient_at` evaluate the modes at
+    arbitrary points.  Every mode is exactly zero beyond |x1| < X0 + 1 (the
+    support cells `cell_idx`): the interior boxes end at |x1| = X0 + 0.95 and
+    the body-coupled ramps earlier, and `diagnostics.far_field_decay` checks
+    that on every run.  So the quadrature forms over the support are the
+    forms over the whole channel.  They are summed in the raw modes through
+    `quadrature` and changed to the orthonormal modes by `coeff`; psi_i -
+    beta_i e1 adds -beta_i times the uniform flow, the last row of the
+    quadrature's stacks.
     """
 
     geometry: object
@@ -276,10 +292,7 @@ class GalerkinBasis:
     coeff: np.ndarray  # (n_raw, n): psi_i = sum_r coeff[r, i] * raw_r
     beta: np.ndarray  # (n,) boundary values after orthonormalization
     cell_idx: np.ndarray  # sorted mesh cells carrying the basis support
-    cell_weights: np.ndarray
     quadrature: SeparableQuadrature = field(repr=False)
-    values: np.ndarray = field(repr=False)  # (n, nc, 2)
-    grads: np.ndarray = field(repr=False)  # (n, nc, 2, 2)
     grad_gram: np.ndarray = field(repr=False)  # (n, n): (grad psi_i, grad psi_k)
     strain_gram: np.ndarray = field(repr=False)  # (n, n): (D psi_i, D psi_k)
     c: np.ndarray = field(repr=False)  # (n, n, n) cubic transport, skew in (j, k)
@@ -300,38 +313,33 @@ class GalerkinBasis:
         (raw,) = _raw_fields(self.modes, points, ("grad",))
         return self._combine(raw)
 
-    def velocity_blocks(self, points):
-        """(cells, psi) for each block `cells` of `geometry.cell_blocks`
-        over the points: the orthonormal velocities (n, len(cells), 2) at
-        points[cells], equal to those of `velocity_at`.  The factors are
-        evaluated once at the distinct coordinates of all the points, and
-        the fields one block at a time."""
-        (x1, at1), (x2, at2) = coordinate_split(points)
-        jets = _stream_jets(self.modes, x1, x2, 1)
-        for cells in cell_blocks(len(at1)):
-            (raw,) = _fields_from_jets(jets, (at1[cells], at2[cells]), ("V",))
-            yield cells, self._combine(raw)
-
-    def l2_inner(self, i, k):
-        return float(
-            np.einsum("p,pc,pc->", self.cell_weights, self.values[i], self.values[k])
-        )
+    def field_blocks(self, cells, need):
+        """(rows, *fields) for each block `rows` of `geometry.cell_blocks`
+        over the mesh cells `cells`: the orthonormal fields of `need` at
+        cells[rows], "V" (n, len(rows), 2) and "grad" (n, len(rows), 2, 2)
+        with grad[..., c, d] = d_d psi_c, equal to those of `velocity_at`
+        and `gradient_at`.  They are formed from the stored jets, one block
+        at a time."""
+        f, g = self.quadrature.jets
+        jets = (f[:, :-1], g[:, :-1])
+        at1, at2 = self.quadrature.place(self.mesh.centers[cells])
+        for rows in cell_blocks(len(at1)):
+            raw = _fields_from_jets(jets, (at1[rows], at2[rows]), need)
+            yield rows, *(self._combine(x) for x in raw)
 
 
 def build_basis(geom, n, mesh):
     """Build the orthonormal divergence-free basis of size n.
 
     The factors of every raw mode, and of the uniform flow e1, are
-    evaluated once at the distinct coordinates of the support cells
-    (|x1| < X0 + 1), of the grid and of the correction points.  From these
-    jets come the raw fields on the support cells and the
+    evaluated once at the distinct coordinates of the mesh cell centres, of
+    the grid and of the correction points.  These jets are the
     `SeparableQuadrature`.  The mode Gram, the gradient and strain Grams
     and the cubic transport tensor are summed through it in the raw modes:
     1D sums on the grid, and the block sums `_weighted_gram` and
-    `_transport_tensor` on the correction points.  The raw fields are turned
-    into the orthonormal ones in place, one block of `geometry.CELL_BLOCK`
-    cells at a time, so the fields of all the support cells, held once,
-    set the peak memory.
+    `_transport_tensor` on the correction points, the only points where a
+    field is evaluated.  The Cholesky factor of the mode Gram gives the
+    orthonormal modes.
     """
     if n < 1:
         raise BasisError(f"basis size must be >= 1, got {n}")
@@ -347,30 +355,25 @@ def build_basis(geom, n, mesh):
     n_int = len(interiors)
 
     support = geom.X0 + 1.0
-    idx = mesh.cells_within(support)
-    pts = mesh.centers[idx]
-    w = mesh.weights[idx]
     corr, corr_w = mesh.grid_correction(support)
     grid = (mesh.x1[np.abs(mesh.x1) < support], mesh.x2)
-    x1, x2 = (np.unique(np.concatenate([pts[:, j], corr[:, j], grid[j]])) for j in range(2))
-    f, g = _stream_jets(modes + [_UNIFORM], x1, x2, 2)
-    at = (np.searchsorted(x1, pts[:, 0]), np.searchsorted(x2, pts[:, 1]))
-    raw_v, raw_g = _fields_from_jets((f[:, :-1], g[:, :-1]), at, ("V", "grad"))
-    cols, rows = np.searchsorted(x1, grid[0]), np.searchsorted(x2, grid[1])
+    x1, x2 = (
+        np.unique(np.concatenate([mesh.centers[:, j], corr[:, j], grid[j]])) for j in range(2)
+    )
+    jets = _stream_jets(modes + [_UNIFORM], x1, x2, 2)
     at = (np.searchsorted(x1, corr[:, 0]), np.searchsorted(x2, corr[:, 1]))
-    corr_v, corr_g = _fields_from_jets((f, g), at, ("V", "grad"))
+    corr_v, corr_g = _fields_from_jets(jets, at, ("V", "grad"))
     quad = SeparableQuadrature(
         x1=x1,
         x2=x2,
-        grid=(cols, rows),
+        grid=(np.searchsorted(x1, grid[0]), np.searchsorted(x2, grid[1])),
         at=at,
         area=mesh.cell_area,
         weights=corr_w,
-        jets=(f[:, :, cols], g[:, :, rows]),
+        jets=jets,
         values=corr_v,
         grads=corr_g,
     )
-    del f, g
 
     R, cv, cg = quad.raw_modes()
     gram = _grid_gram(quad.area, R, R, _VELOCITY) + _weighted_gram(corr_w, cv, cv)
@@ -391,12 +394,6 @@ def build_basis(geom, n, mesh):
     beta = coeff.T @ np.array([m.beta for m in modes])
     if beta[0] <= 0:
         raise BasisError("first mode lost its positive boundary coupling")
-    # psi = coeff^T raw (coeff is square), written over the raw fields one
-    # block of cells at a time, so no second copy of the fields is formed
-    for cells in cell_blocks(len(w)):
-        for raw in (raw_v, raw_g):
-            block = raw[:, cells]
-            block[...] = np.tensordot(coeff, block, axes=(0, 0))
 
     grad_gram = _grid_gram(quad.area, R, R, _GRADIENT) + _weighted_gram(corr_w, cg, cg)
     # (D psi_i, D psi_k) gives the viscous matrix b
@@ -404,7 +401,7 @@ def build_basis(geom, n, mesh):
     strain_gram += _weighted_gram(corr_w, cg, cg, part=_strain)
     # cubic transport tensor over (raw modes and e1, raw, raw), then in
     # (psi_i - beta_i e1, psi_j, psi_k) and skew-symmetrized in (j, kappa)
-    Q = quad.transport([quad.jets], R, R, quad.values, cg, cv)
+    Q = quad.transport(quad.grid_stack(), R, R, quad.values, cg, cv)
     Q = np.tensordot(_shifted_coeff(coeff, beta), coeff.T @ Q @ coeff, axes=(0, 0))
     return GalerkinBasis(
         geometry=geom,
@@ -412,11 +409,8 @@ def build_basis(geom, n, mesh):
         modes=modes,
         coeff=coeff,
         beta=beta,
-        cell_idx=idx,
-        cell_weights=w,
+        cell_idx=mesh.cells_within(support),
         quadrature=quad,
-        values=raw_v,
-        grads=raw_g,
         grad_gram=coeff.T @ grad_gram @ coeff,
         strain_gram=coeff.T @ strain_gram @ coeff,
         c=0.5 * (Q - np.transpose(Q, (0, 2, 1))),
@@ -476,10 +470,9 @@ class GalerkinSystem:
     - (k/rho) z beta + F(t), z' = beta.a, with d(t) (`d_at`) and
     F = f + g beta / rho (`forcing_at`) stored per flow harmonic.
     `transport_forms` holds the carrier half of each d harmonic,
-    B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j).  `carrier_fields`
-    are the carrier fields on the basis cells `basis.cell_idx`, which the
-    diagnostics read; they are evaluated on first read and kept on the
-    system.  `scaled` gives the system of the homotopy in the forcing."""
+    B_k[i, j] = ((psi_i - beta_i e1) . grad V_k, psi_j).  The system keeps
+    no field: the diagnostics form the carrier's from `carrier` where they
+    read them.  `scaled` gives the system of the homotopy in the forcing."""
 
     basis: GalerkinBasis
     carrier: object
@@ -500,19 +493,6 @@ class GalerkinSystem:
     @property
     def period(self):
         return self.carrier.period
-
-    @property
-    def carrier_fields(self):
-        """Re then Im of V_k and grad V_k over carrier.harmonics on the basis
-        cells: ((2K, nc, 2), (2K, nc, 2, 2)), grad[..., c, d] = d_d V_c.
-        Evaluated on first read and kept on the system."""
-        if "_carrier_fields" not in self.__dict__:
-            pts = self.basis.mesh.centers[self.basis.cell_idx]
-            fields = self.carrier.harmonic_fields(pts, ("V", "grad"))
-            self.__dict__["_carrier_fields"] = tuple(
-                real_fields({k: fld[key] for k, fld in fields.items()}) for key in ("V", "grad")
-            )
-        return self.__dict__["_carrier_fields"]
 
     def d_at(self, t, order=0):
         """Order-th time derivative of the transport matrix d(t), for a
@@ -561,9 +541,9 @@ def assemble_system(basis, carrier, forces, params):
     through the basis's `SeparableQuadrature`, from the carrier's
     `separable_terms` at its coordinates: two separable terms per harmonic
     on the grid and the fields at the correction points, so no carrier
-    field is evaluated on the support cells (the system's `carrier_fields`
-    does that on first read).  The projected forcing is a matrix product
-    over one block of `geometry.CELL_BLOCK` forcing cells at a time.
+    field is evaluated on the support cells.  The projected forcing is a
+    matrix product over one block of `geometry.CELL_BLOCK` forcing cells at
+    a time, with the basis velocities of the block (`field_blocks`).
 
     The cubic transport tensor and the carrier-transport block are assembled
     in explicitly skew-symmetrized form: the continuum integrals are skew
@@ -590,7 +570,7 @@ def assemble_system(basis, carrier, forces, params):
     C, cv_c, cg_c = _carrier_stack(carrier, quad)
     R, cv, cg = quad.raw_modes()
     d1 = quad.transport(C, R, R, cv_c, cg, cv)
-    B = quad.transport([quad.jets], C, R, quad.values, cg_c, cv)
+    B = quad.transport(quad.grid_stack(), C, R, quad.values, cg_c, cv)
     # in the orthonormal modes, psi_i (d1) and psi_i - beta_i e1 (B)
     d1 = (coeff.T @ d1 @ coeff).reshape(2, -1, n, n)
     B = (_shifted_coeff(coeff, beta).T @ np.swapaxes(B, 0, 1) @ coeff).reshape(2, -1, n, n)
@@ -602,9 +582,11 @@ def assemble_system(basis, carrier, forces, params):
     # projected forcing (f, psi_kappa) per harmonic, on the f support cells
     f_harm = {}
     if forces.f_harmonics:
-        (psi_f,) = cell_rows(basis.cell_idx, forces.cell_idx, basis.values)  # (n, nf, 2)
         F = real_fields(forces.f_harmonics)  # (2Kf, nf, 2)
-        F = _weighted_gram(forces.cell_weights, F, psi_f).reshape(2, -1, n)
+        proj = 0.0
+        for rows, psi in basis.field_blocks(forces.cell_idx, ("V",)):
+            proj = proj + _weighted_gram(forces.cell_weights[rows], F[:, rows], psi)
+        F = proj.reshape(2, -1, n)
         f_harm = dict(zip(forces.f_harmonics, F[0] + 1j * F[1]))
 
     return GalerkinSystem(

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bumps import Affine, Product
+from ._bumps import Affine, Product, curl_fields
+from .basis import _GRADIENT, _carrier_stack, _grid_gram, _weighted_gram
 from .errors import PeriflowError, ResolutionError, ResonantOrNonUnique
-from .geometry import cell_blocks, cell_rows
+from .geometry import cell_rows
 from .periodic_ode import (
     oscillator_system,
     resample_periodic,
@@ -30,7 +31,6 @@ from .signals import (
     cos_sin_coefficients,
     derivative,
     l2_norm_sq,
-    norm_series,
     real_fields,
     sobolev_norm_T,
 )
@@ -77,15 +77,12 @@ def _dissipation(gsys, a):
 
 
 def admissible_delta(basis, params):
-    """Largest coupling weight delta for which G stays equivalent to E."""
-    psi1_norm = math.sqrt(basis.l2_inner(0, 0))
+    """Largest coupling weight delta for which G stays equivalent to E.
+
+    The basis is L^2-orthonormal, so ||psi_1|| = 1.
+    """
     beta1 = float(basis.beta[0])
-    return min(
-        1.0,
-        1.0 / psi1_norm,
-        1.0 / beta1,
-        params.stiffness / (params.rho * psi1_norm + params.mass * beta1),
-    )
+    return min(1.0, 1.0 / beta1, params.stiffness / (params.rho + params.mass * beta1))
 
 
 def _G_of_state(params, a, zdot, z, beta1, delta):
@@ -223,12 +220,15 @@ def check_partial_bound(traj, gsys):
 
 
 def _gradV_norm_series(gsys, times):
-    """||grad V(t)||_{L^2} restricted to the basis support cells, from the
-    carrier fields that the system keeps there (`carrier_fields`)."""
-    carrier = gsys.carrier
-    re, im = np.split(gsys.carrier_fields[1], 2)  # (K, nc, 2, 2) each
-    harm = dict(zip(carrier.harmonics, re + 1j * im))
-    return norm_series(harm, gsys.basis.cell_weights, carrier.omega, times)
+    """||grad V(t)||_{L^2} restricted to the basis support cells: the
+    quadratic form c(t)^T G c(t), with G the gradient Gram of the carrier's
+    Re and Im fields, summed through the basis quadrature like the basis
+    Grams, and c(t) their time coefficients (`cos_sin_coefficients`)."""
+    carrier, quad = gsys.carrier, gsys.basis.quadrature
+    C, _, grad = _carrier_stack(carrier, quad)
+    G = _grid_gram(quad.area, C, C, _GRADIENT) + _weighted_gram(quad.weights, grad, grad)
+    c = cos_sin_coefficients(carrier.harmonics, carrier.omega, times)
+    return np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", c, G, c), 0.0))
 
 
 def check_particular_energy(traj, gsys, G):
@@ -493,11 +493,12 @@ def far_field_decay(basis, traj, x_list):
     """L^2-in-time, L^3-in-space norms of v beyond |x1| >= X, per X.
 
     v is evaluated on every mesh cell at 64 times, one block of cells at a
-    time, so a field that leaks past the basis support |x1| < X0 + 1 shows
-    as a nonzero norm there; this check verifies the support containment
-    and monotone decay inside it.  The zero rows that the forcing
-    projection of `assemble_system` and `stokes_rhs_norm` read beyond the
-    support rest on that containment.
+    time (`GalerkinBasis.field_blocks`), from jets of the modes evaluated at
+    every mesh coordinate, so a field that leaks past the basis support
+    |x1| < X0 + 1 shows as a nonzero norm there; this check verifies the
+    support containment and monotone decay inside it.  The grid sums of the
+    basis and the assembly (`SeparableQuadrature`), over |x1| < X0 + 1
+    alone, rest on that containment.
     """
     n_times = 64
     a = traj.resample_states(n_times)[:-1, : basis.n]  # (n_times, n)
@@ -507,7 +508,7 @@ def far_field_decay(basis, traj, x_list):
     # on all cells at once would hold n_times copies of the fields, and the
     # fields of all cells at once two arrays over the whole mesh
     cubes = np.zeros((n_times, len(x_list)))
-    for cells, psi in basis.velocity_blocks(mesh.centers):
+    for cells, psi in basis.field_blocks(np.arange(len(mesh.weights)), ("V",)):
         # quadrature weights of the block's cells beyond each X
         x1 = np.abs(mesh.centers[cells, 0])
         beyond = np.array([x1 >= X for X in x_list]) * mesh.weights[cells]
@@ -541,7 +542,7 @@ class BodyPressureBump:
         return np.stack([f[1] * g[0], f[0] * g[1]], axis=-1)
 
 
-def _stokes_fields(gsys, theta, cells, f_support):
+def _stokes_fields(gsys, theta, terms, cells, f_support, psi, gpsi):
     """The real fields of the Stokes forcing on the mesh cells `cells`,
     (m, len(cells), 2), in the row order of the coefficient columns of
     `stokes_rhs_norm`: Re/Im of the f harmonics (`f_support`, (2Kf, nf, 2)
@@ -549,20 +550,17 @@ def _stokes_fields(gsys, theta, cells, f_support):
     (psi_i.grad) V_k per carrier harmonic k, Re/Im of d_1 V_k, and
     grad theta.
 
-    Every field but grad theta is read, not evaluated: f from its support
-    cells `forces.cell_idx`, psi and V from the basis cells `basis.cell_idx`
-    (the basis `values`/`grads` and the system's `carrier_fields`).  Off
-    the stored cells the rows are zeros, and so are the exact fields: f
-    vanishes off its support, psi_i beyond |x1| >= X0 + 1, V_k enters only
-    multiplied by basis fields, and d_1 V_k = 0 there because the carrier's
-    x1-dependence ends inside |x1| < X0 (`build_flux_carrier`)."""
-    basis = gsys.basis
-    pts = basis.mesh.centers[cells]
-    (f,) = cell_rows(gsys.forces.cell_idx, cells, f_support)
-    # (n, b, 2), (n, b, 2, 2), (2K, b, 2), (2K, b, 2, 2)
-    psi, gpsi, V, GV = cell_rows(
-        basis.cell_idx, cells, basis.values, basis.grads, *gsys.carrier_fields
-    )
+    psi and its gradient `gpsi` are the basis fields of the cells
+    (`GalerkinBasis.field_blocks`); V_k and grad V_k are formed from the
+    carrier's separable `terms` at the coordinates of the basis quadrature;
+    f is read from its support cells, and is zero on the other cells, as
+    the force is."""
+    pts = gsys.basis.mesh.centers[cells]
+    f = cell_rows(gsys.forces.cell_idx, cells, f_support)
+    at = gsys.basis.quadrature.place(pts)
+    fields = {k: curl_fields(tk, at, ("V", "grad")) for k, tk in terms.items()}
+    # (2K, b, 2), (2K, b, 2, 2)
+    V, GV = (real_fields({k: fld[key] for k, fld in fields.items()}) for key in ("V", "grad"))
     # grad[..., c, d] = d_d u_c, so d_1 u = grad[..., 0]; the transport
     # fields (r k, i, p, c) are sums over d of broadcast products
     Vi, GVi = V[:, None, :, :, None], GV[:, None]
@@ -582,10 +580,11 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
     time coefficients C built from the states and the harmonic phases.  So
     ||h(t)||^2 = ((C @ F)^2) @ w, accumulated over blocks of
     `geometry.CELL_BLOCK` cells of the union of the basis and forcing
-    supports: the fields of all cells at once raise the peak memory of a
-    solve.  The fields are the rows stored by the basis, the assembly and
-    the forcing, so no block evaluates the carrier or the basis again.  The
-    sum is a reordering of the per-time evaluation, so nothing cancels.
+    supports, where h can be nonzero: the fields of all cells at once raise
+    the peak memory of a solve.  The basis and carrier fields of a block are
+    formed from jets evaluated once, the basis's stored ones and the
+    carrier's `separable_terms` at the same coordinates.  The sum is a
+    reordering of the per-time evaluation, so nothing cancels.
     """
     basis = gsys.basis
     carrier = gsys.carrier
@@ -627,15 +626,16 @@ def stokes_rhs_norm(traj, gsys, n_times=64):
     f_support = np.zeros((0,) + forces.cell_idx.shape + (2,))
     if forces.f_harmonics:
         f_support = real_fields(forces.f_harmonics)  # (2Kf, nf, 2)
-    mesh = basis.mesh
+    quad = basis.quadrature
+    terms = carrier.separable_terms(quad.x1, quad.x2, 2)
     cells = np.union1d(basis.cell_idx, forces.cell_idx)
     sq = np.zeros(n_times)
-    for rows in cell_blocks(len(cells)):
+    for rows, psi, gpsi in basis.field_blocks(cells, ("V", "grad")):
         block = cells[rows]
-        F = _stokes_fields(gsys, theta, block, f_support)
+        F = _stokes_fields(gsys, theta, terms, block, f_support, psi, gpsi)
         h = C @ F.reshape(len(F), -1)
         h *= h
-        sq += h @ np.repeat(mesh.weights[block], 2)
+        sq += h @ np.repeat(basis.mesh.weights[block], 2)
     return times, np.sqrt(sq)
 
 

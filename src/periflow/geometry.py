@@ -171,17 +171,16 @@ def cell_blocks(ncells):
     return [slice(start, start + CELL_BLOCK) for start in range(0, ncells, CELL_BLOCK)]
 
 
-def cell_rows(stored, cells, *arrays):
-    """The rows of `arrays` at the mesh cells `cells`, for arrays that hold
-    one row per cell of the sorted cell set `stored` on axis 1; the rows of
-    cells outside `stored` are zeros.  Each array comes back as a
+def cell_rows(stored, cells, x):
+    """The rows of x at the mesh cells `cells`, for an array that holds one
+    row per cell of the sorted cell set `stored` on axis 1: the forcing on
+    its support cells `ForcingData.cell_idx`.  The rows of cells outside
+    `stored` are zeros, as the forcing is there.  The rows come back as a
     C-contiguous copy (x[:, pos] would not be), which the products of
     `diagnostics.stokes_rhs_norm` read as flat rows."""
     pos = np.minimum(np.searchsorted(stored, cells), len(stored) - 1)
-    off = stored[pos] != cells
-    rows = [x.take(pos, axis=1) for x in arrays]
-    for x in rows:
-        x[:, off] = 0.0
+    rows = x.take(pos, axis=1)
+    rows[:, stored[pos] != cells] = 0.0
     return rows
 
 

@@ -127,11 +127,19 @@ def cubic_sum_bruteforce(c, a):
     return total
 
 
+def support_fields(basis):
+    """The quadrature weights of the basis support cells, and psi and
+    grad psi there (grad[..., c, d] = d_d psi_c), evaluated afresh at the
+    cell centres."""
+    pts = basis.mesh.centers[basis.cell_idx]
+    return basis.mesh.weights[basis.cell_idx], basis.velocity_at(pts), basis.gradient_at(pts)
+
+
 def basis_tensors_einsum(basis):
     """The skew-symmetrized cubic transport tensor c and the gradient and
     strain Gram matrices of a basis, by direct einsum over the support cells:
     c_ijk = skew_jk sum_p w_p ((psi_i - beta_i e1) . grad psi_j) . psi_k."""
-    w, V, G = basis.cell_weights, basis.values, basis.grads
+    w, V, G = support_fields(basis)
     shifted = V - basis.beta[:, None, None] * np.array([1.0, 0.0])
     D = 0.5 * (G + np.swapaxes(G, 2, 3))
     Q = np.einsum("p,ipd,jpcd,kpc->ijk", w, shifted, G, V, optimize=True)
@@ -147,7 +155,7 @@ def carrier_transport_forms(basis, carrier):
     B_k[i, j] = sum_p w_p ((psi_i - beta_i e1) . grad V_k) . psi_j over the
     basis support cells, with the carrier gradient evaluated afresh and the
     sum over the components (c, d) of grad V_k an explicit loop."""
-    w, V = basis.cell_weights, basis.values
+    w, V, _ = support_fields(basis)
     shifted = V - basis.beta[:, None, None] * np.array([1.0, 0.0])
     pts = basis.mesh.centers[basis.cell_idx]
     forms = {}
@@ -166,7 +174,7 @@ def carrier_advected_forms(basis, carrier):
     of D_k[i, j] = sum_p w_p ((V_k . grad) psi_i) . psi_j over the basis
     support cells, with the carrier velocity evaluated afresh and the sum
     over the components (c, d) of grad psi_i an explicit loop."""
-    w, V, G = basis.cell_weights, basis.values, basis.grads  # G: d_d psi_c
+    w, V, G = support_fields(basis)  # G: d_d psi_c
     pts = basis.mesh.centers[basis.cell_idx]
     forms = {}
     for k, fields in carrier.harmonic_fields(pts, ("V",)).items():

@@ -13,8 +13,8 @@ from periflow.basis import _raw_fields, assemble_system, build_basis, estimate_c
 from periflow.basis import grad_identity_gap
 from periflow.carrier import FluxCarrier, carrier_forces
 from periflow.errors import BasisError
-from periflow.geometry import build_mesh, cell_rows
-from periflow.signals import real_fields, sine_signal, sobolev_norm_T, synthesize
+from periflow.geometry import build_mesh
+from periflow.signals import sine_signal, sobolev_norm_T, synthesize
 
 from oracles import (
     basis_tensors_einsum,
@@ -24,6 +24,7 @@ from oracles import (
     cubic_sum_bruteforce,
     forcing_projection,
     generalized_eigenvalues,
+    support_fields,
 )
 
 FD_H = 1e-5
@@ -34,9 +35,9 @@ def _mode_fields(mode, points, need=("V",)):
 
 
 def test_orthonormality(basis):
-    n = basis.n
-    gram = np.array([[basis.l2_inner(i, k) for k in range(n)] for i in range(n)])
-    assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
+    w, psi, _ = support_fields(basis)
+    gram = np.einsum("p,ipc,kpc->ik", w, psi, psi)
+    assert np.max(np.abs(gram - np.eye(basis.n))) <= 1e-10
 
 
 def test_divergence_free(basis, geom):
@@ -125,24 +126,32 @@ def test_basis_tensors_match_einsum_oracle(basis):
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect)), name
 
 
-def test_fields_at_cells_matches_direct_evaluation(basis, mesh):
-    # through `cell_rows`, support cells read stored rows; the cells beyond
-    # the support read zeros, which must equal the evaluated fields exactly
+def test_fields_at_cells_matches_direct_evaluation(basis, mesh, monkeypatch):
+    # the fields that `field_blocks` forms from the stored jets, on support
+    # cells, on cells beyond the support and on repeated cells, in blocks of
+    # one cell and of seven, equal the evaluated fields exactly
     rng = np.random.default_rng(3)
     outside = np.setdiff1d(np.arange(len(mesh.weights)), basis.cell_idx)
     cells = np.concatenate(
         [rng.choice(basis.cell_idx, 400), rng.choice(outside, 50), basis.cell_idx[:5]]
     )
     rng.shuffle(cells)
+    assert len(np.unique(cells)) < len(cells)
     pts = mesh.centers[cells]
-    psi, gpsi = cell_rows(basis.cell_idx, cells, basis.values, basis.grads)
-    assert np.array_equal(psi, basis.velocity_at(pts))
-    assert np.array_equal(gpsi, basis.gradient_at(pts))
+    want = basis.velocity_at(pts), basis.gradient_at(pts)
+    for block in (1, 7):
+        monkeypatch.setattr(geometry, "CELL_BLOCK", block)
+        got = list(basis.field_blocks(cells, ("V", "grad")))
+        assert [rows.start for rows, _, _ in got] == list(range(0, len(cells), block))
+        for rows, psi, gpsi in got:
+            assert np.array_equal(psi, want[0][:, rows])
+            assert np.array_equal(gpsi, want[1][:, rows])
 
 
 @pytest.mark.parametrize("n", [1, 8, 20, 35])
 def test_modes_vanish_exactly_off_the_support_cells(geom, mesh, n):
-    # the forcing projection and the Stokes forcing read zeros on these cells
+    # the quadrature forms of the basis, summed over the support cells only,
+    # rest on these zeros
     b = build_basis(geom, n, mesh=mesh)
     outside = mesh.centers[np.setdiff1d(np.arange(len(mesh.weights)), b.cell_idx)]
     assert len(outside) > 0
@@ -151,9 +160,9 @@ def test_modes_vanish_exactly_off_the_support_cells(geom, mesh, n):
 
 
 def test_carrier_is_x1_independent_off_the_support_cells(basis, mesh, ref_run):
-    # d_1 V = grad[..., 0] vanishes exactly where the basis is not stored;
-    # V itself does not, but it enters the Stokes forcing only through
-    # products with basis fields
+    # d_1 V = grad[..., 0] vanishes exactly beyond the basis support, where
+    # the Stokes forcing reads it on forcing cells; V itself does not, but it
+    # enters the Stokes forcing only through products with basis fields
     outside = mesh.centers[np.setdiff1d(np.arange(len(mesh.weights)), basis.cell_idx)]
     for fld in ref_run["carrier"].harmonic_fields(outside, ("V", "grad")).values():
         assert np.abs(fld["grad"][..., 0]).max() == 0.0
@@ -265,7 +274,7 @@ def test_cell_block_size_changes_no_tensor(
     monkeypatch.setattr(geometry, "CELL_BLOCK", block)
     got = build_basis(geom, basis.n, mesh=mesh)
     gsys = assemble_system(got, carrier, forces, want.params)
-    for name in ("values", "grads", "c", "grad_gram", "strain_gram"):
+    for name in ("c", "grad_gram", "strain_gram"):
         assert _relative_gap(getattr(got, name), getattr(basis, name)) <= 1e-13, name
     for name in ("d_harmonics", "transport_forms", "f_harmonics"):
         tensors = getattr(gsys, name)
@@ -311,15 +320,10 @@ def test_separable_sums_match_the_cell_sum_oracles(
         assert _relative_gap(gsys.f_harmonics[k], fk) <= 1e-13, k
 
 
-def test_assembly_leaves_the_carrier_fields_to_their_first_read(
-    two_harmonic_forces, params, basis, monkeypatch
-):
-    """The assembly evaluates no carrier field on the basis cells; the
-    system's `carrier_fields` does, once, on first read, and keeps them."""
+def test_assembly_evaluates_no_carrier_field(two_harmonic_forces, params, basis, monkeypatch):
+    """The assembly sums the carrier forms from the carrier's separable
+    terms and evaluates no carrier field on the basis cells."""
     forces = two_harmonic_forces
-    carrier = forces.carrier
-    pts = basis.mesh.centers[basis.cell_idx]
-    direct = carrier.harmonic_fields(pts, ("V", "grad"))
     calls = []
     original = FluxCarrier.harmonic_fields
 
@@ -328,13 +332,8 @@ def test_assembly_leaves_the_carrier_fields_to_their_first_read(
         return original(self, points, *args, **kwargs)
 
     monkeypatch.setattr(FluxCarrier, "harmonic_fields", counted)
-    gsys = assemble_system(basis, carrier, forces, params)
+    assemble_system(basis, forces.carrier, forces, params)
     assert calls == []
-    fields = gsys.carrier_fields
-    assert calls == [len(pts)]
-    assert gsys.carrier_fields is fields and calls == [len(pts)]
-    for got, key in zip(fields, ("V", "grad")):
-        assert np.array_equal(got, real_fields({k: fld[key] for k, fld in direct.items()}))
 
 
 def _traced_peak(fn):
@@ -348,30 +347,24 @@ def _traced_peak(fn):
 
 def test_basis_and_assembly_peak_memory_is_bounded_by_their_arrays(geom, mesh, ref_run):
     """`build_basis` and `assemble_system` hold, at their traced peaks, the
-    fields they keep or read and the temporaries of one step: neither a
-    quadrature sum nor the change to the orthonormal basis holds a second
-    array over every support cell."""
+    arrays they keep or read and the temporaries of one block of cells:
+    neither evaluates a field over every support cell."""
     gsys = ref_run["system"]
     basis, forces = gsys.basis, gsys.forces
+    quad = basis.quadrature
     n = basis.n
-    fields = basis.values.nbytes + basis.grads.nbytes
-    # the support cells' indices, points and weights
-    support = basis.cell_idx.nbytes + 3 * basis.cell_weights.nbytes
-    # one raw mode evaluated on the support cells (its fields and the
-    # factors they are formed from, four times the fields it returns), or one
-    # block of a transport sum (the pair products and the shifted and
-    # weighted velocities)
-    step = max(4 * fields // n, (n * n + 4 * n) * geometry.CELL_BLOCK * 8)
-    assert _traced_peak(lambda: build_basis(geom, n, mesh=mesh)) <= fields + support + step
-    # the carrier fields, evaluated complex and kept as real copies; the
-    # basis fields at the forcing cells and the forcing, complex and real,
-    # which the forcing projection reads
-    Vc, Gc = gsys.carrier_fields
-    at_forcing = fields * len(forces.cell_idx) // len(basis.cell_idx)
+    # one block of a transport sum: the pair products and the shifted and
+    # weighted velocities
+    step = (n * n + 4 * n) * geometry.CELL_BLOCK * 8
+    # the stream-function jets and the fields at the correction points
+    kept = sum(x.nbytes for x in quad.jets) + quad.values.nbytes + quad.grads.nbytes
+    assert _traced_peak(lambda: build_basis(geom, n, mesh=mesh)) <= kept + step
+    # the forcing, complex and real, and the basis velocities of one block of
+    # forcing cells, raw and orthonormal, which the forcing projection reads
     forcing = 2 * 16 * len(forces.f_harmonics) * forces.cell_idx.size * 2
-    bound = 2 * (Vc.nbytes + Gc.nbytes) + at_forcing + forcing
+    velocities = 2 * n * min(geometry.CELL_BLOCK, forces.cell_idx.size) * 2 * 8
     peak = _traced_peak(lambda: assemble_system(basis, gsys.carrier, forces, gsys.params))
-    assert peak <= bound
+    assert peak <= forcing + velocities + step
 
 
 def test_too_many_modes_rejected(geom, mesh):
@@ -419,15 +412,15 @@ def test_transport_bound_holds_for_samples(basis, ref_run, ref_cq):
     phi_norm = sobolev_norm_T(carrier.flow.flowrate, 1)
     gg = basis.grad_gram
     pts = basis.mesh.centers[basis.cell_idx]
-    w = basis.cell_weights
+    w, values, _ = support_fields(basis)
     e1 = np.array([1.0, 0.0])
     times = np.linspace(0.0, carrier.period, 16, endpoint=False)
     rng = np.random.default_rng(23)
     for _ in range(5):
         a = rng.standard_normal(basis.n)
         denom = phi_norm * float(a @ gg @ a)
-        Vm = np.tensordot(a, basis.values - basis.beta[:, None, None] * e1, axes=(0, 0))
-        psi = np.tensordot(a, basis.values, axes=(0, 0))
+        Vm = np.tensordot(a, values - basis.beta[:, None, None] * e1, axes=(0, 0))
+        psi = np.tensordot(a, values, axes=(0, 0))
         for t in times:
             Gc = carrier.gradient_at(pts, t)
             val = float(np.einsum("p,pd,pcd,pc->", w, Vm, Gc, psi))

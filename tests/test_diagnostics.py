@@ -38,12 +38,9 @@ from oracles import body_boundary_quadrature, body_force_at, two_constants_linpr
 
 
 class _StubBasis:
-    """Minimal basis stand-in: unit first mode, unit coupling."""
+    """Minimal basis stand-in: unit coupling (every basis is orthonormal)."""
 
     beta = np.array([1.0])
-
-    def l2_inner(self, i, k):
-        return 1.0
 
 
 def _toy_trajectory():
@@ -245,11 +242,16 @@ def test_far_field_decay(basis, geom, ref_run):
 
 
 def test_far_field_decay_sees_a_field_beyond_the_support(basis, geom):
-    # the first raw mode's x-factor identically 1: the field reaches every x1
+    # the first raw mode's x-factor identically 1: the field reaches every
+    # x1, and so do the jets evaluated from it at the quadrature's coordinates
     from periflow._bumps import Cosine
+    from periflow.basis import _UNIFORM, _stream_jets
 
     leaky_mode = dataclasses.replace(basis.modes[0], fx=Cosine(0, 0.0, 1.0))
-    leaky = dataclasses.replace(basis, modes=[leaky_mode] + list(basis.modes[1:]))
+    modes = [leaky_mode] + list(basis.modes[1:])
+    quad = basis.quadrature
+    quad = dataclasses.replace(quad, jets=_stream_jets(modes + [_UNIFORM], quad.x1, quad.x2, 2))
+    leaky = dataclasses.replace(basis, modes=modes, quadrature=quad)
     traj0 = zero_trajectory(2.0 * math.pi, basis.n, 64)
     traj = dataclasses.replace(traj0, states=traj0.states + 1.0, derivs=traj0.derivs + 1.0)
     X = geom.X0 + 1.0
@@ -469,18 +471,16 @@ def _count_carrier_evaluations(monkeypatch):
 
 
 def test_solve_evaluates_the_carrier_once_per_stage(monkeypatch):
-    # one evaluation for the forcing (with the Laplacian) and one on the
-    # basis cells, on the diagnostics' first read of the system's fields
+    # one evaluation, for the forcing (with the Laplacian); the assembly and
+    # the diagnostics form the carrier's fields from its separable terms
     calls = _count_carrier_evaluations(monkeypatch)
     galerkin_solve(reference_config(n_steps=512))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_diagnostics_bundle_evaluates_no_carrier_field(ref_run, monkeypatch):
-    # the system evaluates its carrier fields on first read and keeps them;
-    # the bundle reads those and evaluates nothing more
+    # the bundle forms the carrier's fields from its separable terms
     gsys = ref_run["system"]
-    gsys.carrier_fields
     calls = _count_carrier_evaluations(monkeypatch)
     diagnostics_bundle(ref_run["trajectory"], gsys)
     assert calls == []
